@@ -639,31 +639,3 @@ def conv1d_embed(a: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     if bias.shape != (kernel.shape[0],):
         raise ShapeError(f"conv1d_embed bias shape {bias.shape} != ({kernel.shape[0]},)")
     return add(matmul(kernel, a), reshape(bias, (-1, 1)))
-
-
-# -- gradient checking helper -----------------------------------------------------
-
-
-def finite_difference_grad(f, arrays: list[np.ndarray], step: float = 1e-5) -> list[np.ndarray]:
-    """Central finite-difference gradient of scalar f w.r.t. each array in-place."""
-    grads = []
-    for arr in arrays:
-        g = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = f()
-            flat[i] = orig - step
-            lo = f()
-            flat[i] = orig
-            gflat[i] = (hi - lo) / (2.0 * step)
-        grads.append(g)
-    return grads
-
-
-def max_rel_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-4) -> float:
-    """Worst-case elementwise relative error with a scale floor for tiny entries."""
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
-    return float(np.max(np.abs(analytic - numeric) / denom)) if analytic.size else 0.0

@@ -2,23 +2,24 @@
 architecture config, the input-standardization statistics, and selection
 metadata.
 
-The format is a single JSON document. Floats survive the round trip
-exactly (shortest-repr encoding), and key order is fixed, so re-saving an
-unchanged model is byte-identical.
+The format is a `container` file: the config, statistics and metadata sit
+in the JSON header and each parameter array follows as a raw float64
+`.npy` record, in the model's parameter order. Re-saving an unchanged
+model is byte-identical.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import numpy as np
 
+from . import container
 from .config import ModelConfig
 from .errors import ConfigError, FormatError
 from .model import WaveHeightModel
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def save_checkpoint(path: str, model: WaveHeightModel,
@@ -26,46 +27,20 @@ def save_checkpoint(path: str, model: WaveHeightModel,
                     standardization: dict | None = None,
                     meta: dict | None = None) -> None:
     state = state if state is not None else model.bag.state_arrays()
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "config": asdict(model.cfg),
-        "standardization": standardization,
-        "meta": meta,
-        "params": {name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
-                   for name, arr in state.items()},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    header = {"config": asdict(model.cfg), "standardization": standardization, "meta": meta}
+    container.write(path, "checkpoint", FORMAT_VERSION, header, state)
 
 
 def load_checkpoint(path: str) -> tuple[WaveHeightModel, dict | None, dict | None]:
     """Rebuild the model from a checkpoint; returns (model, standardization, meta)."""
+    header, state = container.read(path, "checkpoint", FORMAT_VERSION)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "format_version" not in doc:
-        raise FormatError(f"checkpoint {path} lacks a format_version header")
-    if doc["format_version"] != FORMAT_VERSION:
-        raise FormatError(
-            f"checkpoint format version {doc['format_version']} unsupported (expected {FORMAT_VERSION})"
-        )
-    cfg_fields = {f.name for f in fields(ModelConfig)}
-    cfg_doc = doc.get("config", {})
-    unknown = set(cfg_doc) - cfg_fields
-    if unknown:
-        raise FormatError(f"checkpoint config has unknown fields: {sorted(unknown)}")
-    cfg = ModelConfig(**cfg_doc)
+        cfg = ModelConfig(**header.get("config", {}))
+    except TypeError as exc:
+        raise FormatError(f"checkpoint config does not fit ModelConfig: {exc}") from exc
     model = WaveHeightModel(cfg)
-    try:
-        state = {name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-                 for name, entry in doc["params"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"checkpoint {path} has malformed parameter entries: {exc}") from exc
     try:
         model.bag.load_state_arrays(state)
     except ConfigError as exc:
         raise FormatError(f"checkpoint {path} does not match its declared config: {exc}") from exc
-    return model, doc.get("standardization"), doc.get("meta")
+    return model, header.get("standardization"), header.get("meta")

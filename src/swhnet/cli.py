@@ -56,13 +56,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="quality control + channel alignment of L1 records")
     _add_common(p)
     p.add_argument("--input", required=True, help="L1 interchange JSONL")
-    p.add_argument("--out", required=True, help="aligned-group JSONL")
+    p.add_argument("--out", required=True, help="aligned-group file")
 
     p = sub.add_parser("match-era5", help="collocate aligned groups with a reanalysis grid")
     _add_common(p)
-    p.add_argument("--input", required=True, help="aligned-group JSONL")
+    p.add_argument("--input", required=True, help="aligned-group file")
     p.add_argument("--grid", required=True, help="reanalysis grid JSON")
-    p.add_argument("--out", required=True, help="canonical sample JSONL")
+    p.add_argument("--out", required=True, help="canonical sample file")
 
     p = sub.add_parser("match-buoy", help="collocate aligned groups with buoy measurements")
     _add_common(p)

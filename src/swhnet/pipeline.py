@@ -4,8 +4,10 @@ and the canonical sample file format.
 
 Stages are pure functions over record lists and every stage reports a
 rejection tally, so kept + rejected always reconciles with the input
-count. File formats are JSON-based and deterministic: identical inputs
-and seeds reproduce byte-identical outputs.
+count. The sample and group files swhnet writes are `container` files
+with a JSON sidecar manifest; the inputs (L1 records, the reanalysis
+grid, buoys) are JSON and CSV. Identical inputs and seeds reproduce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from . import container
 from .config import AP_COLUMNS, DDM_TYPES, SWH_CAP_M, SplitSpec
 from .errors import ConfigError, ContractError, FormatError
 
@@ -33,7 +36,7 @@ QUALITY_FLAG_MASK = (1 << 28) - 1  # bits 1..28
 BUOY_MAX_KM = 25.0
 BUOY_MAX_S = 30.0 * 60.0
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 QC_RULES = (
     "nan_inf",
@@ -321,38 +324,40 @@ class _InterpError(Exception):
         self.reason = reason
 
 
-def _bracket(axis: np.ndarray, value: float, name: str) -> tuple[int, float]:
-    """Lower bracketing index and fractional offset within [axis[0], axis[-1]]."""
+def _bracket(axis: np.ndarray, value: float, longitude: bool = False) -> tuple[int, int, float]:
+    """Indices (i, j) of the axis points around value and its fractional
+    offset from axis[i] towards axis[j]. A longitude axis that closes the
+    circle wraps value into [axis[0], axis[0] + 360) and brackets a value
+    past its last point with its first."""
     if value < axis[0] or value > axis[-1]:
-        raise _InterpError("outside_grid")
+        if not (longitude and abs(axis[-1] - axis[0] + 0.5 - 360.0) < 1e-6):
+            raise _InterpError("outside_grid")
+        value = axis[0] + (value - axis[0]) % 360.0
+        if value > axis[-1]:
+            return axis.size - 1, 0, (value - axis[-1]) / (axis[0] + 360.0 - axis[-1])
     idx = int(np.searchsorted(axis, value, side="right") - 1)
     idx = min(idx, axis.size - 2)
-    frac = (value - axis[idx]) / (axis[idx + 1] - axis[idx])
-    return idx, frac
+    return idx, idx + 1, (value - axis[idx]) / (axis[idx + 1] - axis[idx])
 
 
 def interpolate_swh(grid: Era5Grid, lat: float, lon: float, t: float) -> float:
     """Bilinear interpolation in space at the two bracketing hours, then
-    linear interpolation in time.
+    linear interpolation in time. On a grid that is global in longitude
+    the last longitude column neighbours the first.
 
     Raises _InterpError("outside_grid") beyond the axes and
     _InterpError("masked_node") if any of the four surrounding cells is
     land-masked.
     """
-    ti, tf = _bracket(grid.times, t, "time")
-    yi, yf = _bracket(grid.lats, lat, "lat")
-    xi, xf = _bracket(grid.lons, lon, "lon")
-    if grid.mask[yi:yi + 2, xi:xi + 2].any():
+    t0, t1, tf = _bracket(grid.times, t)
+    y0, y1, yf = _bracket(grid.lats, lat)
+    x0, x1, xf = _bracket(grid.lons, lon, longitude=True)
+    mask = grid.mask
+    if mask[y0, x0] or mask[y0, x1] or mask[y1, x0] or mask[y1, x1]:
         raise _InterpError("masked_node")
-    values = []
-    for k in (ti, ti + 1):
-        plane = grid.swh[k]
-        v = (plane[yi, xi] * (1 - yf) * (1 - xf)
-             + plane[yi, xi + 1] * (1 - yf) * xf
-             + plane[yi + 1, xi] * yf * (1 - xf)
-             + plane[yi + 1, xi + 1] * yf * xf)
-        values.append(v)
-    return values[0] * (1 - tf) + values[1] * tf
+    v0, v1 = (p[y0, x0] * (1 - yf) * (1 - xf) + p[y0, x1] * (1 - yf) * xf
+              + p[y1, x0] * yf * (1 - xf) + p[y1, x1] * yf * xf for p in (grid.swh[t0], grid.swh[t1]))
+    return v0 * (1 - tf) + v1 * tf
 
 
 def _record_to_obs(rec: L1Record, swh_ref: float) -> ChannelObs:
@@ -502,41 +507,40 @@ def manifest_path(path: str) -> str:
     return path + ".manifest.json"
 
 
-def _obs_to_doc(ch: ChannelObs) -> dict:
-    return {
-        "channel": ch.channel,
-        "sp_lat": ch.sp_lat,
-        "sp_lon": ch.sp_lon,
-        "ddms": {name: ch.ddms[i].tolist() for i, name in enumerate(DDM_TYPES)},
-        "aps": {name: float(ch.aps[i]) for i, name in enumerate(AP_COLUMNS)},
-        "swh_ref": ch.swh_ref,
-        "wind_speed": ch.wind_speed,
-    }
+def _write_manifest(path: str, doc: dict) -> None:
+    with container.atomic_open(manifest_path(path)) as fh:
+        fh.write(json.dumps(doc, indent=1).encode("utf-8") + b"\n")
 
 
-def _obs_from_doc(doc: dict) -> ChannelObs:
-    ddms = np.array([doc["ddms"][name] for name in DDM_TYPES], dtype=np.float64)
-    aps = np.array([doc["aps"][name] for name in AP_COLUMNS], dtype=np.float64)
-    wind = doc.get("wind_speed")
-    return ChannelObs(channel=int(doc["channel"]), sp_lat=float(doc["sp_lat"]),
-                      sp_lon=float(doc["sp_lon"]), ddms=ddms, aps=aps,
-                      swh_ref=float(doc["swh_ref"]),
-                      wind_speed=None if wind is None else float(wind))
+def _per_channel(items: list, n: int, *fields: str) -> dict[str, np.ndarray]:
+    """{field: (n, 4, ...) float64 array of item.field} over the
+    channel-ordered items of n samples or groups."""
+    arrays = {}
+    for f in fields:
+        try:
+            flat = np.array([getattr(x, f) for x in items], dtype=np.float64)
+        except ValueError as exc:
+            raise ContractError(f"{f} values do not stack into one array (mixed DDM shapes?): {exc}") from exc
+        arrays[f] = flat.reshape((n, 4) + flat.shape[1:])
+    return arrays
 
 
 def write_samples(path: str, samples: list[FourChannelSample], manifest: dict) -> None:
-    """One JSON object per line plus a sidecar manifest document."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in samples:
-            doc = {"timestamp": s.timestamp, "source": s.source,
-                   "channels": [_obs_to_doc(ch) for ch in s.channels]}
-            fh.write(json.dumps(doc))
-            fh.write("\n")
-    full = {"schema_version": SCHEMA_VERSION, "n_samples": len(samples)}
-    full.update(manifest)
-    with open(manifest_path(path), "w", encoding="utf-8") as fh:
-        json.dump(full, fh, indent=1)
-        fh.write("\n")
+    """A `container` file with one (n_samples, 4, ...) array per channel
+    field, plus a sidecar manifest document. A channel without wind speed
+    has has_wind False and wind_speed 0."""
+    chans = [ch for s in samples for ch in s.channels]
+    n = len(samples)
+    sources = sorted({s.source for s in samples})
+    container.write(path, "samples", SCHEMA_VERSION, {"sources": sources}, {
+        "timestamp": np.array([s.timestamp for s in samples], dtype=np.float64),
+        "source": np.array([sources.index(s.source) for s in samples], dtype=np.int64),
+        **_per_channel(chans, n, "sp_lat", "sp_lon", "ddms", "aps", "swh_ref"),
+        "has_wind": np.array([c.wind_speed is not None for c in chans], dtype=bool).reshape(n, 4),
+        "wind_speed": np.array([c.wind_speed if c.wind_speed is not None else 0.0 for c in chans],
+                               dtype=np.float64).reshape(n, 4),
+    })
+    _write_manifest(path, {"schema_version": SCHEMA_VERSION, "n_samples": n, **manifest})
 
 
 def read_samples(path: str) -> tuple[list[FourChannelSample], dict]:
@@ -548,27 +552,19 @@ def read_samples(path: str) -> tuple[list[FourChannelSample], dict]:
     except json.JSONDecodeError as exc:
         raise FormatError(f"manifest for {path} is not valid JSON: {exc}") from exc
     if manifest.get("schema_version") != SCHEMA_VERSION:
-        raise FormatError(
-            f"sample file schema version {manifest.get('schema_version')} unsupported "
-            f"(expected {SCHEMA_VERSION})"
-        )
-    samples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-                samples.append(FourChannelSample(
-                    timestamp=float(doc["timestamp"]), source=str(doc["source"]),
-                    channels=[_obs_from_doc(c) for c in doc["channels"]]))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, ContractError) as exc:
-                raise FormatError(f"{path}:{lineno}: malformed sample line: {exc}") from exc
-    if manifest.get("n_samples") is not None and manifest["n_samples"] != len(samples):
-        raise FormatError(
-            f"{path} holds {len(samples)} samples but the manifest declares {manifest['n_samples']} "
-            "(truncated file?)"
-        )
+        raise FormatError(f"manifest version {manifest.get('schema_version')} unsupported (expected {SCHEMA_VERSION})")
+    header, a = container.read(path, "samples", SCHEMA_VERSION)
+    try:
+        ts, src, lat, lon, ref, has, wind = (a[k].tolist() for k in (
+            "timestamp", "source", "sp_lat", "sp_lon", "swh_ref", "has_wind", "wind_speed"))
+        samples = [FourChannelSample(timestamp=ts[i], source=header["sources"][src[i]], channels=[
+            ChannelObs(channel=c + 1, sp_lat=lat[i][c], sp_lon=lon[i][c], ddms=a["ddms"][i, c],
+                       aps=a["aps"][i, c], swh_ref=ref[i][c], wind_speed=wind[i][c] if has[i][c] else None)
+            for c in range(4)]) for i in range(len(ts))]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise FormatError(f"{path}: malformed sample arrays: {exc}") from exc
+    if manifest.get("n_samples") not in (None, len(samples)):
+        raise FormatError(f"{path} holds {len(samples)} samples but the manifest declares {manifest['n_samples']}")
     return samples, manifest
 
 
@@ -588,7 +584,7 @@ def read_l1_records(path: str) -> list[dict]:
 
 def write_era5_grid(path: str, grid: Era5Grid) -> None:
     doc = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": 1,  # the grid is an interchange format; its schema is unchanged
         "times": grid.times.tolist(),
         "lats": grid.lats.tolist(),
         "lons": grid.lons.tolist(),
@@ -639,46 +635,33 @@ def read_buoys(path: str) -> list[BuoyRecord]:
 
 
 def write_groups(path: str, groups: list[list[L1Record]], tally: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for group in groups:
-            doc = {"timestamp": group[0].timestamp, "records": [
-                {
-                    "timestamp": r.timestamp, "channel": r.channel,
-                    "sp_lat": r.sp_lat, "sp_lon": r.sp_lon,
-                    "ddms": {name: r.ddms[i].tolist() for i, name in enumerate(DDM_TYPES)},
-                    "aps": {k: r.aps[k] for k in BASE_AP_FIELDS},
-                    "rcg": r.rcg,
-                } for r in group]}
-            fh.write(json.dumps(doc))
-            fh.write("\n")
-    with open(manifest_path(path), "w", encoding="utf-8") as fh:
-        json.dump({"schema_version": SCHEMA_VERSION, "n_groups": len(groups), "tally": tally}, fh, indent=1)
-        fh.write("\n")
+    """A `container` file with one (n_groups, 4, ...) array per persisted
+    record field, plus a sidecar manifest document."""
+    recs = [r for group in groups for r in group]
+    n = len(groups)
+    container.write(path, "groups", SCHEMA_VERSION, {}, {
+        **_per_channel(recs, n, "timestamp", "sp_lat", "sp_lon", "ddms", "rcg"),
+        "channel": np.array([r.channel for r in recs], dtype=np.int64).reshape(n, 4),
+        "aps": np.array([[r.aps[k] for k in BASE_AP_FIELDS] for r in recs],
+                        dtype=np.float64).reshape(n, 4, len(BASE_AP_FIELDS)),
+    })
+    _write_manifest(path, {"schema_version": SCHEMA_VERSION, "n_groups": n, "tally": tally})
 
 
 def read_groups(path: str) -> list[list[L1Record]]:
     """Groups written by write_groups: records are post-screening, so the
     screening-only fields (geometry, flags) are not persisted and are
     restored as pass-through placeholders."""
-    groups = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-                group = []
-                for r in doc["records"]:
-                    group.append(L1Record(
-                        timestamp=float(r["timestamp"]), channel=int(r["channel"]),
-                        sp_lat=float(r["sp_lat"]), sp_lon=float(r["sp_lon"]),
-                        ddms=np.array([r["ddms"][name] for name in DDM_TYPES], dtype=np.float64),
-                        aps={k: float(r["aps"][k]) for k in BASE_AP_FIELDS},
-                        range_tx_sp_m=1.0, range_sp_rx_m=1.0, quality_flags=0,
-                        tracker_attitude_status=TRACKER_STATUS_OK, roll_deg=0.0,
-                        yaw_deg=0.0, pitch_deg=0.0, distance_to_land_km=np.inf,
-                        solar_contamination=False, rcg=float(r["rcg"])))
-                groups.append(group)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"{path}:{lineno}: malformed group line: {exc}") from exc
-    return groups
+    _, a = container.read(path, "groups", SCHEMA_VERSION)
+    try:
+        ts, ch, lat, lon, aps, rcg = (a[k].tolist() for k in (
+            "timestamp", "channel", "sp_lat", "sp_lon", "aps", "rcg"))
+        return [[L1Record(
+            timestamp=ts[i][c], channel=ch[i][c], sp_lat=lat[i][c], sp_lon=lon[i][c],
+            ddms=a["ddms"][i, c], aps={k: aps[i][c][j] for j, k in enumerate(BASE_AP_FIELDS)},
+            range_tx_sp_m=1.0, range_sp_rx_m=1.0, quality_flags=0, tracker_attitude_status=TRACKER_STATUS_OK,
+            roll_deg=0.0, yaw_deg=0.0, pitch_deg=0.0, distance_to_land_km=np.inf,
+            solar_contamination=False, rcg=rcg[i][c]) for c in range(4)]
+            for i in range(len(ts))]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise FormatError(f"{path}: malformed group arrays: {exc}") from exc

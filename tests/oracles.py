@@ -116,3 +116,28 @@ def channel_gate_oracle_cd(a2, p3, b3, p4, b4):
             z = sum(hidden[h] * p4[h, j] for h in range(p3.shape[1])) + b4[j]
             out[j, pos] = 1.0 / (1.0 + math.exp(-z))
     return out
+
+
+def finite_difference_grad(f, arrays, step=1e-5):
+    """Central finite-difference gradient of scalar f w.r.t. each array in-place."""
+    grads = []
+    for arr in arrays:
+        g = np.zeros_like(arr)
+        flat = arr.reshape(-1)
+        gflat = g.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            hi = f()
+            flat[i] = orig - step
+            lo = f()
+            flat[i] = orig
+            gflat[i] = (hi - lo) / (2.0 * step)
+        grads.append(g)
+    return grads
+
+
+def max_rel_error(analytic, numeric, floor=1e-4):
+    """Worst-case elementwise relative error with a scale floor for tiny entries."""
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
+    return float(np.max(np.abs(analytic - numeric) / denom)) if analytic.size else 0.0

@@ -24,7 +24,7 @@ from swhnet.pipeline import (BuoyRecord, Era5Grid, cap_and_filter,
 from swhnet.synth import generate
 from swhnet.training import AdamW, to_model_dataset, train
 
-from oracles import encoder_layer_oracle, layer_weight_arrays
+from oracles import encoder_layer_oracle, finite_difference_grad, layer_weight_arrays, max_rel_error
 from test_metrics import naive_metrics
 from test_pipeline import VIOLATIONS, make_records, record_doc, sample_with_refs
 
@@ -75,8 +75,8 @@ def test_criterion_01_gradient_correctness():
         with ad.no_grad():
             return loss_tensor().item()
 
-    numeric = ad.finite_difference_grad(f, [p.data for p in params], step=1e-4)
-    worst = max(ad.max_rel_error(a, n) for a, n in zip(analytic, numeric))
+    numeric = finite_difference_grad(f, [p.data for p in params], step=1e-4)
+    worst = max(max_rel_error(a, n) for a, n in zip(analytic, numeric))
     elapsed = time.time() - t0
     gate(1, "gradient correctness", worst < 1e-4 and elapsed < 60.0,
          f"{count_params(model.bag)} parameters, worst rel err {worst:.2e}, {elapsed:.1f}s")

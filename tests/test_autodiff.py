@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from swhnet import autodiff as ad
 from swhnet.errors import ConfigError, ContractError, NonFiniteError, ShapeError
 
+from oracles import finite_difference_grad, max_rel_error
+
 
 def check_grads(build, arrays, step=1e-5, tol=1e-5, floor=1e-4):
     """Compare analytic gradients of build(arrays) against finite differences.
@@ -29,9 +31,9 @@ def check_grads(build, arrays, step=1e-5, tol=1e-5, floor=1e-4):
             ts = [ad.Tensor(a) for a in arrays]
             return build(ts).item()
 
-    numeric = ad.finite_difference_grad(f, arrays, step=step)
+    numeric = finite_difference_grad(f, arrays, step=step)
     for a, n in zip(analytic, numeric):
-        assert ad.max_rel_error(a, n, floor=floor) < tol
+        assert max_rel_error(a, n, floor=floor) < tol
 
 
 # ---------------------------------------------------------------------------

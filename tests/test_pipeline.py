@@ -17,8 +17,9 @@ from swhnet.pipeline import (BuoyRecord, ChannelObs, Era5Grid, FourChannelSample
                              interpolate_swh, match_buoy_groups,
                              match_buoy_record, match_era5_groups,
                              parse_l1_record, parse_time, quality_control,
-                             read_samples, split_dataset, standardize_ap,
-                             write_samples, _InterpError)
+                             read_groups, read_samples, split_dataset,
+                             standardize_ap, write_groups, write_samples,
+                             _InterpError)
 
 W, H = 3, 4
 
@@ -273,6 +274,33 @@ def test_interp_outside_and_masked():
     assert err.value.reason == "masked_node"
 
 
+def test_interp_wraps_antimeridian_on_global_grid():
+    t0 = parse_time("2019-09-01")
+    lats = np.arange(-2.0, 2.5, 0.5)
+    lons = np.arange(-180.0, 180.0, 0.5)
+    east = np.where(lons < 0.0, lons + 360.0, lons)  # 0 .. 359.5 going east from lon 0
+    swh = np.broadcast_to(2.0 + 0.01 * east, (2, lats.size, lons.size)).copy()
+    grid = Era5Grid(times=[t0, t0 + 3600.0], lats=lats, lons=lons, swh=swh,
+                    mask=np.zeros((lats.size, lons.size), dtype=bool))
+    # between the nodes 179.5 (2 + 1.795) and -180 = 180 (2 + 1.800)
+    assert interpolate_swh(grid, 0.3, 179.75, t0) == pytest.approx(3.7975, abs=1e-12)
+    assert interpolate_swh(grid, 0.3, 179.9, t0) == pytest.approx(3.799, abs=1e-12)
+    assert interpolate_swh(grid, 0.3, -179.75, t0) == pytest.approx(3.8025, abs=1e-12)
+    # a grid running 0 .. 359.5 takes a [-180, 180) longitude
+    shifted = Era5Grid(times=grid.times, lats=lats, lons=lons + 180.0, swh=swh, mask=grid.mask)
+    assert interpolate_swh(shifted, 0.3, -0.25, t0) == pytest.approx(3.7975, abs=1e-12)
+    # the wrapped cell honours the mask of the first column
+    grid.mask[4, 0] = True
+    with pytest.raises(_InterpError) as err:
+        interpolate_swh(grid, 0.3, 179.75, t0)
+    assert err.value.reason == "masked_node"
+    # a regional grid does not wrap
+    regional = affine_grid()
+    with pytest.raises(_InterpError) as err:
+        interpolate_swh(regional, 10.0, 45.25, regional.times[0])
+    assert err.value.reason == "outside_grid"
+
+
 def test_match_era5_groups_tally():
     grid = affine_grid(const=2.0, masked=[(2, 2)])
     t = float(grid.times[1])
@@ -427,20 +455,73 @@ def test_sample_file_roundtrip_bit_identical(tmp_path):
             assert np.array_equal(ca.aps, cb.aps)
 
 
+def test_sample_file_wind_none_and_mixed_sources_roundtrip(tmp_path):
+    samples = [sample_with_refs([1, 2, 3, 4], ts=float(i)) for i in range(3)]
+    for s, source in zip(samples, ("era5", "buoy", "synth")):
+        s.source = source
+    winds = [None, 0.0, -0.0, 7.25]
+    for ch, wind in zip(samples[1].channels, winds):
+        ch.wind_speed = wind
+    path = tmp_path / "samples.jsonl"
+    write_samples(str(path), samples, {})
+    loaded, _ = read_samples(str(path))
+    assert [s.source for s in loaded] == ["era5", "buoy", "synth"]
+    assert all(ch.wind_speed is None for ch in loaded[0].channels + loaded[2].channels)
+    got = [ch.wind_speed for ch in loaded[1].channels]
+    assert got[0] is None
+    assert [math.copysign(1.0, w) for w in got[1:3]] == [1.0, -1.0]
+    assert got[1:] == winds[1:]
+
+
+def test_sample_file_rejects_mixed_ddm_shapes(tmp_path):
+    samples = [sample_with_refs([1, 1, 1, 1], ts=1.0), sample_with_refs([2, 2, 2, 2], ts=2.0)]
+    samples[1].channels[2].ddms = np.zeros((3, W + 1, H))
+    with pytest.raises(ContractError, match="ddms"):
+        write_samples(str(tmp_path / "samples.jsonl"), samples, {})
+    assert not list(tmp_path.iterdir())
+
+
 def test_sample_file_truncation_and_version(tmp_path):
     samples = [sample_with_refs([1, 1, 1, 1], ts=1.0), sample_with_refs([2, 2, 2, 2], ts=2.0)]
     path = tmp_path / "samples.jsonl"
     write_samples(str(path), samples, {})
-    # drop the second line -> manifest count mismatch
-    lines = path.read_text().splitlines()
-    path.write_text(lines[0] + "\n")
+    raw = path.read_bytes()
+    # cut the payload short -> the last array record is incomplete
+    path.write_bytes(raw[:-8])
     with pytest.raises(FormatError):
         read_samples(str(path))
+    # another format version in the data file's header
+    path.write_bytes(raw.replace(b'"format_version": 2', b'"format_version": 99', 1))
+    with pytest.raises(FormatError, match="version 99"):
+        read_samples(str(path))
     # corrupt manifest version
-    write_samples(str(path), samples, {})
+    path.write_bytes(raw)
     mpath = tmp_path / "samples.jsonl.manifest.json"
     doc = json.loads(mpath.read_text())
     doc["schema_version"] = 99
     mpath.write_text(json.dumps(doc))
     with pytest.raises(FormatError):
         read_samples(str(path))
+
+
+def test_group_file_roundtrip_bit_identical(tmp_path):
+    rng = np.random.default_rng(5)
+    groups = [make_records(100.0 + i, [1, 2, 3, 4]) for i in range(3)]
+    for group in groups:
+        for r in group:
+            r.ddms = rng.normal(size=(3, W, H))
+            r.sp_lon = float(rng.uniform(-180.0, 180.0))
+            r.rcg = float(rng.uniform(3.0, 30.0))
+    path = tmp_path / "groups.jsonl"
+    write_groups(str(path), groups, {"qc": {}})
+    loaded = read_groups(str(path))
+    assert len(loaded) == len(groups)
+    for ga, gb in zip(groups, loaded):
+        for ra, rb in zip(ga, gb):
+            assert (ra.timestamp, ra.channel, ra.sp_lat, ra.sp_lon, ra.aps, ra.rcg) == \
+                (rb.timestamp, rb.channel, rb.sp_lat, rb.sp_lon, rb.aps, rb.rcg)
+            assert ra.ddms.tobytes() == rb.ddms.tobytes()
+    path2 = tmp_path / "again.jsonl"
+    write_groups(str(path2), loaded, {"qc": {}})
+    assert path.read_bytes() == path2.read_bytes()
+    assert json.loads((tmp_path / "groups.jsonl.manifest.json").read_text())["n_groups"] == 3

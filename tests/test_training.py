@@ -1,6 +1,9 @@
 """Tests for the optimizer, early stopping, the training loop, prediction,
 and checkpoint round trips."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -238,11 +241,36 @@ def test_checkpoint_version_and_truncation(tmp_path):
     model = toy_model()
     path = tmp_path / "ckpt.json"
     save_checkpoint(str(path), model)
-    raw = path.read_text().replace('"format_version": 1', '"format_version": 99')
-    path.write_text(raw)
-    with pytest.raises(FormatError):
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b'"format_version": 2', b'"format_version": 99', 1))
+    with pytest.raises(FormatError, match="version 99"):
         load_checkpoint(str(path))
     trunc = tmp_path / "broken.json"
-    trunc.write_text(path.read_text()[: len(path.read_text()) // 2])
+    trunc.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(FormatError):
         load_checkpoint(str(trunc))
+    trunc.write_bytes(raw[:-1])
+    with pytest.raises(FormatError):
+        load_checkpoint(str(trunc))
+
+
+def test_checkpoint_v1_json_rejected(tmp_path):
+    model = toy_model()
+    doc = {"format_version": 1, "config": asdict(model.cfg), "standardization": None, "meta": None,
+           "params": {name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
+                      for name, arr in model.bag.state_arrays().items()}}
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps(doc) + "\n")
+    with pytest.raises(FormatError, match="version 1 unsupported"):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_array_shape_must_match_config(tmp_path):
+    model = toy_model()
+    state = model.bag.state_arrays()
+    name = next(iter(state))
+    state[name] = np.zeros(state[name].size + 1)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(str(path), model, state=state)
+    with pytest.raises(FormatError, match=f"shape mismatch for {name}"):
+        load_checkpoint(str(path))
