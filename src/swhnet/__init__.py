@@ -3,7 +3,7 @@ height retrieval, with the collocation pipeline and evaluation suite."""
 
 from .autodiff import Parameter, Tensor, count_params
 from .config import ModelConfig, SplitSpec, SynthSpec, TrainConfig
-from .model import WaveHeightModel, batch_loss, huber_value
+from .model import WaveHeightModel, batch_loss
 from .training import AdamW, train
 
 __version__ = "0.1.0"
@@ -19,7 +19,6 @@ __all__ = [
     "WaveHeightModel",
     "batch_loss",
     "count_params",
-    "huber_value",
     "train",
     "__version__",
 ]

@@ -2,14 +2,21 @@
 
 Small tape-based autodiff engine providing exactly the operations the
 network needs: matrix products, row softmax, last-axis normalization,
-patch/pointwise convolutions, and an elementwise suite (add, mul, relu,
-sigmoid, dropout, transpose, reshape, concat, split, stack).
+the Huber penalty, patch/pointwise convolutions, an elementwise suite
+(add, mul, relu, sigmoid, dropout, transpose, reshape, concat, split,
+stack, pad_end), sum/mean reductions, and two fused encoder ops with
+hand-derived backward passes: `sca_attention` (four d_k = 1 heads plus
+the output projection) and `ffn` (linear -> ReLU -> dropout -> linear,
+dense or per-channel blocks).
 
 Design notes:
   * Everything is float64; gradients are checked against central finite
     differences at tight tolerances in the test suite.
   * Any forward op that produces NaN/Inf from finite inputs raises
-    NonFiniteError immediately instead of propagating.
+    NonFiniteError immediately instead of propagating. A fused op checks
+    once per call, where overflow can arise, not every intermediate.
+  * The fused ops keep only O(M) or O(M * d_ff) arrays for backward and
+    recompute the rest there, instead of a tape node per intermediate.
   * backward() accumulates: a second call without zeroing adds gradients.
   * Dropout takes an explicit numpy Generator so runs are reproducible.
 """
@@ -337,18 +344,25 @@ def sigmoid(x: Tensor) -> Tensor:
     return Tensor._from_op(s, (x,), _bw, "sigmoid")
 
 
+def _check_dropout(p: float, train: bool, rng: np.random.Generator | None) -> bool:
+    """Validate dropout arguments; True when masks are to be drawn."""
+    if not 0.0 <= p < 1.0:
+        raise ContractError(f"dropout probability must be in [0, 1), got {p}")
+    if not train or p == 0.0:
+        return False
+    if rng is None:
+        raise ContractError("dropout in train mode requires an explicit rng")
+    return True
+
+
 def dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
 
     Identity in eval mode (train=False) for any p.
     """
-    if not 0.0 <= p < 1.0:
-        raise ContractError(f"dropout probability must be in [0, 1), got {p}")
     x = _as_tensor(x)
-    if not train or p == 0.0:
+    if not _check_dropout(p, train, rng):
         return x
-    if rng is None:
-        raise ContractError("dropout in train mode requires an explicit rng")
     keep = rng.random(x.shape) >= p
     scale = 1.0 / (1.0 - p)
     factor = keep * scale
@@ -569,6 +583,153 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match last axis {d}")
     return add(mul(normalize(x, eps), gamma), beta)
+
+
+# -- fused encoder ops --------------------------------------------------------
+
+
+def sca_attention(tokens: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) -> Tensor:
+    """Four single-feature attention heads plus the head-mixing projection.
+
+    tokens is (M, 4). Head i reads column i only: q = tokens[:, i] * wq[i]
+    (likewise k and v), scores S = q k^T (d_k = 1, so the 1/sqrt(d_k) scale
+    is 1), and the head output is softmax_rows(S) @ v. The (M, 4) head
+    outputs H are mixed by wo: H @ wo for a dense (4, 4) wo, H * wo for a
+    diagonal (4,) wo.
+
+    S is a rank-one outer product, so its row max is q_t * max(k) when
+    q_t >= 0 and q_t * min(k) otherwise, exactly and in O(M). Backward keeps
+    only q, k, v, H and the per-row max and normaliser, and recomputes each
+    head's M x M probabilities in turn. Overflow is checked once, on the
+    largest score magnitude max|q| * max|k|, and on the output.
+    """
+    tokens, wq, wk, wv, wo = (_as_tensor(t) for t in (tokens, wq, wk, wv, wo))
+    if tokens.ndim != 2 or tokens.shape[1] != 4:
+        raise ShapeError(f"sca_attention tokens must be (M, 4), got {tokens.shape}")
+    if any(w.shape != (4,) for w in (wq, wk, wv)):
+        raise ShapeError(f"sca_attention wq/wk/wv must be (4,), got {wq.shape}/{wk.shape}/{wv.shape}")
+    dense = wo.shape == (4, 4)
+    if not dense and wo.shape != (4,):
+        raise ShapeError(f"sca_attention wo must be (4, 4) or (4,), got {wo.shape}")
+    x = np.ascontiguousarray(tokens.data.T)  # (4, M): row i is head i
+    q = x * wq.data[:, None]
+    k = x * wk.data[:, None]
+    v = x * wv.data[:, None]
+    with np.errstate(over="ignore"):
+        peak = np.abs(q).max(axis=1) * np.abs(k).max(axis=1)
+    if not np.all(np.isfinite(peak)):
+        raise NonFiniteError("sca_attention produced non-finite values (attention scores overflow)")
+    row_max = np.where(q >= 0, q * k.max(axis=1, keepdims=True), q * k.min(axis=1, keepdims=True))
+    m = tokens.shape[0]
+
+    def probs_unnormalised(i: int, out: np.ndarray) -> np.ndarray:
+        """exp(S - row max) of head i, written into `out` (M, M)."""
+        np.multiply(q[i][:, None], k[i], out=out)
+        np.subtract(out, row_max[i][:, None], out=out)
+        return np.exp(out, out=out)
+
+    h = np.empty((4, m))
+    den = np.empty((4, m))
+    e = np.empty((m, m))
+    for i in range(4):
+        p = probs_unnormalised(i, e)
+        den[i] = p.sum(axis=1)
+        h[i] = (p @ v[i]) / den[i]
+    heads = h.T
+    data = heads @ wo.data if dense else heads * wo.data
+
+    def _bw(g):
+        if wo.requires_grad:
+            wo._accumulate(h @ g if dense else (heads * g).sum(axis=0))
+        if not (tokens.requires_grad or wq.requires_grad or wk.requires_grad or wv.requires_grad):
+            return
+        gh = wo.data @ g.T if dense else wo.data[:, None] * g.T  # (4, M)
+        dq, dk, dv = np.empty((4, m)), np.empty((4, m)), np.empty((4, m))
+        buf = np.empty((m, m))
+        for i in range(4):
+            # With P the row-normalised probabilities and dS = P * g (v - h):
+            # dq = g (P(v k) - h P k), dk = v P^T(g q) - P^T(g q h), dv = P^T g.
+            p = probs_unnormalised(i, buf)
+            rows = p @ np.stack([v[i] * k[i], k[i]], axis=1) / den[i][:, None]
+            dq[i] = gh[i] * (rows[:, 0] - h[i] * rows[:, 1])
+            gq = gh[i] * q[i]
+            cols = p.T @ (np.stack([gq, gq * h[i], gh[i]], axis=1) / den[i][:, None])
+            dk[i] = v[i] * cols[:, 0] - cols[:, 1]
+            dv[i] = cols[:, 2]
+        if tokens.requires_grad:
+            tokens._accumulate((dq * wq.data[:, None] + dk * wk.data[:, None] + dv * wv.data[:, None]).T)
+        for w, d in ((wq, dq), (wk, dk), (wv, dv)):
+            if w.requires_grad:
+                w._accumulate((d * x).sum(axis=1))
+
+    return Tensor._from_op(data, (tokens, wq, wk, wv, wo), _bw, "sca_attention")
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+        p: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
+    """Token-wise feedforward linear -> ReLU -> inverted dropout -> linear.
+
+    Dense when b1 is 1-D: x (M, d), w1 (d, F), b1 (F,), w2 (F, d), b2 (d,).
+    Per-channel blocks when b1 is 2-D: x (M, C), w1, b1 and w2 (C, F/C),
+    b2 (C,); column c passes through its own 1 -> F/C -> 1 map and no
+    other, so channels stay isolated exactly.
+
+    In train mode with p > 0 the keep masks come from one rng.random call of
+    the hidden shape: (M, F) dense, (C, M, F/C) blocked, the same stream as
+    C per-channel (M, F/C) draws in channel order. Backward keeps only the
+    post-dropout hidden array: d(pre) = d(hidden) * scale where hidden > 0.
+    """
+    x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
+    drop = _check_dropout(p, train, rng)
+    scale = 1.0 / (1.0 - p) if drop else 1.0
+    if x.ndim != 2:
+        raise ShapeError(f"ffn input must be (M, d), got {x.shape}")
+    m, d = x.shape
+    blocks = b1.ndim == 2
+    if blocks:
+        ok = w1.shape == b1.shape == w2.shape and w1.shape[0] == d and b2.shape == (d,)
+    else:
+        ok = w1.ndim == 2 and w1.shape[0] == d and b1.shape == (w1.shape[1],) \
+            and w2.shape == w1.shape[::-1] and b2.shape == (d,)
+    if not ok:
+        raise ShapeError(f"ffn: weights {w1.shape}/{b1.shape}/{w2.shape}/{b2.shape} do not fit input {x.shape}")
+
+    if blocks:
+        hidden = x.data.T[:, :, None] * w1.data[:, None, :]  # (C, M, F/C)
+        hidden += b1.data[:, None, :]
+    else:
+        hidden = x.data @ w1.data
+        hidden += b1.data
+    np.maximum(hidden, 0.0, out=hidden)
+    if drop:
+        factor = rng.random(hidden.shape)
+        np.greater_equal(factor, p, out=factor)
+        factor *= scale
+        hidden *= factor
+    if blocks:
+        data = (hidden @ w2.data[:, :, None])[:, :, 0].T + b2.data
+    else:
+        data = hidden @ w2.data + b2.data
+
+    def _bw(g):
+        if w2.requires_grad:
+            w2._accumulate((g.T[:, None, :] @ hidden)[:, 0, :] if blocks else hidden.T @ g)
+        if b2.requires_grad:
+            b2._accumulate(g.sum(axis=0))
+        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+            return
+        pre = g.T[:, :, None] * w2.data[:, None, :] if blocks else g @ w2.data.T
+        pre *= hidden > 0.0
+        if drop:
+            pre *= scale
+        if w1.requires_grad:
+            w1._accumulate((x.data.T[:, None, :] @ pre)[:, 0, :] if blocks else x.data.T @ pre)
+        if b1.requires_grad:
+            b1._accumulate(pre.sum(axis=-2))
+        if x.requires_grad:
+            x._accumulate((pre @ w1.data[:, :, None])[:, :, 0].T if blocks else pre @ w1.data.T)
+
+    return Tensor._from_op(data, (x, w1, b1, w2, b2), _bw, "ffn")
 
 
 def huber(residual: Tensor, delta: float) -> Tensor:

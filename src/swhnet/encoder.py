@@ -15,12 +15,15 @@ projection, the feedforward maps, and the normalization statistics:
   * CI strategy: diagonal output projection, per-channel block-diagonal
     feedforward, per-channel normalization over the M tokens. Channel j
     of the output then depends on channel j of the input only, exactly.
+
+The attention and feedforward sublayers of a layer are each one fused
+autodiff op (`autodiff.sca_attention`, `autodiff.ffn`) that serves both
+strategies; the strategy only selects the weight shapes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,20 +33,6 @@ from .config import DDM_TYPES, ModelConfig
 from .errors import ConfigError, ShapeError
 
 LN_EPS = 1e-5
-
-
-@dataclass
-class DdmStack:
-    """Four-channel stack of the three DDM types, shape (4, 3, W, H)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 4 or self.values.shape[0] != 4 or self.values.shape[1] != 3:
-            raise ShapeError(f"DdmStack must be (4, 3, W, H), got {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise ShapeError("DdmStack contains non-finite values")
 
 
 def positional_encoding(seq_len: int, dim: int) -> np.ndarray:
@@ -188,41 +177,20 @@ class DdmEncoder:
 
         Query/key/value projections are diagonal (one scalar per
         channel) so head i sees channel i only; the output projection is
-        dense in CD mode and diagonal in CI mode.
+        dense in CD mode and diagonal in CI mode. One fused op
+        (`autodiff.sca_attention`) computes all four heads and recomputes
+        their M x M probabilities in backward instead of keeping them.
         """
-        d_k = 1.0
-        scale = 1.0 / math.sqrt(d_k)
-        qs = ad.split(ad.mul(tokens, layer["wq"]), 4, axis=1)
-        ks = ad.split(ad.mul(tokens, layer["wk"]), 4, axis=1)
-        vs = ad.split(ad.mul(tokens, layer["wv"]), 4, axis=1)
-        heads = []
-        for i in range(4):
-            scores = ad.mul(ad.matmul(qs[i], ad.transpose(ks[i])), scale)
-            attn = ad.softmax_rows(scores)
-            heads.append(ad.matmul(attn, vs[i]))
-        h = ad.concat(heads, axis=1)
-        if self.cfg.strategy == "CD":
-            return ad.matmul(h, layer["wo"])
-        return ad.mul(h, layer["wo"])
+        return ad.sca_attention(tokens, layer["wq"], layer["wk"], layer["wv"], layer["wo"])
 
     def ffn(self, x: Tensor, layer: dict, train: bool, rng: np.random.Generator | None) -> Tensor:
-        """Token-wise feedforward; dense in CD, per-channel blocks in CI."""
-        p = self.cfg.dropout_p
-        if self.cfg.strategy == "CD":
-            hidden = ad.dropout(ad.relu(ad.add(ad.matmul(x, layer["ffn_w1"]), layer["ffn_b1"])), p, train, rng)
-            return ad.add(ad.matmul(hidden, layer["ffn_w2"]), layer["ffn_b2"])
-        cols = ad.split(x, 4, axis=1)
-        w1_rows = ad.split(layer["ffn_w1"], 4, axis=0)
-        b1_rows = ad.split(layer["ffn_b1"], 4, axis=0)
-        w2_rows = ad.split(layer["ffn_w2"], 4, axis=0)
-        b2_parts = ad.split(layer["ffn_b2"], 4, axis=0)
-        outs = []
-        for c in range(4):
-            pre = ad.add(ad.mul(cols[c], w1_rows[c]), b1_rows[c])  # (M, d_ff/4)
-            hidden = ad.dropout(ad.relu(pre), p, train, rng)
-            out = ad.add(ad.matmul(hidden, ad.transpose(w2_rows[c])), b2_parts[c])
-            outs.append(out)
-        return ad.concat(outs, axis=1)
+        """Token-wise feedforward; dense in CD, per-channel blocks in CI.
+
+        One fused op (`autodiff.ffn`) for both: the CI weights are (4, d_ff/4)
+        blocks, one 1 -> d_ff/4 -> 1 map per channel.
+        """
+        return ad.ffn(x, layer["ffn_w1"], layer["ffn_b1"], layer["ffn_w2"], layer["ffn_b2"],
+                      self.cfg.dropout_p, train, rng)
 
     def layer_forward(self, tokens: Tensor, layer: dict, train: bool, rng: np.random.Generator | None) -> Tensor:
         cfg = self.cfg

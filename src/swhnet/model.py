@@ -91,16 +91,6 @@ class FusionHead:
 # ---------------------------------------------------------------------------
 
 
-def huber_value(y_hat: float, y: float, delta: float) -> float:
-    """Scalar Huber penalty: quadratic inside |e| <= delta, linear outside."""
-    if delta <= 0:
-        raise ConfigError(f"huber delta must be positive, got {delta}")
-    e = y - y_hat
-    if abs(e) <= delta:
-        return 0.5 * e * e
-    return delta * abs(e) - 0.5 * delta * delta
-
-
 def batch_loss(preds: list[Tensor], refs: np.ndarray, delta: float) -> Tensor:
     """Mean Huber penalty over all (sample, channel) pairs of a batch."""
     if len(preds) == 0:

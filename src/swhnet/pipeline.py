@@ -512,6 +512,21 @@ def _write_manifest(path: str, doc: dict) -> None:
         fh.write(json.dumps(doc, indent=1).encode("utf-8") + b"\n")
 
 
+def _read_manifest(path: str) -> dict:
+    """The sidecar manifest of a sample or group file; its schema version
+    must be SCHEMA_VERSION."""
+    try:
+        with open(manifest_path(path), "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except FileNotFoundError:
+        raise FormatError(f"missing manifest {manifest_path(path)}")
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"manifest for {path} is not valid JSON: {exc}") from exc
+    if manifest.get("schema_version") != SCHEMA_VERSION:
+        raise FormatError(f"manifest version {manifest.get('schema_version')} unsupported (expected {SCHEMA_VERSION})")
+    return manifest
+
+
 def _per_channel(items: list, n: int, *fields: str) -> dict[str, np.ndarray]:
     """{field: (n, 4, ...) float64 array of item.field} over the
     channel-ordered items of n samples or groups."""
@@ -544,15 +559,7 @@ def write_samples(path: str, samples: list[FourChannelSample], manifest: dict) -
 
 
 def read_samples(path: str) -> tuple[list[FourChannelSample], dict]:
-    try:
-        with open(manifest_path(path), "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError:
-        raise FormatError(f"missing manifest {manifest_path(path)}")
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"manifest for {path} is not valid JSON: {exc}") from exc
-    if manifest.get("schema_version") != SCHEMA_VERSION:
-        raise FormatError(f"manifest version {manifest.get('schema_version')} unsupported (expected {SCHEMA_VERSION})")
+    manifest = _read_manifest(path)
     header, a = container.read(path, "samples", SCHEMA_VERSION)
     try:
         ts, src, lat, lon, ref, has, wind = (a[k].tolist() for k in (
@@ -651,12 +658,14 @@ def write_groups(path: str, groups: list[list[L1Record]], tally: dict) -> None:
 def read_groups(path: str) -> list[list[L1Record]]:
     """Groups written by write_groups: records are post-screening, so the
     screening-only fields (geometry, flags) are not persisted and are
-    restored as pass-through placeholders."""
+    restored as pass-through placeholders. The sidecar manifest must be
+    present, at SCHEMA_VERSION, and agree on the group count."""
+    manifest = _read_manifest(path)
     _, a = container.read(path, "groups", SCHEMA_VERSION)
     try:
         ts, ch, lat, lon, aps, rcg = (a[k].tolist() for k in (
             "timestamp", "channel", "sp_lat", "sp_lon", "aps", "rcg"))
-        return [[L1Record(
+        groups = [[L1Record(
             timestamp=ts[i][c], channel=ch[i][c], sp_lat=lat[i][c], sp_lon=lon[i][c],
             ddms=a["ddms"][i, c], aps={k: aps[i][c][j] for j, k in enumerate(BASE_AP_FIELDS)},
             range_tx_sp_m=1.0, range_sp_rx_m=1.0, quality_flags=0, tracker_attitude_status=TRACKER_STATUS_OK,
@@ -665,3 +674,6 @@ def read_groups(path: str) -> list[list[L1Record]]:
             for i in range(len(ts))]
     except (KeyError, IndexError, TypeError) as exc:
         raise FormatError(f"{path}: malformed group arrays: {exc}") from exc
+    if manifest.get("n_groups") not in (None, len(groups)):
+        raise FormatError(f"{path} holds {len(groups)} groups but the manifest declares {manifest['n_groups']}")
+    return groups

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from swhnet.errors import ConfigError
+
 
 def norm_oracle(x, gamma, beta, strategy, eps=1e-5):
     """Population-statistics normalization, per token (CD) or per channel (CI)."""
@@ -56,24 +58,34 @@ def attention_oracle(tokens, w, strategy):
     return out
 
 
-def ffn_oracle(x, w, strategy):
-    """Two-layer token-wise feedforward with ReLU, explicit loops (eval mode)."""
+def ffn_oracle(x, w, strategy, p=0.0, rng=None):
+    """Two-layer token-wise feedforward with ReLU, explicit loops.
+
+    With p > 0 the hidden units pass through inverted dropout, the keep
+    masks drawn from rng in the documented order: one (M, d_ff) draw for
+    CD, one (M, d_ff/4) draw per channel, channel by channel, for CI.
+    """
     x = np.asarray(x, dtype=np.float64)
     m = x.shape[0]
     out = np.zeros((m, 4))
+    scale = 1.0 / (1.0 - p)
     if strategy == "CD":
         d_ff = w["ffn_w1"].shape[1]
+        keep = rng.random((m, d_ff)) >= p if p > 0 else np.ones((m, d_ff), dtype=bool)
         for t in range(m):
             hidden = np.zeros(d_ff)
             for h in range(d_ff):
-                hidden[h] = max(0.0, sum(x[t, i] * w["ffn_w1"][i, h] for i in range(4)) + w["ffn_b1"][h])
+                pre = sum(x[t, i] * w["ffn_w1"][i, h] for i in range(4)) + w["ffn_b1"][h]
+                hidden[h] = max(0.0, pre) * scale if keep[t, h] else 0.0
             for j in range(4):
                 out[t, j] = sum(hidden[h] * w["ffn_w2"][h, j] for h in range(d_ff)) + w["ffn_b2"][j]
     else:
         dff4 = w["ffn_w1"].shape[1]
         for c in range(4):
+            keep = rng.random((m, dff4)) >= p if p > 0 else np.ones((m, dff4), dtype=bool)
             for t in range(m):
-                hidden = np.array([max(0.0, x[t, c] * w["ffn_w1"][c, h] + w["ffn_b1"][c, h]) for h in range(dff4)])
+                hidden = np.array([max(0.0, x[t, c] * w["ffn_w1"][c, h] + w["ffn_b1"][c, h]) * scale
+                                   if keep[t, h] else 0.0 for h in range(dff4)])
                 out[t, c] = sum(hidden[h] * w["ffn_w2"][c, h] for h in range(dff4)) + w["ffn_b2"][c]
     return out
 
@@ -116,6 +128,16 @@ def channel_gate_oracle_cd(a2, p3, b3, p4, b4):
             z = sum(hidden[h] * p4[h, j] for h in range(p3.shape[1])) + b4[j]
             out[j, pos] = 1.0 / (1.0 + math.exp(-z))
     return out
+
+
+def huber_value(y_hat, y, delta):
+    """Scalar Huber penalty: quadratic inside |e| <= delta, linear outside."""
+    if delta <= 0:
+        raise ConfigError(f"huber delta must be positive, got {delta}")
+    e = y - y_hat
+    if abs(e) <= delta:
+        return 0.5 * e * e
+    return delta * abs(e) - 0.5 * delta * delta
 
 
 def finite_difference_grad(f, arrays, step=1e-5):

@@ -16,7 +16,7 @@ from swhnet.cli import main as cli_main
 from swhnet.config import ModelConfig, SplitSpec, SynthSpec, TrainConfig
 from swhnet.encoder import DdmEncoder, positional_encoding
 from swhnet.metrics import bias, cc, mae, mape, rmse
-from swhnet.model import WaveHeightModel, batch_loss, huber_value
+from swhnet.model import WaveHeightModel, batch_loss
 from swhnet.pipeline import (BuoyRecord, Era5Grid, cap_and_filter,
                              compute_ap_stats, interpolate_swh,
                              match_buoy_record, parse_time, quality_control,
@@ -24,7 +24,7 @@ from swhnet.pipeline import (BuoyRecord, Era5Grid, cap_and_filter,
 from swhnet.synth import generate
 from swhnet.training import AdamW, to_model_dataset, train
 
-from oracles import encoder_layer_oracle, finite_difference_grad, layer_weight_arrays, max_rel_error
+from oracles import encoder_layer_oracle, finite_difference_grad, huber_value, layer_weight_arrays, max_rel_error
 from test_metrics import naive_metrics
 from test_pipeline import VIOLATIONS, make_records, record_doc, sample_with_refs
 

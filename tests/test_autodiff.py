@@ -387,6 +387,86 @@ def test_huber_values_and_gradcheck():
 
 
 # ---------------------------------------------------------------------------
+# fused encoder ops
+# ---------------------------------------------------------------------------
+
+
+def attention_case(m, wo_shape, seed):
+    """Tokens in [-1, 1] and projections with |q k| up to ~500, q of both signs."""
+    rng = np.random.default_rng(seed)
+    tokens = rng.uniform(-1.0, 1.0, size=(m, 4))
+    wq = np.array([25.0, -20.0, 0.5, 22.0])
+    wk = np.array([20.0, 24.0, -1.5, -21.0])
+    wv = rng.normal(size=4)
+    wo = rng.normal(size=wo_shape)
+    return [tokens, wq, wk, wv, wo]
+
+
+@pytest.mark.parametrize("wo_shape", [(4, 4), (4,)], ids=["CD", "CI"])
+@pytest.mark.parametrize("m", [1, 3, 40])
+def test_sca_attention_matches_oracle_and_gradcheck(m, wo_shape):
+    from oracles import attention_oracle
+    arrays = attention_case(m, wo_shape, seed=m)
+    tokens, wq, wk, wv, wo = arrays
+    q, k = tokens * wq, tokens * wk
+    if m > 1:
+        assert (q < 0).any() and (q > 0).any()
+        assert np.abs(q[:, 0, None] * k[None, :, 0]).max() > 300.0
+    strategy = "CD" if wo.ndim == 2 else "CI"
+    out = ad.sca_attention(*[ad.Tensor(a) for a in arrays])
+    oracle = attention_oracle(tokens, {"wq": wq, "wk": wk, "wv": wv, "wo": wo}, strategy)
+    assert np.max(np.abs(out.data - oracle)) < 1e-10
+    probe = np.random.default_rng(100 + m).normal(size=(m, 4))
+    check_grads(lambda ts: ad.tsum(ad.mul(ad.sca_attention(*ts), probe)), arrays)
+
+
+def test_sca_attention_score_overflow_names_op():
+    tokens = ad.Tensor(np.array([[1e160, 1.0, 1.0, 1.0], [-1e160, 2.0, 2.0, 2.0]]))
+    ones = ad.Tensor(np.ones(4))
+    with pytest.raises(NonFiniteError, match="sca_attention"):
+        ad.sca_attention(tokens, ones, ones, ones, ad.Tensor(np.eye(4)))
+
+
+def ffn_case(strategy, m, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(m, 4))
+    if strategy == "CD":
+        shapes = [(4, 12), (12,), (12, 4), (4,)]
+    else:
+        shapes = [(4, 3), (4, 3), (4, 3), (4,)]
+    return [x] + [rng.normal(size=s) for s in shapes]
+
+
+@pytest.mark.parametrize("strategy", ["CI", "CD"])
+@pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+def test_ffn_gradcheck(strategy, train):
+    arrays = ffn_case(strategy, 5, seed=31)
+    probe = np.random.default_rng(32).normal(size=(5, 4))
+    # A fresh generator per evaluation keeps the dropout masks fixed.
+    check_grads(lambda ts: ad.tsum(ad.mul(
+        ad.ffn(*ts, 0.3, train, np.random.default_rng(33)), probe)), arrays)
+
+
+@pytest.mark.parametrize("strategy", ["CI", "CD"])
+def test_ffn_train_mode_matches_ordered_mask_oracle(strategy):
+    from oracles import ffn_oracle
+    x, w1, b1, w2, b2 = ffn_case(strategy, 6, seed=34)
+    weights = {"ffn_w1": w1, "ffn_b1": b1, "ffn_w2": w2, "ffn_b2": b2}
+    out = ad.ffn(ad.Tensor(x), w1, b1, w2, b2, 0.4, True, np.random.default_rng(35))
+    oracle = ffn_oracle(x, weights, strategy, p=0.4, rng=np.random.default_rng(35))
+    assert np.max(np.abs(out.data - oracle)) < 1e-12
+    assert np.abs(out.data - ffn_oracle(x, weights, strategy)).max() > 1e-3  # masks did drop units
+
+
+def test_ffn_rejects_mismatched_weights():
+    x, w1, b1, w2, b2 = ffn_case("CD", 3, seed=36)
+    with pytest.raises(ShapeError):
+        ad.ffn(ad.Tensor(x), w1, b1, w2.T, b2, 0.0, False)
+    with pytest.raises(ContractError):
+        ad.ffn(ad.Tensor(x), w1, b1, w2, b2, 0.5, True, None)
+
+
+# ---------------------------------------------------------------------------
 # generic small-shape gradient property
 # ---------------------------------------------------------------------------
 

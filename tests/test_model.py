@@ -1,6 +1,8 @@
 """Tests for feature fusion, the regression head, the Huber objective,
 and end-to-end behaviour of the assembled model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,9 @@ from swhnet import autodiff as ad
 from swhnet.autodiff import Tensor, count_params
 from swhnet.config import ModelConfig
 from swhnet.errors import ConfigError, ContractError
-from swhnet.model import WaveHeightModel, batch_loss, fuse, head_widths, huber_value
+from swhnet.model import WaveHeightModel, batch_loss, fuse, head_widths
 
-from oracles import finite_difference_grad, max_rel_error
+from oracles import finite_difference_grad, huber_value, max_rel_error
 
 
 def toy_config(**kw):
@@ -272,3 +274,23 @@ def test_global_only_head_input():
     assert model.head.input_dim == 4 * (cfg.embed_dim + cfg.k_ap)
     ddm, ap = toy_inputs(cfg)
     assert model.predict_sample(ddm, ap).shape == (4,)
+
+
+def test_paper_default_train_forward_holds_under_100mb():
+    """Memory still held after one paper-default training forward, before
+    backward: the fused attention and feedforward keep O(M) and O(M d_ff)
+    arrays per layer, not the M x M probabilities or a node per op."""
+    cfg = ModelConfig()
+    model = WaveHeightModel(cfg)
+    rng = np.random.default_rng(0)
+    ddm = rng.normal(size=(4, 3, cfg.width, cfg.height))
+    ap = rng.normal(size=(4, cfg.k_ap))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = model.forward(ddm, ap, train=True, rng=np.random.default_rng(1))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert held < 100e6, f"{held / 1e6:.0f} MB held after one training forward"

@@ -525,3 +525,34 @@ def test_group_file_roundtrip_bit_identical(tmp_path):
     write_groups(str(path2), loaded, {"qc": {}})
     assert path.read_bytes() == path2.read_bytes()
     assert json.loads((tmp_path / "groups.jsonl.manifest.json").read_text())["n_groups"] == 3
+
+
+def _group_file(tmp_path):
+    path = tmp_path / "groups.jsonl"
+    write_groups(str(path), [make_records(100.0 + i, [1, 2, 3, 4]) for i in range(2)], {"qc": {}})
+    return path, tmp_path / "groups.jsonl.manifest.json"
+
+
+def test_group_file_missing_manifest_rejected(tmp_path):
+    path, mpath = _group_file(tmp_path)
+    mpath.unlink()
+    with pytest.raises(FormatError, match="missing manifest"):
+        read_groups(str(path))
+
+
+def test_group_file_v1_manifest_rejected(tmp_path):
+    path, mpath = _group_file(tmp_path)
+    doc = json.loads(mpath.read_text())
+    doc["schema_version"] = 1
+    mpath.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="version 1 unsupported"):
+        read_groups(str(path))
+
+
+def test_group_file_manifest_count_must_match(tmp_path):
+    path, mpath = _group_file(tmp_path)
+    doc = json.loads(mpath.read_text())
+    doc["n_groups"] = 3
+    mpath.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="holds 2 groups but the manifest declares 3"):
+        read_groups(str(path))
