@@ -10,6 +10,8 @@ Under the CI strategy every channel-mixing map here (the embedding and
 the channel-gate projections) is constrained block-diagonal per channel,
 mirroring the encoder's CI constraints; otherwise gate values computed
 for channel i would leak information from channel j.
+
+Inputs may carry leading batch axes: (..., 4, K_ap) in, (..., 4, K_ap) out.
 """
 
 from __future__ import annotations
@@ -54,11 +56,11 @@ class ApGateBranch:
 
     def ap_embed(self, a: Tensor) -> tuple[Tensor, Tensor]:
         """Position-wise embedding to 8 channels, split into two 4 x K_ap maps."""
-        if a.shape != (4, self.cfg.k_ap):
-            raise ShapeError(f"AP matrix must be (4, {self.cfg.k_ap}), got {a.shape}")
+        if a.shape[-2:] != (4, self.cfg.k_ap):
+            raise ShapeError(f"AP matrix must be (..., 4, {self.cfg.k_ap}), got {a.shape}")
         if self.cfg.strategy == "CD":
             embedded = ad.conv1d_embed(a, self.embed_kernel, self.embed_bias)
-            a1, a2 = ad.split(embedded, 2, axis=0)
+            a1, a2 = ad.split(embedded, 2, axis=-2)
             return a1, a2
         w1, w2 = ad.split(self.embed_kernel, 2, axis=0)
         b1, b2 = ad.split(self.embed_bias, 2, axis=0)
@@ -73,22 +75,17 @@ class ApGateBranch:
 
     def channel_gate(self, a2: Tensor) -> Tensor:
         """Transpose, project the channel vector at each position, transpose back."""
-        t = ad.transpose(a2)  # (K_ap, 4)
+        t = ad.transpose(a2)  # (..., K_ap, 4)
         if self.cfg.strategy == "CD":
             hidden = ad.add(ad.matmul(t, self.p3), self.b3)
-            gates = ad.sigmoid(ad.add(ad.matmul(hidden, self.p4), self.b4))
-            return ad.transpose(gates)
-        cols = ad.split(t, 4, axis=1)
-        p3_rows = ad.split(self.p3, 4, axis=0)
-        b3_rows = ad.split(self.b3, 4, axis=0)
-        p4_rows = ad.split(self.p4, 4, axis=0)
-        b4_parts = ad.split(self.b4, 4, axis=0)
-        outs = []
-        for c in range(4):
-            hidden = ad.add(ad.mul(cols[c], p3_rows[c]), b3_rows[c])  # (K_ap, 4)
-            z = ad.add(ad.matmul(hidden, ad.transpose(p4_rows[c])), b4_parts[c])
-            outs.append(ad.sigmoid(z))
-        return ad.transpose(ad.concat(outs, axis=1))
+            z = ad.add(ad.matmul(hidden, self.p4), self.b4)
+        else:
+            # Channel c's value at each position through its own 1 -> 4 -> 1
+            # map: row c of p3, b3 and p4.
+            col = ad.reshape(t, t.shape + (1,))  # (..., K_ap, 4, 1)
+            hidden = ad.add(ad.mul(col, self.p3), self.b3)  # (..., K_ap, 4, 4)
+            z = ad.add(ad.tsum(ad.mul(hidden, self.p4), axis=-1), self.b4)
+        return ad.transpose(ad.sigmoid(z))
 
     @staticmethod
     def apply_gates(a: Tensor, w_spatial: Tensor, w_channel: Tensor) -> Tensor:

@@ -1,7 +1,7 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Small tape-based autodiff engine providing exactly the operations the
-network needs: matrix products, row softmax, last-axis normalization,
+network needs: matrix products, last-axis normalization,
 the Huber penalty, patch/pointwise convolutions, an elementwise suite
 (add, mul, relu, sigmoid, dropout, transpose, reshape, concat, split,
 stack, pad_end), sum/mean reductions, and two fused encoder ops with
@@ -19,6 +19,10 @@ Design notes:
     recompute the rest there, instead of a tape node per intermediate.
   * backward() accumulates: a second call without zeroing adds gradients.
   * Dropout takes an explicit numpy Generator so runs are reproducible.
+    A list of generators, one per index of the leading (batch) axis,
+    draws each sample's masks from its own stream instead.
+  * Ops accept leading batch axes; products with a 2-D weight fold them
+    into the rows of one BLAS call, and weight gradients sum over them.
 """
 
 from __future__ import annotations
@@ -97,6 +101,10 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
+
+    def __len__(self) -> int:
+        """Size of the first axis, as for a numpy array (TypeError when 0-d)."""
+        return len(self.data)
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -344,7 +352,7 @@ def sigmoid(x: Tensor) -> Tensor:
     return Tensor._from_op(s, (x,), _bw, "sigmoid")
 
 
-def _check_dropout(p: float, train: bool, rng: np.random.Generator | None) -> bool:
+def _check_dropout(p: float, train: bool, rng) -> bool:
     """Validate dropout arguments; True when masks are to be drawn."""
     if not 0.0 <= p < 1.0:
         raise ContractError(f"dropout probability must be in [0, 1), got {p}")
@@ -355,17 +363,66 @@ def _check_dropout(p: float, train: bool, rng: np.random.Generator | None) -> bo
     return True
 
 
-def dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
+def _per_sample(arr: np.ndarray, rng):
+    """(block, generator) pairs to draw masks into: the whole array for one
+    Generator, or one leading-axis slice per generator of a per-sample list."""
+    if isinstance(rng, np.random.Generator):
+        return [(arr, rng)]
+    if len(rng) != arr.shape[0]:
+        raise ShapeError(f"{len(rng)} per-sample generators for a leading axis of {arr.shape[0]}")
+    return zip(arr, rng)
+
+
+@contextmanager
+def per_sample_streams(rng: np.random.Generator | None, n: int, draws: int):
+    """Per-sample generators for a batch of n samples that each draw `draws`
+    uniforms: the b-th starts where `rng` stands after b samples, so the
+    batch's masks equal those of n single-sample calls in order.
+
+    Yields `rng` itself when n == 1 or nothing is drawn. Otherwise sample 0
+    draws from `rng`, the others from copies advanced by b * draws
+    (`bit_generator.advance`, so PCG64 only); on exit `rng` is left where n
+    single-sample calls would leave it. A sample that drew a different count
+    raises ContractError.
+    """
+    if rng is None or n == 1 or draws == 0:
+        yield rng
+        return
+    bits = rng.bit_generator
+    if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
+        raise ContractError(f"batched dropout needs a PCG64 generator to advance, got {type(bits).__name__}")
+    start = bits.state
+    streams = [rng]
+    for b in range(1, n):
+        copy = type(bits)(0)
+        copy.state = start
+        copy.advance(b * draws)
+        streams.append(np.random.Generator(copy))
+    second = streams[1].bit_generator.state["state"]
+    yield streams
+    end = bits.state
+    if end["state"] != second:
+        raise ContractError(f"a sample drew other than the {draws} dropout uniforms its stream holds")
+    # advance() clears the buffered 32-bit half that double draws leave
+    # alone, so take only the PCG state from the last stream.
+    end["state"] = streams[-1].bit_generator.state["state"]
+    bits.state = end
+
+
+def dropout(x: Tensor, p: float, train: bool, rng=None) -> Tensor:
     """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
 
-    Identity in eval mode (train=False) for any p.
+    Identity in eval mode (train=False) for any p. `rng` is a Generator or
+    a list of them, one per index of the leading axis.
     """
     x = _as_tensor(x)
     if not _check_dropout(p, train, rng):
         return x
-    keep = rng.random(x.shape) >= p
-    scale = 1.0 / (1.0 - p)
-    factor = keep * scale
+    factor = np.empty(x.shape)
+    for block, g in _per_sample(factor, rng):
+        g.random(out=block)
+    np.greater_equal(factor, p, out=factor)
+    factor *= 1.0 / (1.0 - p)
 
     def _bw(g):
         if x.requires_grad:
@@ -378,11 +435,15 @@ def dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None = 
 
 
 def transpose(x: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
+    """Permute axes; the default swaps the last two (a batch of transposes)."""
     x = _as_tensor(x)
-    if axes is not None and sorted(axes) != list(range(x.ndim)):
-        raise ShapeError(f"transpose: invalid axes {axes} for ndim {x.ndim}")
+    order = tuple(range(x.ndim))
+    given = axes
+    axes = order[:-2] + order[:-3:-1] if axes is None else tuple(a + x.ndim if a < 0 else a for a in axes)
+    if sorted(axes) != list(order):
+        raise ShapeError(f"transpose: invalid axes {given} for ndim {x.ndim}")
     data = np.transpose(x.data, axes)
-    inv = None if axes is None else tuple(np.argsort(axes))
+    inv = tuple(np.argsort(axes))
 
     def _bw(g):
         if x.requires_grad:
@@ -403,11 +464,6 @@ def reshape(x: Tensor, shape) -> Tensor:
             x._accumulate(g.reshape(x.shape))
 
     return Tensor._from_op(np.ascontiguousarray(data), (x,), _bw, "reshape")
-
-
-def flatten(x: Tensor) -> Tensor:
-    """Row-major flatten to a 1-D tensor."""
-    return reshape(x, (-1,))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -520,37 +576,37 @@ def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # -- linear algebra ---------------------------------------------------------------
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """`a` with its leading axes folded into the rows: (..., n, k) -> (-1, k)."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(..., n, k) @ (k, m) as one 2-D product over the folded rows."""
+    return (_rows(a) @ b).reshape(a.shape[:-1] + b.shape[1:])
+
+
+def _lead_sum(a: np.ndarray, nd: int) -> np.ndarray:
+    """Sum over every axis but the last `nd`: a batch's weight gradient."""
+    return a.reshape((-1,) + a.shape[a.ndim - nd:]).sum(axis=0)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a (..., n, k) @ b (k, m); b's gradient sums over a's leading axes."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul requires 2-D operands, got {a.shape} x {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim != 2:
+        raise ShapeError(f"matmul requires (..., n, k) x (k, m) operands, got {a.shape} x {b.shape}")
+    if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions disagree ({a.shape} x {b.shape})")
-    data = a.data @ b.data
+    data = _mm(a.data, b.data)
 
     def _bw(g):
         if a.requires_grad:
-            a._accumulate(g @ b.data.T)
+            a._accumulate(_mm(g, b.data.T))
         if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+            b._accumulate(_rows(a.data).T @ _rows(g))
 
     return Tensor._from_op(data, (a, b), _bw, "matmul")
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax of a 2-D tensor, computed with max subtraction."""
-    x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"softmax_rows requires a 2-D tensor, got {x.shape}")
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=1, keepdims=True)
-
-    def _bw(g):
-        if x.requires_grad:
-            x._accumulate(s * (g - (g * s).sum(axis=1, keepdims=True)))
-
-    return Tensor._from_op(s, (x,), _bw, "softmax_rows")
 
 
 def normalize(x: Tensor, eps: float = 1e-5) -> Tensor:
@@ -591,100 +647,110 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 def sca_attention(tokens: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) -> Tensor:
     """Four single-feature attention heads plus the head-mixing projection.
 
-    tokens is (M, 4). Head i reads column i only: q = tokens[:, i] * wq[i]
-    (likewise k and v), scores S = q k^T (d_k = 1, so the 1/sqrt(d_k) scale
-    is 1), and the head output is softmax_rows(S) @ v. The (M, 4) head
-    outputs H are mixed by wo: H @ wo for a dense (4, 4) wo, H * wo for a
-    diagonal (4,) wo.
+    tokens is (..., M, 4); leading axes are a batch. Head i of a sample
+    reads column i only: q = tokens[:, i] * wq[i] (likewise k and v), scores
+    S = q k^T (d_k = 1, so the 1/sqrt(d_k) scale is 1), and the head output
+    is the row-wise softmax of S times v. The (M, 4) head outputs H are
+    mixed by wo: H @ wo for a dense (4, 4) wo, H * wo for a diagonal (4,) wo.
 
     S is a rank-one outer product, so its row max is q_t * max(k) when
-    q_t >= 0 and q_t * min(k) otherwise, exactly and in O(M). Backward keeps
-    only q, k, v, H and the per-row max and normaliser, and recomputes each
-    head's M x M probabilities in turn. Overflow is checked once, on the
+    q_t >= 0 and q_t * min(k) otherwise, exactly and in O(M). Forward and
+    backward loop over the batch's heads with one M x M buffer; backward
+    keeps only q, k, v, H and the per-row max and normaliser, and recomputes
+    each head's probabilities in turn. Overflow is checked once, on the
     largest score magnitude max|q| * max|k|, and on the output.
     """
     tokens, wq, wk, wv, wo = (_as_tensor(t) for t in (tokens, wq, wk, wv, wo))
-    if tokens.ndim != 2 or tokens.shape[1] != 4:
-        raise ShapeError(f"sca_attention tokens must be (M, 4), got {tokens.shape}")
+    if tokens.ndim < 2 or tokens.shape[-1] != 4:
+        raise ShapeError(f"sca_attention tokens must be (..., M, 4), got {tokens.shape}")
     if any(w.shape != (4,) for w in (wq, wk, wv)):
         raise ShapeError(f"sca_attention wq/wk/wv must be (4,), got {wq.shape}/{wk.shape}/{wv.shape}")
     dense = wo.shape == (4, 4)
     if not dense and wo.shape != (4,):
         raise ShapeError(f"sca_attention wo must be (4, 4) or (4,), got {wo.shape}")
-    x = np.ascontiguousarray(tokens.data.T)  # (4, M): row i is head i
+    m = tokens.shape[-2]
+    x = np.ascontiguousarray(np.swapaxes(tokens.data, -1, -2))  # (..., 4, M): row i is head i
     q = x * wq.data[:, None]
     k = x * wk.data[:, None]
     v = x * wv.data[:, None]
     with np.errstate(over="ignore"):
-        peak = np.abs(q).max(axis=1) * np.abs(k).max(axis=1)
+        peak = np.abs(q).max(axis=-1) * np.abs(k).max(axis=-1)
     if not np.all(np.isfinite(peak)):
         raise NonFiniteError("sca_attention produced non-finite values (attention scores overflow)")
-    row_max = np.where(q >= 0, q * k.max(axis=1, keepdims=True), q * k.min(axis=1, keepdims=True))
-    m = tokens.shape[0]
+    row_max = np.where(q >= 0, q * k.max(axis=-1, keepdims=True), q * k.min(axis=-1, keepdims=True))
+    # One row per (sample, head).
+    qf, kf, vf, rf = (a.reshape(-1, m) for a in (q, k, v, row_max))
 
     def probs_unnormalised(i: int, out: np.ndarray) -> np.ndarray:
-        """exp(S - row max) of head i, written into `out` (M, M)."""
-        np.multiply(q[i][:, None], k[i], out=out)
-        np.subtract(out, row_max[i][:, None], out=out)
+        """exp(S - row max) of head row i, written into `out` (M, M)."""
+        np.multiply(qf[i][:, None], kf[i], out=out)
+        np.subtract(out, rf[i][:, None], out=out)
         return np.exp(out, out=out)
 
-    h = np.empty((4, m))
-    den = np.empty((4, m))
+    h = np.empty(qf.shape)
+    den = np.empty(qf.shape)
     e = np.empty((m, m))
-    for i in range(4):
+    for i in range(len(qf)):
         p = probs_unnormalised(i, e)
         den[i] = p.sum(axis=1)
-        h[i] = (p @ v[i]) / den[i]
-    heads = h.T
-    data = heads @ wo.data if dense else heads * wo.data
+        h[i] = (p @ vf[i]) / den[i]
+    heads = np.swapaxes(h.reshape(x.shape), -1, -2)  # (..., M, 4)
+    data = _mm(heads, wo.data) if dense else heads * wo.data
 
     def _bw(g):
         if wo.requires_grad:
-            wo._accumulate(h @ g if dense else (heads * g).sum(axis=0))
+            wo._accumulate(_rows(heads).T @ _rows(g) if dense else _rows(heads * g).sum(axis=0))
         if not (tokens.requires_grad or wq.requires_grad or wk.requires_grad or wv.requires_grad):
             return
-        gh = wo.data @ g.T if dense else wo.data[:, None] * g.T  # (4, M)
-        dq, dk, dv = np.empty((4, m)), np.empty((4, m)), np.empty((4, m))
+        gh = _mm(g, wo.data.T) if dense else g * wo.data
+        gh = np.ascontiguousarray(np.swapaxes(gh, -1, -2)).reshape(-1, m)
+        dq, dk, dv = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
+        dqf, dkf, dvf = (a.reshape(-1, m) for a in (dq, dk, dv))
         buf = np.empty((m, m))
-        for i in range(4):
+        for i in range(len(qf)):
             # With P the row-normalised probabilities and dS = P * g (v - h):
             # dq = g (P(v k) - h P k), dk = v P^T(g q) - P^T(g q h), dv = P^T g.
             p = probs_unnormalised(i, buf)
-            rows = p @ np.stack([v[i] * k[i], k[i]], axis=1) / den[i][:, None]
-            dq[i] = gh[i] * (rows[:, 0] - h[i] * rows[:, 1])
-            gq = gh[i] * q[i]
+            rows = p @ np.stack([vf[i] * kf[i], kf[i]], axis=1) / den[i][:, None]
+            dqf[i] = gh[i] * (rows[:, 0] - h[i] * rows[:, 1])
+            gq = gh[i] * qf[i]
             cols = p.T @ (np.stack([gq, gq * h[i], gh[i]], axis=1) / den[i][:, None])
-            dk[i] = v[i] * cols[:, 0] - cols[:, 1]
-            dv[i] = cols[:, 2]
+            dkf[i] = vf[i] * cols[:, 0] - cols[:, 1]
+            dvf[i] = cols[:, 2]
         if tokens.requires_grad:
-            tokens._accumulate((dq * wq.data[:, None] + dk * wk.data[:, None] + dv * wv.data[:, None]).T)
+            dx = dq * wq.data[:, None] + dk * wk.data[:, None] + dv * wv.data[:, None]
+            tokens._accumulate(np.swapaxes(dx, -1, -2))
         for w, d in ((wq, dq), (wk, dk), (wv, dv)):
             if w.requires_grad:
-                w._accumulate((d * x).sum(axis=1))
+                w._accumulate(_lead_sum((d * x).sum(axis=-1), 1))
 
     return Tensor._from_op(data, (tokens, wq, wk, wv, wo), _bw, "sca_attention")
 
 
 def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-        p: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
+        p: float, train: bool, rng=None) -> Tensor:
     """Token-wise feedforward linear -> ReLU -> inverted dropout -> linear.
 
-    Dense when b1 is 1-D: x (M, d), w1 (d, F), b1 (F,), w2 (F, d), b2 (d,).
-    Per-channel blocks when b1 is 2-D: x (M, C), w1, b1 and w2 (C, F/C),
-    b2 (C,); column c passes through its own 1 -> F/C -> 1 map and no
-    other, so channels stay isolated exactly.
+    Dense when b1 is 1-D: x (..., M, d), w1 (d, F), b1 (F,), w2 (F, d),
+    b2 (d,). Per-channel blocks when b1 is 2-D: x (..., M, C), w1, b1 and
+    w2 (C, F/C), b2 (C,); column c passes through its own 1 -> F/C -> 1 map
+    and no other, so channels stay isolated exactly. Leading axes of x are
+    a batch.
 
-    In train mode with p > 0 the keep masks come from one rng.random call of
-    the hidden shape: (M, F) dense, (C, M, F/C) blocked, the same stream as
-    C per-channel (M, F/C) draws in channel order. Backward keeps only the
-    post-dropout hidden array: d(pre) = d(hidden) * scale where hidden > 0.
+    In train mode with p > 0 each sample's keep mask is one rng.random call
+    of its hidden shape: (M, F) dense, (C, M, F/C) blocked, the same stream
+    as C per-channel (M, F/C) draws in channel order. `rng` is a Generator,
+    drawing one mask for the whole hidden array, or a list of one per index
+    of the leading axis, drawing one sample's mask at a time. Backward keeps
+    only the post-dropout hidden array: d(pre) = d(hidden) * scale where
+    hidden > 0.
     """
     x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
     drop = _check_dropout(p, train, rng)
     scale = 1.0 / (1.0 - p) if drop else 1.0
-    if x.ndim != 2:
-        raise ShapeError(f"ffn input must be (M, d), got {x.shape}")
-    m, d = x.shape
+    if x.ndim < 2:
+        raise ShapeError(f"ffn input must be (..., M, d), got {x.shape}")
+    d = x.shape[-1]
     blocks = b1.ndim == 2
     if blocks:
         ok = w1.shape == b1.shape == w2.shape and w1.shape[0] == d and b2.shape == (d,)
@@ -694,40 +760,46 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     if not ok:
         raise ShapeError(f"ffn: weights {w1.shape}/{b1.shape}/{w2.shape}/{b2.shape} do not fit input {x.shape}")
 
+    xt = np.swapaxes(x.data, -1, -2)  # (..., C, M)
     if blocks:
-        hidden = x.data.T[:, :, None] * w1.data[:, None, :]  # (C, M, F/C)
+        hidden = xt[..., None] * w1.data[:, None, :]  # (..., C, M, F/C)
         hidden += b1.data[:, None, :]
     else:
-        hidden = x.data @ w1.data
+        hidden = _mm(x.data, w1.data)
         hidden += b1.data
     np.maximum(hidden, 0.0, out=hidden)
     if drop:
-        factor = rng.random(hidden.shape)
-        np.greater_equal(factor, p, out=factor)
-        factor *= scale
-        hidden *= factor
+        for block, g in _per_sample(hidden, rng):
+            keep = g.random(block.shape)
+            np.greater_equal(keep, p, out=keep)
+            keep *= scale
+            block *= keep
     if blocks:
-        data = (hidden @ w2.data[:, :, None])[:, :, 0].T + b2.data
+        data = np.swapaxes((hidden @ w2.data[:, :, None])[..., 0], -1, -2) + b2.data
     else:
-        data = hidden @ w2.data + b2.data
+        data = _mm(hidden, w2.data) + b2.data
 
     def _bw(g):
+        gt = np.swapaxes(g, -1, -2)
         if w2.requires_grad:
-            w2._accumulate((g.T[:, None, :] @ hidden)[:, 0, :] if blocks else hidden.T @ g)
+            w2._accumulate(_lead_sum((gt[..., None, :] @ hidden)[..., 0, :], 2) if blocks
+                           else _rows(hidden).T @ _rows(g))
         if b2.requires_grad:
-            b2._accumulate(g.sum(axis=0))
+            b2._accumulate(_rows(g).sum(axis=0))
         if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
             return
-        pre = g.T[:, :, None] * w2.data[:, None, :] if blocks else g @ w2.data.T
+        pre = gt[..., None] * w2.data[:, None, :] if blocks else _mm(g, w2.data.T)
         pre *= hidden > 0.0
         if drop:
             pre *= scale
         if w1.requires_grad:
-            w1._accumulate((x.data.T[:, None, :] @ pre)[:, 0, :] if blocks else x.data.T @ pre)
+            w1._accumulate(_lead_sum((xt[..., None, :] @ pre)[..., 0, :], 2) if blocks
+                           else _rows(x.data).T @ _rows(pre))
         if b1.requires_grad:
-            b1._accumulate(pre.sum(axis=-2))
+            b1._accumulate(_lead_sum(pre.sum(axis=-2), b1.ndim))
         if x.requires_grad:
-            x._accumulate((pre @ w1.data[:, :, None])[:, :, 0].T if blocks else pre @ w1.data.T)
+            x._accumulate(np.swapaxes((pre @ w1.data[:, :, None])[..., 0], -1, -2) if blocks
+                          else _mm(pre, w1.data.T))
 
     return Tensor._from_op(data, (x, w1, b1, w2, b2), _bw, "ffn")
 
@@ -756,20 +828,20 @@ def huber(residual: Tensor, delta: float) -> Tensor:
 
 
 def conv_patchify(x: Tensor, kernel: Tensor, bias: Tensor, patch: int) -> Tensor:
-    """Non-overlapping patch embedding of a (T, W, H) map.
+    """Non-overlapping patch embedding of a (..., T, W, H) map.
 
     Pads W and H up to the next multiple of `patch` with zeros, extracts
     patch x patch blocks (row-major over the padded grid), and projects
     each block to the kernel's output dimension. Kernel has shape
-    (d_out, T, patch, patch); the result is (d_out, N) with
-    N = ceil(W/patch) * ceil(H/patch).
+    (d_out, T, patch, patch); the result is (..., d_out, N) with
+    N = ceil(W/patch) * ceil(H/patch). Leading axes are a batch.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     if patch < 1:
         raise ShapeError(f"patch size must be >= 1, got {patch}")
-    if x.ndim != 3:
-        raise ShapeError(f"conv_patchify input must be (T, W, H), got {x.shape}")
-    t, w, h = x.shape
+    if x.ndim < 3:
+        raise ShapeError(f"conv_patchify input must be (..., T, W, H), got {x.shape}")
+    lead, (t, w, h) = x.shape[:-3], x.shape[-3:]
     if kernel.ndim != 4 or kernel.shape[1:] != (t, patch, patch):
         raise ShapeError(f"conv_patchify kernel {kernel.shape} does not match input {x.shape}, patch {patch}")
     d_out = kernel.shape[0]
@@ -777,26 +849,28 @@ def conv_patchify(x: Tensor, kernel: Tensor, bias: Tensor, patch: int) -> Tensor
         raise ShapeError(f"conv_patchify bias shape {bias.shape} != ({d_out},)")
     nw = -(-w // patch)
     nh = -(-h // patch)
-    padded = pad_end(x, (0, nw * patch - w, nh * patch - h))
-    blocks = reshape(padded, (t, nw, patch, nh, patch))
-    # (nw, nh, T, P, P) -> rows enumerate patches row-major over the grid
-    blocks = transpose(blocks, (1, 3, 0, 2, 4))
-    patches = reshape(blocks, (nw * nh, t * patch * patch))
+    nl = len(lead)
+    padded = pad_end(x, (0,) * (nl + 1) + (nw * patch - w, nh * patch - h))
+    blocks = reshape(padded, lead + (t, nw, patch, nh, patch))
+    # (..., nw, nh, T, P, P) -> rows enumerate patches row-major over the grid
+    blocks = transpose(blocks, tuple(range(nl)) + tuple(nl + a for a in (1, 3, 0, 2, 4)))
+    patches = reshape(blocks, lead + (nw * nh, t * patch * patch))
     weights = reshape(kernel, (d_out, t * patch * patch))
-    out = add(matmul(patches, transpose(weights)), bias)  # (N, d_out)
-    return transpose(out)  # (d_out, N)
+    out = add(matmul(patches, transpose(weights)), bias)  # (..., N, d_out)
+    return transpose(out)  # (..., d_out, N)
 
 
 def conv1d_embed(a: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """Pointwise 1-D convolution: per-position linear map of the channel vector.
 
-    a is (C_in, L), kernel is (C_out, C_in), bias is (C_out,); returns (C_out, L).
+    a is (..., C_in, L), kernel is (C_out, C_in), bias is (C_out,); returns
+    (..., C_out, L). Leading axes are a batch.
     """
     a, kernel, bias = _as_tensor(a), _as_tensor(kernel), _as_tensor(bias)
-    if a.ndim != 2 or kernel.ndim != 2:
-        raise ShapeError(f"conv1d_embed requires 2-D input/kernel, got {a.shape}/{kernel.shape}")
-    if kernel.shape[1] != a.shape[0]:
-        raise ShapeError(f"conv1d_embed: kernel {kernel.shape} does not match input channels {a.shape[0]}")
+    if a.ndim < 2 or kernel.ndim != 2:
+        raise ShapeError(f"conv1d_embed requires (..., C_in, L) input and 2-D kernel, got {a.shape}/{kernel.shape}")
+    if kernel.shape[1] != a.shape[-2]:
+        raise ShapeError(f"conv1d_embed: kernel {kernel.shape} does not match input channels {a.shape[-2]}")
     if bias.shape != (kernel.shape[0],):
         raise ShapeError(f"conv1d_embed bias shape {bias.shape} != ({kernel.shape[0]},)")
-    return add(matmul(kernel, a), reshape(bias, (-1, 1)))
+    return transpose(add(matmul(transpose(a), transpose(kernel)), bias))

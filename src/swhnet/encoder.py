@@ -1,6 +1,9 @@
 """DDM branch: patch embedding, channel aggregation, and the
 spatial-channel attention encoder.
 
+Every input may carry leading batch axes: (..., 4, 3, W, H) DDM stacks
+give (..., M, 4) features, each sample computed exactly as alone.
+
 Each of the four receiver channels supplies a stack of three DDM types.
 Per channel (weights shared across channels) the three maps are patch
 embedded, a learnable global token is prepended, and sinusoidal position
@@ -58,7 +61,7 @@ def _xavier(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_o
 
 
 def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor, strategy: str, eps: float = LN_EPS) -> Tensor:
-    """Normalize an (M, 4) token tensor according to the channel strategy.
+    """Normalize an (..., M, 4) token tensor according to the channel strategy.
 
     CD normalizes each token over its 4 channel features; CI normalizes
     each channel column over its M tokens so no statistics are shared
@@ -141,34 +144,36 @@ class DdmEncoder:
     # -- embedding ------------------------------------------------------------
 
     def embed_channel(self, ddms: Tensor) -> Tensor:
-        """Embed one channel's (3, W, H) DDM stack into (3N+1, embed_dim) tokens.
+        """Embed one channel's (..., 3, W, H) DDM stack into (..., 3N+1, embed_dim) tokens.
 
         Each DDM type gets its own patch kernel; the learnable global
         token occupies position 0 and position codes cover the full
         sequence including it.
         """
-        per_type = ad.split(ddms, 3, axis=0)
+        lead = ddms.shape[:-3]
+        per_type = ad.split(ddms, 3, axis=-3)
         seqs = []
         for t, (kernel, bias) in enumerate(zip(self.kernels, self.kernel_biases)):
             emb = ad.conv_patchify(per_type[t], kernel, bias, self.cfg.patch_size)
-            seqs.append(ad.transpose(emb))  # (N, embed_dim)
-        glb = ad.reshape(self.global_token, (1, self.cfg.embed_dim))
-        tokens = ad.concat([glb] + seqs, axis=0)
+            seqs.append(ad.transpose(emb))  # (..., N, embed_dim)
+        glb = ad.add(self.global_token, np.zeros(lead + (1, self.cfg.embed_dim)))
+        tokens = ad.concat([glb] + seqs, axis=-2)
         return ad.add(tokens, self.pe)
 
     def aggregate_channels(self, per_channel: list[Tensor]) -> Tensor:
-        """Flatten four (3N+1, embed_dim) sequences and stack them as columns.
+        """Flatten four (..., 3N+1, embed_dim) sequences and stack them as columns.
 
         The flatten order is row-major over (token, embed_dim) with the
         token axis enumerating (global, ddm_type, patch); the result is
-        (M, 4) with channel c in feature column c.
+        (..., M, 4) with channel c in feature column c.
         """
         if len(per_channel) != 4:
             raise ShapeError(f"expected 4 channel sequences, got {len(per_channel)}")
         shapes = {t.shape for t in per_channel}
         if len(shapes) != 1:
             raise ShapeError(f"ragged channel sequences: {sorted(shapes)}")
-        return ad.stack([ad.flatten(t) for t in per_channel], axis=1)
+        lead = per_channel[0].shape[:-2]
+        return ad.stack([ad.reshape(t, lead + (-1,)) for t in per_channel], axis=-1)
 
     # -- encoder layers ---------------------------------------------------------
 
@@ -207,12 +212,26 @@ class DdmEncoder:
                                 layer["norm2_gamma"], layer["norm2_beta"], cfg.strategy)
         return add_norm(d, f, layer["norm2_gamma"], layer["norm2_beta"], cfg.strategy, p, train, rng)
 
-    def forward(self, stack: Tensor, train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-        """Encode a (4, 3, W, H) stack into (M, 4) channel features."""
-        if stack.shape[:2] != (4, 3):
-            raise ShapeError(f"encoder input must be (4, 3, W, H), got {stack.shape}")
-        channels = ad.split(stack, 4, axis=0)
-        per_channel = [self.embed_channel(ad.reshape(ch, stack.shape[1:])) for ch in channels]
+    def dropout_draws(self) -> int:
+        """Uniforms one training forward of one sample draws for dropout in
+        `layer_forward`: per layer two (M, 4) residual masks and one
+        (M, d_ff) feedforward mask."""
+        cfg = self.cfg
+        if cfg.dropout_p == 0.0:
+            return 0
+        return cfg.n_layers * cfg.flat_len * (cfg.d_ff + 8)
+
+    def forward(self, stack: Tensor, train: bool = False, rng=None) -> Tensor:
+        """Encode a (..., 4, 3, W, H) stack into (..., M, 4) channel features.
+
+        `rng` is a Generator or a list of them, one per sample of the
+        leading axis (see `autodiff.dropout`).
+        """
+        if stack.shape[-4:-2] != (4, 3):
+            raise ShapeError(f"encoder input must be (..., 4, 3, W, H), got {stack.shape}")
+        channels = ad.split(stack, 4, axis=-4)
+        per_channel = [self.embed_channel(ad.reshape(ch, stack.shape[:-4] + stack.shape[-3:]))
+                       for ch in channels]
         tokens = self.aggregate_channels(per_channel)
         for layer in self.layers:
             tokens = self.layer_forward(tokens, layer, train, rng)

@@ -23,24 +23,21 @@ HEAD_N_HIDDEN = 9
 HEAD_MIN_WIDTH = 32
 
 
-def fuse(d_prime: Tensor, a_prime: Tensor, strategy: str):
+def fuse(d_prime: Tensor, a_prime: Tensor, strategy: str) -> Tensor:
     """Concatenate encoder and auxiliary features along the feature axis.
 
-    CI returns four (1, M+K_ap) row vectors, one per channel; CD returns
-    a single (1, 4*(M+K_ap)) row vector of the channel blocks in order.
+    d_prime is (..., M, 4) and a_prime (..., 4, K_ap). CI returns the
+    (..., 4, M+K_ap) per-channel rows; CD returns the (..., 1, 4*(M+K_ap))
+    row of the channel blocks in order.
     """
-    if d_prime.ndim != 2 or d_prime.shape[1] != 4 or a_prime.ndim != 2 or a_prime.shape[0] != 4:
-        raise ShapeError(f"fuse expects (M, 4) and (4, K), got {d_prime.shape} and {a_prime.shape}")
-    d_cols = ad.split(d_prime, 4, axis=1)
-    a_rows = ad.split(a_prime, 4, axis=0)
-    per_channel = [
-        ad.concat([ad.transpose(d_cols[c]), a_rows[c]], axis=1)
-        for c in range(4)
-    ]
+    if d_prime.ndim < 2 or d_prime.shape[-1] != 4 or a_prime.ndim < 2 or a_prime.shape[-2] != 4 \
+            or d_prime.shape[:-2] != a_prime.shape[:-2]:
+        raise ShapeError(f"fuse expects (..., M, 4) and (..., 4, K), got {d_prime.shape} and {a_prime.shape}")
+    per_channel = ad.concat([ad.transpose(d_prime), a_prime], axis=-1)
     if strategy == "CI":
         return per_channel
     if strategy == "CD":
-        return ad.concat(per_channel, axis=1)
+        return ad.reshape(per_channel, per_channel.shape[:-2] + (1, -1))
     raise ConfigError(f"unknown strategy {strategy!r}")
 
 
@@ -78,12 +75,13 @@ class FusionHead:
             x = ad.relu(ad.add(ad.matmul(x, w), b))
         return ad.add(ad.matmul(x, self.out_w), self.out_b)
 
-    def forward(self, fused) -> Tensor:
-        """Map fused features to the four per-channel predictions."""
-        if self.cfg.strategy == "CI":
-            outs = [self._mlp(vec) for vec in fused]
-            return ad.reshape(ad.concat(outs, axis=1), (4,))
-        return ad.reshape(self._mlp(fused), (4,))
+    def forward(self, fused: Tensor) -> Tensor:
+        """Map fused features (see `fuse`) to the (..., 4) per-channel predictions.
+
+        The rows of every sample and, under CI, every channel go through
+        each layer as one matrix product.
+        """
+        return ad.reshape(self._mlp(fused), fused.shape[:-2] + (4,))
 
 
 # ---------------------------------------------------------------------------
@@ -91,14 +89,20 @@ class FusionHead:
 # ---------------------------------------------------------------------------
 
 
-def batch_loss(preds: list[Tensor], refs: np.ndarray, delta: float) -> Tensor:
-    """Mean Huber penalty over all (sample, channel) pairs of a batch."""
+def batch_loss(preds: Tensor | list[Tensor], refs: np.ndarray, delta: float) -> Tensor:
+    """Mean Huber penalty over all (sample, channel) pairs of a batch.
+
+    `preds` is the (B, 4) output of `forward_batch` or a list of B (4,)
+    single-sample outputs.
+    """
     if len(preds) == 0:
         raise ContractError("batch_loss over an empty batch")
     refs = np.asarray(refs, dtype=np.float64)
     if refs.shape != (len(preds), 4):
         raise ShapeError(f"reference block must be ({len(preds)}, 4), got {refs.shape}")
-    stacked = ad.stack(preds, axis=0)
+    stacked = preds if isinstance(preds, Tensor) else ad.stack(preds, axis=0)
+    if stacked.shape != refs.shape:
+        raise ShapeError(f"predictions {stacked.shape} do not match references {refs.shape}")
     return ad.tmean(ad.huber(ad.add(stacked, -refs), delta))
 
 
@@ -110,9 +114,11 @@ def batch_loss(preds: list[Tensor], refs: np.ndarray, delta: float) -> Tensor:
 class WaveHeightModel:
     """Four-channel DDM + auxiliary-parameter network producing four SWH values.
 
-    Inputs are numpy arrays: a (4, 3, W, H) DDM stack and a (4, K_ap)
-    standardized auxiliary matrix. Training mode threads an explicit rng
-    into the dropout sites; evaluation mode is deterministic.
+    Inputs are numpy arrays: a batch of (4, 3, W, H) DDM stacks and of
+    (4, K_ap) standardized auxiliary matrices, one graph for the batch.
+    Training mode threads an explicit rng into the dropout sites, each
+    sample drawing its masks in turn as if run alone; evaluation mode is
+    deterministic.
     """
 
     def __init__(self, cfg: ModelConfig):
@@ -123,21 +129,35 @@ class WaveHeightModel:
         self.ap_branch = ApGateBranch(cfg, self.bag, rng)
         self.head = FusionHead(cfg, self.bag, rng)
 
+    def forward_batch(self, ddms: np.ndarray, aps: np.ndarray,
+                      train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+        """(B, 4, 3, W, H) DDM stacks and (B, 4, K_ap) APs to (B, 4) predictions.
+
+        Sample b's outputs, and in train mode its dropout masks, are those
+        of the b-th of B consecutive single-sample forwards; `rng` is left
+        where those would leave it. Weight gradients sum over the batch.
+        """
+        cfg = self.cfg
+        ddms = np.asarray(ddms, dtype=np.float64)
+        aps = np.asarray(aps, dtype=np.float64)
+        n = ddms.shape[0] if ddms.ndim else 0
+        if n < 1 or ddms.shape != (n, 4, 3, cfg.width, cfg.height):
+            raise ShapeError(f"DDM batch must be (B >= 1, 4, 3, {cfg.width}, {cfg.height}), got {ddms.shape}")
+        if aps.shape != (n, 4, cfg.k_ap):
+            raise ShapeError(f"AP batch must be ({n}, 4, {cfg.k_ap}), got {aps.shape}")
+        with ad.per_sample_streams(rng, n, self.encoder.dropout_draws() if train else 0) as streams:
+            d_prime = self.encoder.forward(Tensor(ddms), train, streams)
+        if cfg.head_input == "global_only":
+            d_prime = ad.split(d_prime, cfg.seq_len, axis=-2)[0]
+        a_prime = self.ap_branch.forward(Tensor(aps))
+        return self.head.forward(fuse(d_prime, a_prime, cfg.strategy))
+
     def forward(self, ddm_stack: np.ndarray, ap: np.ndarray,
                 train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-        cfg = self.cfg
-        ddm_stack = np.asarray(ddm_stack, dtype=np.float64)
-        ap = np.asarray(ap, dtype=np.float64)
-        if ddm_stack.shape != (4, 3, cfg.width, cfg.height):
-            raise ShapeError(f"DDM stack must be (4, 3, {cfg.width}, {cfg.height}), got {ddm_stack.shape}")
-        if ap.shape != (4, cfg.k_ap):
-            raise ShapeError(f"AP matrix must be (4, {cfg.k_ap}), got {ap.shape}")
-        d_prime = self.encoder.forward(Tensor(ddm_stack), train, rng)
-        if cfg.head_input == "global_only":
-            d_prime = ad.split(d_prime, cfg.seq_len, axis=0)[0]
-        a_prime = self.ap_branch.forward(Tensor(ap))
-        fused = fuse(d_prime, a_prime, cfg.strategy)
-        return self.head.forward(fused)
+        """One (4, 3, W, H) stack and (4, K_ap) AP matrix: `forward_batch`
+        with B = 1, returning (4,)."""
+        out = self.forward_batch(np.asarray(ddm_stack)[None], np.asarray(ap)[None], train, rng)
+        return ad.reshape(out, (4,))
 
     def predict_sample(self, ddm_stack: np.ndarray, ap: np.ndarray) -> np.ndarray:
         """Deterministic eval-mode prediction for one sample."""

@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 
-from swhnet.errors import ConfigError
+from swhnet.autodiff import Tensor, _as_tensor
+from swhnet.errors import ConfigError, ShapeError
 
 
 def norm_oracle(x, gamma, beta, strategy, eps=1e-5):
@@ -128,6 +129,26 @@ def channel_gate_oracle_cd(a2, p3, b3, p4, b4):
             z = sum(hidden[h] * p4[h, j] for h in range(p3.shape[1])) + b4[j]
             out[j, pos] = 1.0 / (1.0 + math.exp(-z))
     return out
+
+
+def softmax_rows(x):
+    """Row-wise softmax of a 2-D tensor, computed with max subtraction.
+
+    An autodiff node of its own, so tests can check softmax behaviour and
+    gradients apart from the fused attention op.
+    """
+    x = _as_tensor(x)
+    if x.ndim != 2:
+        raise ShapeError(f"softmax_rows requires a 2-D tensor, got {x.shape}")
+    z = x.data - x.data.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    s = e / e.sum(axis=1, keepdims=True)
+
+    def _bw(g):
+        if x.requires_grad:
+            x._accumulate(s * (g - (g * s).sum(axis=1, keepdims=True)))
+
+    return Tensor._from_op(s, (x,), _bw, "softmax_rows")
 
 
 def huber_value(y_hat, y, delta):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from swhnet import autodiff as ad
 from swhnet.errors import ConfigError, ContractError, NonFiniteError, ShapeError
 
-from oracles import finite_difference_grad, max_rel_error
+from oracles import finite_difference_grad, max_rel_error, softmax_rows
 
 
 def check_grads(build, arrays, step=1e-5, tol=1e-5, floor=1e-4):
@@ -73,23 +73,23 @@ def test_matmul_shape_mismatch():
 
 
 def test_softmax_symmetry_and_shift():
-    out = ad.softmax_rows(ad.Tensor([[0.0, 0.0]]))
+    out = softmax_rows(ad.Tensor([[0.0, 0.0]]))
     assert np.allclose(out.data, [[0.5, 0.5]], atol=1e-15)
-    big = ad.softmax_rows(ad.Tensor([[1000.0, 1000.0]]))
+    big = softmax_rows(ad.Tensor([[1000.0, 1000.0]]))
     assert np.allclose(big.data, [[0.5, 0.5]], atol=1e-15)
 
 
 def test_softmax_direct_formula():
     # Frozen from exp(k)/sum(exp(k)) evaluated with mpmath at 50 digits.
     expected = [0.09003057317038046, 0.24472847105479767, 0.6652409557748219]
-    out = ad.softmax_rows(ad.Tensor([[1.0, 2.0, 3.0]]))
+    out = softmax_rows(ad.Tensor([[1.0, 2.0, 3.0]]))
     assert np.allclose(out.data[0], expected, atol=1e-15)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=8))
 def test_softmax_rows_sum_to_one(row):
-    out = ad.softmax_rows(ad.Tensor([row]))
+    out = softmax_rows(ad.Tensor([row]))
     assert abs(out.data.sum() - 1.0) < 1e-9
     assert (out.data >= 0).all()
 
@@ -98,7 +98,7 @@ def test_softmax_gradcheck():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(3, 4))
     w = rng.normal(size=(3, 4))
-    check_grads(lambda ts: ad.tsum(ad.mul(ad.softmax_rows(ts[0]), w)), [x])
+    check_grads(lambda ts: ad.tsum(ad.mul(softmax_rows(ts[0]), w)), [x])
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +191,7 @@ def test_reshape_flatten_roundtrip_bit_exact():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(3, 4, 5))
     t = ad.Tensor(x)
-    back = ad.reshape(ad.flatten(t), (3, 4, 5))
+    back = ad.reshape(ad.reshape(t, (-1,)), (3, 4, 5))
     assert np.array_equal(back.data, x)
 
 
@@ -481,9 +481,73 @@ def test_random_composite_gradcheck(seed):
 
     def build(ts):
         h = ad.matmul(ts[0], ts[1])            # (3, 3)
-        h = ad.softmax_rows(h)
+        h = softmax_rows(h)
         h = ad.matmul(h, ad.transpose(ts[1]))  # (3, 4)
         h = ad.layer_norm(h, ts[2], ts[3])
         return ad.tmean(ad.mul(h, h))
 
     check_grads(build, [a, b, g, bt])
+
+
+# ---------------------------------------------------------------------------
+# leading batch axes
+# ---------------------------------------------------------------------------
+
+
+def per_sample_agrees(op, batch, *rest):
+    """op over a (B, ...) batch equals op on each sample alone, to 1e-12 relative."""
+    out = op(ad.Tensor(batch), *rest).data
+    for b in range(len(batch)):
+        alone = op(ad.Tensor(batch[b]), *rest).data
+        assert np.max(np.abs(out[b] - alone)) <= 1e-12 * np.max(np.abs(alone))
+
+
+def test_batched_ops_match_per_sample():
+    rng = np.random.default_rng(51)
+    w = rng.normal(size=(5, 3))
+    per_sample_agrees(ad.matmul, rng.normal(size=(3, 4, 5)), w)
+    kernel, bias = rng.normal(size=(2, 1, 2, 2)), rng.normal(size=2)
+    per_sample_agrees(lambda x: ad.conv_patchify(x, kernel, bias, 2), rng.normal(size=(3, 1, 3, 5)))
+    kernel1d, bias1d = rng.normal(size=(6, 4)), rng.normal(size=6)
+    per_sample_agrees(lambda a: ad.conv1d_embed(a, kernel1d, bias1d), rng.normal(size=(3, 4, 7)))
+    for wo_shape in ((4, 4), (4,)):
+        _, wq, wk, wv, wo = attention_case(6, wo_shape, seed=52)
+        per_sample_agrees(lambda t: ad.sca_attention(t, wq, wk, wv, wo), rng.uniform(-1, 1, size=(3, 6, 4)))
+    for strategy in ("CI", "CD"):
+        _, *weights = ffn_case(strategy, 5, seed=53)
+        per_sample_agrees(lambda x: ad.ffn(x, *weights, 0.0, False), rng.normal(size=(3, 5, 4)))
+
+
+@pytest.mark.parametrize("strategy", ["CI", "CD"])
+def test_ffn_per_sample_generators_draw_each_sample_alone(strategy):
+    _, *weights = ffn_case(strategy, 5, seed=54)
+    x = np.random.default_rng(55).normal(size=(3, 5, 4))
+    out = ad.ffn(ad.Tensor(x), *weights, 0.4, True, [np.random.default_rng(60 + b) for b in range(3)]).data
+    for b in range(3):
+        alone = ad.ffn(ad.Tensor(x[b]), *weights, 0.4, True, np.random.default_rng(60 + b)).data
+        assert out[b].tobytes() == alone.tobytes()
+    with pytest.raises(ShapeError):
+        ad.ffn(ad.Tensor(x), *weights, 0.4, True, [np.random.default_rng(0)] * 2)
+
+
+def test_batched_fused_ops_gradcheck():
+    rng = np.random.default_rng(56)
+    tokens, wq, wk, wv, wo = attention_case(4, (4, 4), seed=57)
+    batch = rng.uniform(-1, 1, size=(2, 4, 4))
+    probe = rng.normal(size=(2, 4, 4))
+    check_grads(lambda ts: ad.tsum(ad.mul(ad.sca_attention(*ts), probe)), [batch, wq, wk, wv, wo])
+    x, *weights = ffn_case("CI", 4, seed=58)
+    check_grads(lambda ts: ad.tsum(ad.mul(ad.ffn(*ts, 0.3, True, [np.random.default_rng(59 + b) for b in range(2)]),
+                                          probe)), [rng.normal(size=(2, 4, 4))] + weights)
+
+
+def test_transpose_default_swaps_last_two_axes_and_len():
+    x = np.arange(24.0).reshape(2, 3, 4)
+    t = ad.Tensor(x)
+    assert np.array_equal(ad.transpose(t).data, np.swapaxes(x, -1, -2))
+    assert np.array_equal(ad.transpose(t, (-1, 0, 1)).data, np.transpose(x, (2, 0, 1)))
+    with pytest.raises(ShapeError):
+        ad.transpose(t, (0, 0, 1))
+    assert len(t) == 2
+    with pytest.raises(TypeError):
+        len(ad.Tensor(1.0))

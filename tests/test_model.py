@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from swhnet import autodiff as ad
 from swhnet.autodiff import Tensor, count_params
 from swhnet.config import ModelConfig
-from swhnet.errors import ConfigError, ContractError
+from swhnet.errors import ConfigError, ContractError, ShapeError
 from swhnet.model import WaveHeightModel, batch_loss, fuse, head_widths
 
 from oracles import finite_difference_grad, huber_value, max_rel_error
@@ -38,7 +38,7 @@ def test_fuse_lengths():
     d = Tensor(np.zeros((2, 4)))
     a = Tensor(np.zeros((4, 9)))
     ci = fuse(d, a, "CI")
-    assert len(ci) == 4 and all(v.shape == (1, 11) for v in ci)
+    assert len(ci) == 4 and ci.shape == (4, 11)
     cd = fuse(d, a, "CD")
     assert cd.shape == (1, 44)
 
@@ -56,7 +56,7 @@ def test_fuse_channel_permutation():
     perm = [3, 1, 0, 2]
     permuted = fuse(Tensor(d[:, perm]), Tensor(a[perm]), "CI")
     for c in range(4):
-        assert np.array_equal(permuted[c].data, base[perm[c]].data)
+        assert np.array_equal(permuted.data[c], base.data[perm[c]])
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +88,11 @@ def test_head_ci_channel_locality():
     cfg = toy_config(strategy="CI")
     model = WaveHeightModel(cfg)
     rng = np.random.default_rng(2)
-    vecs = [Tensor(rng.normal(size=(1, model.head.input_dim))) for _ in range(4)]
-    base = model.head.forward(vecs).data
-    vecs2 = list(vecs)
-    vecs2[2] = Tensor(rng.normal(size=(1, model.head.input_dim)))
-    out = model.head.forward(vecs2).data
+    vecs = rng.normal(size=(4, model.head.input_dim))
+    base = model.head.forward(Tensor(vecs)).data
+    vecs2 = vecs.copy()
+    vecs2[2] = rng.normal(size=model.head.input_dim)
+    out = model.head.forward(Tensor(vecs2)).data
     assert not np.array_equal(out[2:3], base[2:3])
     for c in (0, 1, 3):
         assert out[c] == base[c]
@@ -294,3 +294,142 @@ def test_paper_default_train_forward_holds_under_100mb():
         tracemalloc.stop()
     assert out.requires_grad
     assert held < 100e6, f"{held / 1e6:.0f} MB held after one training forward"
+
+
+# ---------------------------------------------------------------------------
+# batched forward
+# ---------------------------------------------------------------------------
+
+
+def batch_case(strategy, n=3, seed=20, **kw):
+    """A small dropout config (3 x 2 maps padded to 4 x 2, two layers) and n samples."""
+    cfg = toy_config(strategy=strategy, width=3, height=2, n_layers=2, d_ff=4, dropout_p=0.3, **kw)
+    rng = np.random.default_rng(seed)
+    return cfg, rng.normal(size=(n, 4, 3, 3, 2)), rng.normal(size=(n, 4, cfg.k_ap))
+
+
+def used_generator(seed):
+    """A generator holding a buffered 32-bit half, which bit_generator.advance clears."""
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 10, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+@pytest.mark.parametrize("strategy", ["CI", "CD"])
+@pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+def test_forward_batch_matches_single_forwards(strategy, train):
+    cfg, ddms, aps = batch_case(strategy)
+    model = WaveHeightModel(cfg)
+    rng_b, rng_s = (used_generator(21) if train else None for _ in range(2))
+    batched = model.forward_batch(ddms, aps, train=train, rng=rng_b).data
+    singles = np.array([model.forward(d, a, train=train, rng=rng_s).data for d, a in zip(ddms, aps)])
+    assert batched.shape == (3, 4)
+    assert np.max(np.abs(batched - singles) / np.abs(singles)) < 1e-12
+    if train:
+        # Dropout masks differ between samples, so a mix-up of streams shows.
+        evals = np.array([model.predict_sample(d, a) for d, a in zip(ddms, aps)])
+        assert np.all(np.abs(singles - evals) > 1e-6)
+
+
+@pytest.mark.parametrize("strategy", ["CI", "CD"])
+def test_forward_batch_leaves_generator_where_single_forwards_do(strategy):
+    cfg, ddms, aps = batch_case(strategy)
+    model = WaveHeightModel(cfg)
+    rng_b, rng_s = used_generator(22), used_generator(22)
+    model.forward_batch(ddms, aps, train=True, rng=rng_b)
+    for d, a in zip(ddms, aps):
+        model.forward(d, a, train=True, rng=rng_s)
+    assert rng_b.bit_generator.state == rng_s.bit_generator.state
+    assert rng_b.random() == rng_s.random()
+
+
+def test_forward_batch_dropout_needs_an_advanceable_generator():
+    cfg, ddms, aps = batch_case("CD")
+    model = WaveHeightModel(cfg)
+    with pytest.raises(ContractError, match="PCG64"):
+        model.forward_batch(ddms, aps, train=True, rng=np.random.Generator(np.random.MT19937(0)))
+
+
+@pytest.mark.parametrize("strategy", ["CI", "CD"])
+@pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+def test_forward_batch_samples_are_independent(strategy, train):
+    cfg, ddms, aps = batch_case(strategy)
+    model = WaveHeightModel(cfg)
+    base = model.forward_batch(ddms, aps, train=train, rng=np.random.default_rng(23)).data
+    ddms2, aps2 = ddms.copy(), aps.copy()
+    ddms2[1] += 0.5
+    aps2[1] -= 0.5
+    out = model.forward_batch(ddms2, aps2, train=train, rng=np.random.default_rng(23)).data
+    assert np.all(out[1] != base[1])
+    assert out[[0, 2]].tobytes() == base[[0, 2]].tobytes()
+
+
+def test_forward_batch_ci_channel_isolation_is_exact():
+    cfg, ddms, aps = batch_case("CI")
+    model = WaveHeightModel(cfg)
+    base = model.forward_batch(ddms, aps).data
+    rng = np.random.default_rng(24)
+    for j in range(4):
+        ddms2, aps2 = ddms.copy(), aps.copy()
+        ddms2[1, j] += rng.normal(size=(3, cfg.width, cfg.height))
+        aps2[1, j] += rng.normal(size=cfg.k_ap)
+        out = model.forward_batch(ddms2, aps2).data
+        assert out[1, j] != base[1, j]
+        changed = np.ones((3, 4), dtype=bool)
+        changed[1, j] = False
+        assert out[changed].tobytes() == base[changed].tobytes()
+
+
+@pytest.mark.parametrize("strategy", ["CI", "CD"])
+def test_forward_batch_gradcheck(strategy):
+    """Central differences through the batched training forward, with the
+    tolerances of test_autodiff.check_grads (step 1e-5, tol 1e-5, floor 1e-4)."""
+    cfg, ddms, aps = batch_case(strategy, head_hidden=[4] * 9)
+    model = WaveHeightModel(cfg)
+    # Check at a point away from ReLU kinks, as in the single-sample check:
+    # raised head biases, and inputs (batch_case's seed) at which no step
+    # crosses a feedforward kink. A step that does misses by up to 1e-2.
+    for name, p in model.bag.items():
+        if name.startswith("head.") and name.endswith(".b"):
+            p.tensor.data[...] += 0.1
+    refs = np.random.default_rng(25).normal(size=(3, 4)) + 2.0
+
+    def loss_tensor():
+        # A fresh generator per evaluation keeps the dropout masks fixed.
+        preds = model.forward_batch(ddms, aps, train=True, rng=np.random.default_rng(26))
+        return batch_loss(preds, refs, 2.0)
+
+    loss_tensor().backward()
+    params = list(model.bag.values())
+    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
+
+    def f():
+        with ad.no_grad():
+            return loss_tensor().item()
+
+    numeric = finite_difference_grad(f, [p.data for p in params], step=1e-5)
+    for p, a, n in zip(params, analytic, numeric):
+        assert max_rel_error(a, n, floor=1e-4) < 1e-5, p.name
+
+
+def test_forward_batch_rejects_bad_shapes():
+    cfg, ddms, aps = batch_case("CD")
+    model = WaveHeightModel(cfg)
+    with pytest.raises(ShapeError):
+        model.forward_batch(ddms[0], aps[0])
+    with pytest.raises(ShapeError):
+        model.forward_batch(ddms[:0], aps[:0])
+    with pytest.raises(ShapeError):
+        model.forward_batch(ddms, aps[:2])
+
+
+def test_batch_loss_takes_the_batched_tensor():
+    rng = np.random.default_rng(27)
+    preds = rng.normal(size=(3, 4))
+    refs = rng.normal(size=(3, 4))
+    as_list = batch_loss([Tensor(r) for r in preds], refs, 2.0).item()
+    assert batch_loss(Tensor(preds), refs, 2.0).item() == as_list
+    assert len(Tensor(preds)) == 3
+    with pytest.raises(ShapeError):
+        batch_loss(Tensor(preds[:, :3]), refs[:, :3], 2.0)

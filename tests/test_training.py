@@ -12,8 +12,9 @@ from swhnet.checkpoint import load_checkpoint, save_checkpoint
 from swhnet.config import ModelConfig, TrainConfig
 from swhnet.errors import ConfigError, ContractError, FormatError
 from swhnet.model import WaveHeightModel
-from swhnet.training import (AdamW, EarlyStopper, ModelDataset, predict,
-                             train, validation_rmse)
+from swhnet import training
+from swhnet.training import (ADAMW_SLICE, AdamW, EarlyStopper, ModelDataset, eval_batch_size,
+                             predict, train, validation_rmse)
 
 
 def toy_model(strategy="CD", seed=0, use_wind=False):
@@ -91,6 +92,32 @@ def test_adamw_missing_grad_rejected():
     opt = AdamW(bag, lr=0.1)
     with pytest.raises(ContractError):
         opt.step()
+
+
+def test_adamw_five_steps_bit_identical_to_textbook_expression():
+    # "big" spans two of the slices the in-place step works through.
+    shapes = {"big": (3, ADAMW_SLICE // 2 + 7), "mat": (5, 4), "vec": (6,)}
+    rng = np.random.default_rng(41)
+    bag = ParamBag()
+    for name, shape in shapes.items():
+        bag.add(name, rng.normal(size=shape))
+    lr, wd, b1, b2, eps = 0.01, 0.1, 0.9, 0.98, 1e-8
+    opt = AdamW(bag, lr=lr, weight_decay=wd, beta1=b1, beta2=b2, eps=eps)
+    ref = {name: p.data.copy() for name, p in bag.items()}
+    m = {name: np.zeros(shape) for name, shape in shapes.items()}
+    v = {name: np.zeros(shape) for name, shape in shapes.items()}
+    for t in range(1, 6):
+        for name, p in bag.items():
+            g = rng.normal(size=shapes[name]) * 10.0 ** rng.integers(-3, 3)
+            p.tensor.grad = g.copy()
+            m[name] = b1 * m[name] + (1.0 - b1) * g
+            v[name] = b2 * v[name] + (1.0 - b2) * g * g
+            m_hat = m[name] / (1.0 - b1 ** t)
+            v_hat = v[name] / (1.0 - b2 ** t)
+            ref[name] = ref[name] - lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * ref[name])
+        opt.step()
+    for name, p in bag.items():
+        assert p.data.tobytes() == ref[name].tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +212,27 @@ def test_predict_deterministic_and_counts():
     b = predict(model, ds)
     assert a.shape == (5, 4)  # four predictions per sample
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("strategy", ["CI", "CD"])
+def test_predict_batches_agree_with_predict_sample(strategy, monkeypatch):
+    model = toy_model(strategy=strategy)
+    ds = toy_dataset(model.cfg, 7, seed=3)
+    singles = np.array([model.predict_sample(ds.ddms[i], ds.aps[i]) for i in range(len(ds))])
+    assert eval_batch_size(model.cfg) >= len(ds)
+    batched = predict(model, ds)
+    assert np.max(np.abs(batched - singles) / np.abs(singles)) < 1e-12
+    # Batches of one are the single-sample forward itself.
+    monkeypatch.setattr(training, "EVAL_BATCH_BYTES", 1)
+    assert eval_batch_size(model.cfg) == 1
+    assert predict(model, ds).tobytes() == singles.tobytes()
+
+
+def test_eval_batch_size_bounds_hidden_memory():
+    cfg = ModelConfig()  # paper default: M = 584, d_ff = 2048
+    size = eval_batch_size(cfg)
+    assert size >= 1
+    assert size * 8 * cfg.flat_len * cfg.d_ff <= training.EVAL_BATCH_BYTES
 
 
 def test_predict_empty_ok():
