@@ -1,7 +1,7 @@
 """Four-channel spatial-channel attention network for significant wave
 height retrieval, with the collocation pipeline and evaluation suite."""
 
-from .autodiff import Parameter, Tensor, count_params
+from .autodiff import Tensor, count_params
 from .config import ModelConfig, SplitSpec, SynthSpec, TrainConfig
 from .model import WaveHeightModel, batch_loss
 from .training import AdamW, train
@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamW",
     "ModelConfig",
-    "Parameter",
     "SplitSpec",
     "SynthSpec",
     "Tensor",

@@ -29,30 +29,30 @@ CHANNEL_HIDDEN = 16     # 4 -> 16 -> 4 channel projection (4 -> 4 per channel in
 
 
 class ApGateBranch:
-    def __init__(self, cfg: ModelConfig, bag: ParamBag, rng: np.random.Generator, prefix: str = "ap"):
+    def __init__(self, cfg: ModelConfig, bag: ParamBag, rng: np.random.Generator):
         self.cfg = cfg
         k = cfg.k_ap
         up = SPATIAL_UP_FACTOR * k
         if cfg.strategy == "CD":
-            self.embed_kernel = bag.add(f"{prefix}.embed.kernel", _xavier(rng, (8, 4), 4, 8))
+            self.embed_kernel = bag.add("ap.embed.kernel", _xavier(rng, (8, 4), 4, 8))
         else:
-            self.embed_kernel = bag.add(f"{prefix}.embed.kernel", _xavier(rng, (8,), 1, 1))
-        self.embed_bias = bag.add(f"{prefix}.embed.bias", np.zeros(8))
-        self.p1 = bag.add(f"{prefix}.spatial.p1", _xavier(rng, (k, up), k, up))
-        self.b1 = bag.add(f"{prefix}.spatial.b1", np.zeros(up))
-        self.p2 = bag.add(f"{prefix}.spatial.p2", _xavier(rng, (up, k), up, k))
-        self.b2 = bag.add(f"{prefix}.spatial.b2", np.zeros(k))
+            self.embed_kernel = bag.add("ap.embed.kernel", _xavier(rng, (8,), 1, 1))
+        self.embed_bias = bag.add("ap.embed.bias", np.zeros(8))
+        self.p1 = bag.add("ap.spatial.p1", _xavier(rng, (k, up), k, up))
+        self.b1 = bag.add("ap.spatial.b1", np.zeros(up))
+        self.p2 = bag.add("ap.spatial.p2", _xavier(rng, (up, k), up, k))
+        self.b2 = bag.add("ap.spatial.b2", np.zeros(k))
         if cfg.strategy == "CD":
-            self.p3 = bag.add(f"{prefix}.channel.p3", _xavier(rng, (4, CHANNEL_HIDDEN), 4, CHANNEL_HIDDEN))
-            self.b3 = bag.add(f"{prefix}.channel.b3", np.zeros(CHANNEL_HIDDEN))
-            self.p4 = bag.add(f"{prefix}.channel.p4", _xavier(rng, (CHANNEL_HIDDEN, 4), CHANNEL_HIDDEN, 4))
-            self.b4 = bag.add(f"{prefix}.channel.b4", np.zeros(4))
+            self.p3 = bag.add("ap.channel.p3", _xavier(rng, (4, CHANNEL_HIDDEN), 4, CHANNEL_HIDDEN))
+            self.b3 = bag.add("ap.channel.b3", np.zeros(CHANNEL_HIDDEN))
+            self.p4 = bag.add("ap.channel.p4", _xavier(rng, (CHANNEL_HIDDEN, 4), CHANNEL_HIDDEN, 4))
+            self.b4 = bag.add("ap.channel.b4", np.zeros(4))
         else:
             # Per-channel 1 -> 4 -> 1 blocks, one row per channel.
-            self.p3 = bag.add(f"{prefix}.channel.p3", _xavier(rng, (4, 4), 1, 4))
-            self.b3 = bag.add(f"{prefix}.channel.b3", np.zeros((4, 4)))
-            self.p4 = bag.add(f"{prefix}.channel.p4", _xavier(rng, (4, 4), 4, 1))
-            self.b4 = bag.add(f"{prefix}.channel.b4", np.zeros(4))
+            self.p3 = bag.add("ap.channel.p3", _xavier(rng, (4, 4), 1, 4))
+            self.b3 = bag.add("ap.channel.b3", np.zeros((4, 4)))
+            self.p4 = bag.add("ap.channel.p4", _xavier(rng, (4, 4), 4, 1))
+            self.b4 = bag.add("ap.channel.b4", np.zeros(4))
 
     def ap_embed(self, a: Tensor) -> tuple[Tensor, Tensor]:
         """Position-wise embedding to 8 channels, split into two 4 x K_ap maps."""

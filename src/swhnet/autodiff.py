@@ -119,32 +119,6 @@ class Tensor:
     def backward(self) -> None:
         backward(self)
 
-    # -- operator sugar --------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return add(self, neg(_as_tensor(other)))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -153,44 +127,20 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-class Parameter:
-    """A named trainable tensor; names are unique within a model."""
-
-    __slots__ = ("name", "tensor")
-
-    def __init__(self, name: str, data):
-        self.name = name
-        self.tensor = Tensor(data, requires_grad=True)
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
-
-    @property
-    def grad(self):
-        return self.tensor.grad
-
-    def zero_grad(self) -> None:
-        self.tensor.grad = None
-
-    def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.tensor.shape})"
-
-
 class ParamBag:
-    """Ordered registry of Parameters with unique names."""
+    """Ordered registry of the trainable tensors, keyed by unique names."""
 
     def __init__(self):
-        self._params: dict[str, Parameter] = {}
+        self._params: dict[str, Tensor] = {}
 
     def add(self, name: str, data) -> Tensor:
         if name in self._params:
             raise ContractError(f"duplicate parameter name: {name}")
-        p = Parameter(name, data)
+        p = Tensor(data, requires_grad=True)
         self._params[name] = p
-        return p.tensor
+        return p
 
-    def __getitem__(self, name: str) -> Parameter:
+    def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
     def __contains__(self, name: str) -> bool:
@@ -210,7 +160,7 @@ class ParamBag:
 
     def zero_grad(self) -> None:
         for p in self._params.values():
-            p.zero_grad()
+            p.grad = None
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Copies of all parameter arrays, keyed by name."""
@@ -227,7 +177,7 @@ class ParamBag:
             arr = np.asarray(state[k], dtype=np.float64)
             if arr.shape != p.data.shape:
                 raise ConfigError(f"shape mismatch for {k}: {arr.shape} vs {p.data.shape}")
-            p.tensor.data = arr.copy()
+            p.data = arr.copy()
 
 
 def count_params(bag: ParamBag) -> int:
@@ -300,16 +250,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(_unbroadcast(g, b.shape))
 
     return Tensor._from_op(data, (a, b), _bw, "add")
-
-
-def neg(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-
-    def _bw(g):
-        if a.requires_grad:
-            a._accumulate(-g)
-
-    return Tensor._from_op(-a.data, (a,), _bw, "neg")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

@@ -19,7 +19,7 @@ from .config import ModelConfig
 from .errors import ConfigError, FormatError
 from .model import WaveHeightModel
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def save_checkpoint(path: str, model: WaveHeightModel,

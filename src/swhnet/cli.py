@@ -13,6 +13,7 @@ import csv
 import logging
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -111,12 +112,6 @@ def _resolve_config(args) -> tuple[dict, str]:
     return cfg, h
 
 
-def _split_spec_doc(cfg: dict) -> dict:
-    spec = cfgmod.split_spec(cfg)
-    return {k: getattr(spec, k) for k in ("train_start", "val_start", "test_start", "test_end",
-                                          "train_subsample", "val_subsample", "test_subsample", "seed")}
-
-
 # -- command bodies -----------------------------------------------------------
 
 
@@ -135,7 +130,7 @@ def cmd_synth(args) -> int:
         "seed": spec.seed,
         "standardization": None,
         "qc_tally": None,
-        "split_spec": _split_spec_doc(cfg),
+        "split_spec": asdict(cfgmod.split_spec(cfg)),
     }
     write_samples(args.out, samples, manifest)
     log.info("wrote %d synthetic samples to %s", len(samples), args.out)
@@ -160,9 +155,9 @@ def _finish_samples(args, cfg: dict, h: str, samples, tallies: dict, source: str
     tallies["cap"] = cap_tally
     log.info("cap filter: %s", cap_tally)
     stats = None
-    split_doc = _split_spec_doc(cfg)
+    spec = cfgmod.split_spec(cfg)
     if with_stats and samples:
-        splits, split_tally = split_dataset(samples, cfgmod.split_spec(cfg))
+        splits, split_tally = split_dataset(samples, spec)
         tallies["split"] = split_tally
         log.info("split: %s", split_tally)
         if splits["train"]:
@@ -178,7 +173,7 @@ def _finish_samples(args, cfg: dict, h: str, samples, tallies: dict, source: str
         "seed": cfg["seed"],
         "standardization": stats,
         "qc_tally": tallies,
-        "split_spec": split_doc,
+        "split_spec": asdict(spec),
     }
     write_samples(args.out, samples, manifest)
     log.info("wrote %d samples to %s", len(samples), args.out)
@@ -227,10 +222,8 @@ def cmd_train(args) -> int:
     result = train(model, train_ds, val_ds, tcfg, config_hash=h, log=log.info)
     os.makedirs(args.out_dir, exist_ok=True)
     ckpt_path = os.path.join(args.out_dir, "checkpoint.json")
-    meta = {"epoch": result.best_meta.epoch, "val_rmse": result.best_meta.val_rmse,
-            "val_rmse_avg": result.best_meta.val_rmse_avg, "config_hash": h}
     save_checkpoint(ckpt_path, model, state=result.best_state,
-                    standardization=stats, meta=meta)
+                    standardization=stats, meta=asdict(result.best_meta))
     write_history(os.path.join(args.out_dir, "history.csv"), result.history)
     log.info("best epoch %d with average validation RMSE %.4f",
              result.best_meta.epoch, result.best_meta.val_rmse_avg)

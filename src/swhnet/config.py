@@ -40,8 +40,8 @@ SWH_CAP_M = 8.0
 class ModelConfig:
     """Architecture hyperparameters of the four-channel network.
 
-    d_model and n_heads are pinned to 4: the four receiver channels act
-    as the four attention heads (d_k = 1).
+    The four receiver channels are the four attention heads (d_k = 1), so
+    the token width and the head count are 4 by design, not settings.
     """
 
     width: int = 11           # Doppler bins per DDM
@@ -49,8 +49,6 @@ class ModelConfig:
     patch_size: int = 3
     embed_dim: int = 8
     n_layers: int = 6
-    d_model: int = 4
-    n_heads: int = 4
     d_ff: int = 2048
     dropout_p: float = 0.1
     strategy: str = "CD"
@@ -61,8 +59,6 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d_model != 4 or self.n_heads != 4:
-            raise ConfigError("d_model and n_heads are fixed at 4 (channels-as-heads)")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
         if self.patch_size < 1:
@@ -109,8 +105,6 @@ class TrainConfig:
     lr: float = 1.4e-4
     weight_decay: float = 1e-5
     delta: float = 2.0
-    strategy: str = "CD"
-    use_wind: bool = False
     seed: int = 0
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
@@ -125,8 +119,6 @@ class TrainConfig:
             raise ConfigError("lr and delta must be positive")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be >= 0")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}")
 
 
 @dataclass
@@ -173,6 +165,12 @@ class SplitSpec:
     val_subsample: int | None = None
     test_subsample: int | None = None
     seed: int = 0
+
+    def __post_init__(self):
+        for key in ("train_subsample", "val_subsample", "test_subsample"):
+            n = getattr(self, key)
+            if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 0):
+                raise ConfigError(f"{key} must be null or a non-negative integer, got {n!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -98,23 +98,23 @@ def add_norm(
 class DdmEncoder:
     """Patch embedding plus a stack of spatial-channel attention layers."""
 
-    def __init__(self, cfg: ModelConfig, bag: ParamBag, rng: np.random.Generator, prefix: str = "encoder"):
+    def __init__(self, cfg: ModelConfig, bag: ParamBag, rng: np.random.Generator):
         self.cfg = cfg
         p, de = cfg.patch_size, cfg.embed_dim
         self.kernels = []
         self.kernel_biases = []
         for name in DDM_TYPES:
-            k = bag.add(f"{prefix}.embed.{name}.kernel", _xavier(rng, (de, 1, p, p), p * p, de))
-            b = bag.add(f"{prefix}.embed.{name}.bias", np.zeros(de))
+            k = bag.add(f"encoder.embed.{name}.kernel", _xavier(rng, (de, 1, p, p), p * p, de))
+            b = bag.add(f"encoder.embed.{name}.bias", np.zeros(de))
             self.kernels.append(k)
             self.kernel_biases.append(b)
-        self.global_token = bag.add(f"{prefix}.embed.global_token", rng.normal(0.0, 0.02, size=de))
+        self.global_token = bag.add("encoder.embed.global_token", rng.normal(0.0, 0.02, size=de))
         self.pe = Tensor(positional_encoding(cfg.seq_len, de))
 
         self.layers = []
         dff4 = cfg.d_ff // 4
         for i in range(cfg.n_layers):
-            lp = f"{prefix}.layer{i}"
+            lp = f"encoder.layer{i}"
             layer = {
                 "wq": bag.add(f"{lp}.attn.wq", _xavier(rng, (4,), 1, 1)),
                 "wk": bag.add(f"{lp}.attn.wk", _xavier(rng, (4,), 1, 1)),

@@ -171,8 +171,8 @@ def report(pairs_by_channel: dict[int, tuple[np.ndarray, np.ndarray]],
     bins = []
     if bin_edges is not None:
         edges = list(bin_edges)
-        if sorted(edges) != edges or len(edges) < 2:
-            raise ConfigError(f"bin edges must be increasing, got {edges}")
+        if len(edges) < 2 or any(lo >= hi for lo, hi in zip(edges, edges[1:])):
+            raise ConfigError(f"bin edges must be strictly increasing, got {edges}")
         for lo, hi in zip(edges[:-1], edges[1:]):
             last = hi == edges[-1]
             cells = {}

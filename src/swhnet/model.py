@@ -52,7 +52,7 @@ def head_widths(input_dim: int, explicit: list[int] | None) -> list[int]:
 class FusionHead:
     """MLP with 9 ReLU hidden layers; shared per channel (CI) or joint (CD)."""
 
-    def __init__(self, cfg: ModelConfig, bag: ParamBag, rng: np.random.Generator, prefix: str = "head"):
+    def __init__(self, cfg: ModelConfig, bag: ParamBag, rng: np.random.Generator):
         self.cfg = cfg
         m_eff = cfg.flat_len if cfg.head_input == "full" else cfg.embed_dim
         per_channel = m_eff + cfg.k_ap
@@ -63,12 +63,12 @@ class FusionHead:
         prev = self.input_dim
         for i, w in enumerate(widths):
             self.weights.append((
-                bag.add(f"{prefix}.layer{i}.w", _xavier(rng, (prev, w), prev, w)),
-                bag.add(f"{prefix}.layer{i}.b", np.zeros(w)),
+                bag.add(f"head.layer{i}.w", _xavier(rng, (prev, w), prev, w)),
+                bag.add(f"head.layer{i}.b", np.zeros(w)),
             ))
             prev = w
-        self.out_w = bag.add(f"{prefix}.out.w", _xavier(rng, (prev, out_dim), prev, out_dim))
-        self.out_b = bag.add(f"{prefix}.out.b", np.zeros(out_dim))
+        self.out_w = bag.add("head.out.w", _xavier(rng, (prev, out_dim), prev, out_dim))
+        self.out_b = bag.add("head.out.b", np.zeros(out_dim))
 
     def _mlp(self, x: Tensor) -> Tensor:
         for w, b in self.weights:

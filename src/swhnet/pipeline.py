@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import container
-from .config import AP_COLUMNS, DDM_TYPES, SWH_CAP_M, SplitSpec
+from .config import AP_COLUMNS, DDM_TYPES, SWH_CAP_M, WIND_COLUMN, SplitSpec
 from .errors import ConfigError, ContractError, FormatError
 
 EARTH_RADIUS_KM = 6371.0
@@ -470,21 +470,27 @@ def split_dataset(samples: list[FourChannelSample], spec: SplitSpec
 # ---------------------------------------------------------------------------
 
 
+def ap_matrix(samples: list[FourChannelSample], include_wind: bool) -> np.ndarray:
+    """The raw (n, 4, K_ap) AP values of `samples`: each channel's AP_COLUMNS,
+    then its wind speed when `include_wind`."""
+    k = len(AP_COLUMNS)
+    aps = np.zeros((len(samples), 4, k + int(include_wind)))
+    for i, s in enumerate(samples):
+        for c, ch in enumerate(s.channels):
+            aps[i, c, :k] = ch.aps
+            if include_wind:
+                if ch.wind_speed is None:
+                    raise ConfigError("use_wind is set but a sample has no wind_speed")
+                aps[i, c, k] = ch.wind_speed
+    return aps
+
+
 def compute_ap_stats(samples: list[FourChannelSample], include_wind: bool) -> dict:
     """Per-column mean/std over all channels of the given (training) samples."""
     if not samples:
         raise ContractError("cannot compute standardization statistics from zero samples")
-    columns = list(AP_COLUMNS) + (["wind_speed"] if include_wind else [])
-    rows = []
-    for s in samples:
-        for ch in s.channels:
-            vec = list(ch.aps)
-            if include_wind:
-                if ch.wind_speed is None:
-                    raise ConfigError("wind standardization requested but a sample lacks wind_speed")
-                vec.append(ch.wind_speed)
-            rows.append(vec)
-    arr = np.asarray(rows)
+    columns = list(AP_COLUMNS) + ([WIND_COLUMN] if include_wind else [])
+    arr = ap_matrix(samples, include_wind).reshape(-1, len(columns))
     mean = arr.mean(axis=0)
     std = np.maximum(arr.std(axis=0), 1e-12)
     return {"columns": columns, "mean": mean.tolist(), "std": std.tolist()}

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParamBag, count_params  # noqa: F401  (count_params re-exported)
+from .autodiff import ParamBag
 from .config import ModelConfig, TrainConfig
 from .errors import ConfigError, ContractError
 from .model import WaveHeightModel, batch_loss
+from .pipeline import ap_matrix, standardize_ap
 
 # Memory one no-grad evaluation batch may take for its largest activation,
 # the (M, d_ff) feedforward hidden array of each sample. It caps memory
@@ -61,18 +62,13 @@ def to_model_dataset(samples, stats: dict, use_wind: bool) -> ModelDataset:
     With use_wind the wind column is appended before standardization;
     samples lacking wind speed then raise a config error.
     """
-    from .pipeline import standardize_ap  # local import to avoid a cycle
-
+    aps = ap_matrix(samples, use_wind)
     n = len(samples)
     if n == 0:
-        shape = (0, 4, 3, 1, 1)
-        return ModelDataset(ddms=np.zeros(shape), aps=np.zeros((0, 4, 9 + int(use_wind))),
-                            refs=np.zeros((0, 4)), timestamps=np.zeros(0),
-                            lats=np.zeros((0, 4)), lons=np.zeros((0, 4)))
+        return ModelDataset(ddms=np.zeros((0, 4, 3, 1, 1)), aps=aps, refs=np.zeros((0, 4)),
+                            timestamps=np.zeros(0), lats=np.zeros((0, 4)), lons=np.zeros((0, 4)))
     w, h = samples[0].channels[0].ddms.shape[1:]
-    k = 9 + int(use_wind)
     ddms = np.zeros((n, 4, 3, w, h))
-    aps = np.zeros((n, 4, k))
     refs = np.zeros((n, 4))
     timestamps = np.zeros(n)
     lats = np.zeros((n, 4))
@@ -81,17 +77,11 @@ def to_model_dataset(samples, stats: dict, use_wind: bool) -> ModelDataset:
         timestamps[i] = s.timestamp
         for c, ch in enumerate(s.channels):
             ddms[i, c] = ch.ddms
-            vec = list(ch.aps)
-            if use_wind:
-                if ch.wind_speed is None:
-                    raise ConfigError("use_wind=true but the dataset has no wind_speed column")
-                vec.append(ch.wind_speed)
-            aps[i, c] = vec
             refs[i, c] = ch.swh_ref
             lats[i, c] = ch.sp_lat
             lons[i, c] = ch.sp_lon
-    aps = standardize_ap(aps, stats)
-    return ModelDataset(ddms=ddms, aps=aps, refs=refs, timestamps=timestamps, lats=lats, lons=lons)
+    return ModelDataset(ddms=ddms, aps=standardize_ap(aps, stats), refs=refs,
+                        timestamps=timestamps, lats=lats, lons=lons)
 
 
 @dataclass
@@ -234,14 +224,8 @@ def _train_step(model: WaveHeightModel, opt: AdamW, data: ModelDataset, idx: np.
 
 
 def train(model: WaveHeightModel, train_set: ModelDataset, val_set: ModelDataset,
-          tcfg: TrainConfig, config_hash: str = "", log=None,
-          max_steps: int | None = None) -> TrainResult:
-    """Run the optimization loop and return history plus the best checkpoint.
-
-    `max_steps` optionally caps the total number of optimizer steps
-    (used by the desk-scale overfit checks); epochs still delimit
-    validation points.
-    """
+          tcfg: TrainConfig, config_hash: str = "", log=None) -> TrainResult:
+    """Run the optimization loop and return history plus the best checkpoint."""
     if len(train_set) == 0 or len(val_set) == 0:
         raise ContractError("train() requires non-empty train and validation sets")
     opt = AdamW(model.bag, lr=tcfg.lr, weight_decay=tcfg.weight_decay,
@@ -251,17 +235,13 @@ def train(model: WaveHeightModel, train_set: ModelDataset, val_set: ModelDataset
     history: list[dict] = []
     best_state = model.bag.state_arrays()
     best_meta = None
-    steps_done = 0
 
     for epoch in range(1, tcfg.max_epochs + 1):
         order = rng.permutation(len(train_set))
         epoch_loss = 0.0
         for start in range(0, len(order), tcfg.batch_size):
-            if max_steps is not None and steps_done >= max_steps:
-                break
             chunk = order[start:start + tcfg.batch_size]
             epoch_loss += _train_step(model, opt, train_set, chunk, rng, tcfg.delta) * len(chunk)
-            steps_done += 1
         train_loss = epoch_loss / len(order)
         rmse = validation_rmse(model, val_set)
         avg = float(rmse.mean())
@@ -281,7 +261,7 @@ def train(model: WaveHeightModel, train_set: ModelDataset, val_set: ModelDataset
             best_state = model.bag.state_arrays()
             best_meta = CheckpointMeta(epoch=epoch, val_rmse=[float(r) for r in rmse],
                                        val_rmse_avg=avg, config_hash=config_hash)
-        if stop or (max_steps is not None and steps_done >= max_steps):
+        if stop:
             break
 
     if best_meta is None:  # no epoch improved on +inf is impossible, but stay safe

@@ -58,7 +58,7 @@ def test_criterion_01_gradient_correctness():
     # kink measures the subgradient gap, not a gradient error
     for name, p in model.bag.items():
         if name.startswith("head.") and name.endswith(".b"):
-            p.tensor.data[...] += 0.1
+            p.data[...] += 0.1
     inputs = [toy_inputs(cfg, seed=10 + i) for i in range(2)]
     refs = np.random.default_rng(9).uniform(1.0, 3.0, size=(2, 4))
 
@@ -115,7 +115,7 @@ def test_criterion_03_cd_coupling():
         # Jacobian for every channel and says nothing about coupling
         for name, p in model.bag.items():
             if name.startswith("head.") and name.endswith(".b"):
-                p.tensor.data[...] += 0.1
+                p.data[...] += 0.1
         ddm, ap = toy_inputs(cfg, seed=100 + trial)
         j = int(rng.integers(0, 4))
         d_dir = rng.normal(size=(3, cfg.width, cfg.height))
@@ -318,7 +318,7 @@ def test_criterion_11_strategy_ordering(tmp_path):
         for seed in (0, 1, 2):
             model = WaveHeightModel(toy_model_config(strategy, seed=seed))
             tcfg = TrainConfig(batch_size=16, max_epochs=8, patience=8, lr=3e-3,
-                               weight_decay=1e-5, delta=2.0, strategy=strategy, seed=seed)
+                               weight_decay=1e-5, delta=2.0, seed=seed)
             res = train(model, tr, va, tcfg)
             per_seed.append(res.best_meta.val_rmse_avg)
         results[strategy] = per_seed

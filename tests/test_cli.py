@@ -208,3 +208,12 @@ def test_wind_flag_without_wind_column_exits_one(tmp_path, toy_config):
     code = main(["train", "--config", toy_config, "--use-wind", "--data", str(data),
                  "--out-dir", str(tmp_path / "run")])
     assert code == 1
+
+
+def test_negative_subsample_exits_one(tmp_path, toy_config):
+    data = tmp_path / "samples.jsonl"
+    main(["synth", "--config", toy_config, "--out", str(data)])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**TOY, "train_subsample": -1}))
+    assert main(["train", "--config", str(bad), "--data", str(data),
+                 "--out-dir", str(tmp_path / "run")]) == 1

@@ -77,7 +77,7 @@ def test_embed_zero_weights_gives_pure_pe():
     enc, bag = build_encoder(cfg)
     for name in bag.names():
         if name.startswith("encoder.embed"):
-            bag[name].tensor.data[...] = 0.0
+            bag[name].data[...] = 0.0
     out = enc.embed_channel(Tensor(np.zeros((3, 2, 2))))
     assert np.array_equal(out.data, positional_encoding(cfg.seq_len, cfg.embed_dim))
 
@@ -329,7 +329,7 @@ def test_encoder_channel_permutation_equivariance_ci():
     for name in bag.names():
         p = bag[name]
         if any(tag in name for tag in (".attn.w", ".norm", ".ffn.")):
-            p.tensor.data = p.data[perm].copy()
+            p.data = p.data[perm].copy()
     out = enc.forward(Tensor(stack[perm])).data
     assert np.array_equal(out, base[:, perm])
 

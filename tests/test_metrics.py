@@ -146,6 +146,15 @@ def test_report_final_bin_closed_at_cap():
     assert rep.bins[0]["average"]["n"] == 4
 
 
+@pytest.mark.parametrize("edges", [[0, 1, 1], [0, 2, 1], [1]])
+def test_report_rejects_edges_not_strictly_increasing(edges):
+    # With a repeated edge at 1, both bins ending there would be closed and
+    # count every reference equal to 1 twice.
+    ref = np.array([0.5, 1.0, 1.0, 1.5])
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        report({c: (ref, ref) for c in (1, 2, 3, 4)}, bin_edges=edges)
+
+
 def test_report_bins_recombine_pooled_sq_error():
     pairs = four_channel_pairs(seed=4, n=500)
     edges = [0, 1, 2, 3, 4, 5, 6, 7, 8]

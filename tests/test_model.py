@@ -77,8 +77,8 @@ def test_head_zero_weights_bias_output():
     model = WaveHeightModel(cfg)
     for name, p in model.bag.items():
         if name.startswith("head."):
-            p.tensor.data[...] = 0.0
-    model.bag["head.out.b"].tensor.data[...] = [1.0, 2.0, 3.0, 4.0]
+            p.data[...] = 0.0
+    model.bag["head.out.b"].data[...] = [1.0, 2.0, 3.0, 4.0]
     ddm, ap = toy_inputs(cfg)
     pred = model.predict_sample(ddm, ap)
     assert np.array_equal(pred, [1.0, 2.0, 3.0, 4.0])
@@ -239,7 +239,7 @@ def test_model_full_gradcheck_small():
     # crosses a kink measures the subgradient gap, not a gradient error.
     for name, p in model.bag.items():
         if name.startswith("head.") and name.endswith(".b"):
-            p.tensor.data[...] += 0.1
+            p.data[...] += 0.1
     rng = np.random.default_rng(9)
     ddms = [toy_inputs(cfg, seed=10 + i) for i in range(2)]
     refs = rng.normal(size=(2, 4)) + 2.0
@@ -392,7 +392,7 @@ def test_forward_batch_gradcheck(strategy):
     # crosses a feedforward kink. A step that does misses by up to 1e-2.
     for name, p in model.bag.items():
         if name.startswith("head.") and name.endswith(".b"):
-            p.tensor.data[...] += 0.1
+            p.data[...] += 0.1
     refs = np.random.default_rng(25).normal(size=(3, 4)) + 2.0
 
     def loss_tensor():

@@ -411,6 +411,15 @@ def test_split_subsample_and_overlap():
         split_dataset(samples, SplitSpec(val_start="2019-01-01"))
 
 
+
+@pytest.mark.parametrize("key", ["train_subsample", "val_subsample", "test_subsample"])
+@pytest.mark.parametrize("bad", [-1, 2.5, True, "3"])
+def test_split_subsample_must_be_none_or_non_negative_int(key, bad):
+    with pytest.raises(ConfigError, match=key):
+        SplitSpec(**{key: bad})
+    assert getattr(SplitSpec(**{key: 0}), key) == 0
+
+
 # ---------------------------------------------------------------------------
 # standardization and serialization
 # ---------------------------------------------------------------------------

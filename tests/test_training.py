@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from swhnet.autodiff import ParamBag, count_params
-from swhnet.checkpoint import load_checkpoint, save_checkpoint
+from swhnet import container
+from swhnet.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from swhnet.config import ModelConfig, TrainConfig
 from swhnet.errors import ConfigError, ContractError, FormatError
 from swhnet.model import WaveHeightModel
@@ -81,7 +82,7 @@ def test_adamw_lr_zero_bit_identical():
     before = model.bag.state_arrays()
     opt = AdamW(model.bag, lr=0.0, weight_decay=0.1)
     for p in model.bag.values():
-        p.tensor.grad = np.ones_like(p.data)
+        p.grad = np.ones_like(p.data)
     opt.step()
     for name, arr in model.bag.state_arrays().items():
         assert np.array_equal(arr, before[name])
@@ -109,7 +110,7 @@ def test_adamw_five_steps_bit_identical_to_textbook_expression():
     for t in range(1, 6):
         for name, p in bag.items():
             g = rng.normal(size=shapes[name]) * 10.0 ** rng.integers(-3, 3)
-            p.tensor.grad = g.copy()
+            p.grad = g.copy()
             m[name] = b1 * m[name] + (1.0 - b1) * g
             v[name] = b2 * v[name] + (1.0 - b2) * g * g
             m_hat = m[name] / (1.0 - b1 ** t)
@@ -153,7 +154,7 @@ def test_early_stopper_monotone_runs_out_epochs():
 
 def small_tcfg(**kw):
     base = dict(batch_size=8, max_epochs=4, patience=4, lr=3e-3,
-                weight_decay=1e-5, delta=2.0, strategy="CD", seed=0)
+                weight_decay=1e-5, delta=2.0, seed=0)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -290,7 +291,8 @@ def test_checkpoint_version_and_truncation(tmp_path):
     path = tmp_path / "ckpt.json"
     save_checkpoint(str(path), model)
     raw = path.read_bytes()
-    path.write_bytes(raw.replace(b'"format_version": 2', b'"format_version": 99', 1))
+    current = f'"format_version": {FORMAT_VERSION}'.encode()
+    path.write_bytes(raw.replace(current, b'"format_version": 99', 1))
     with pytest.raises(FormatError, match="version 99"):
         load_checkpoint(str(path))
     trunc = tmp_path / "broken.json"
@@ -310,6 +312,17 @@ def test_checkpoint_v1_json_rejected(tmp_path):
     path = tmp_path / "ckpt.json"
     path.write_text(json.dumps(doc) + "\n")
     with pytest.raises(FormatError, match="version 1 unsupported"):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_v2_rejected(tmp_path):
+    # Version 2 headers carried the fixed d_model/n_heads fields.
+    model = toy_model()
+    header = {"config": {**asdict(model.cfg), "d_model": 4, "n_heads": 4},
+              "standardization": None, "meta": None}
+    path = tmp_path / "ckpt.json"
+    container.write(str(path), "checkpoint", 2, header, model.bag.state_arrays())
+    with pytest.raises(FormatError, match="version 2 unsupported"):
         load_checkpoint(str(path))
 
 
