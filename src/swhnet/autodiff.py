@@ -35,6 +35,13 @@ from .errors import ConfigError, ContractError, NonFiniteError, ShapeError
 
 _grad_enabled = True
 
+# Bytes of (M, M) attention probabilities `sca_attention` computes at once:
+# blocks of max(1, ATTN_BLOCK_BYTES // (8 M^2)) (sample, head) rows. Small
+# models take a whole batch's heads in one block, where the per-head Python
+# and numpy call overhead would dominate; at the paper default (M = 584,
+# 2.7 MB per head) a block is one head, as large blocks would only add memory.
+ATTN_BLOCK_BYTES = 4 << 20
+
 
 @contextmanager
 def no_grad():
@@ -49,7 +56,7 @@ def no_grad():
 
 
 def _guard_finite(data: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteError(f"{op} produced non-finite values")
     return data
 
@@ -595,10 +602,12 @@ def sca_attention(tokens: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor
 
     S is a rank-one outer product, so its row max is q_t * max(k) when
     q_t >= 0 and q_t * min(k) otherwise, exactly and in O(M). Forward and
-    backward loop over the batch's heads with one M x M buffer; backward
-    keeps only q, k, v, H and the per-row max and normaliser, and recomputes
-    each head's probabilities in turn. Overflow is checked once, on the
-    largest score magnitude max|q| * max|k|, and on the output.
+    backward take the batch's (sample, head) rows in blocks of heads, as
+    many as fit ATTN_BLOCK_BYTES of (M, M) probabilities, in one buffer
+    allocated per call. Each head's arithmetic is that of a head alone.
+    Backward keeps only q, k, v, H and the per-row max and normaliser, and
+    recomputes each block's probabilities in turn. Overflow is checked
+    once, on the largest score magnitude max|q| * max|k|, and on the output.
     """
     tokens, wq, wk, wv, wo = (_as_tensor(t) for t in (tokens, wq, wk, wv, wo))
     if tokens.ndim < 2 or tokens.shape[-1] != 4:
@@ -620,20 +629,24 @@ def sca_attention(tokens: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor
     row_max = np.where(q >= 0, q * k.max(axis=-1, keepdims=True), q * k.min(axis=-1, keepdims=True))
     # One row per (sample, head).
     qf, kf, vf, rf = (a.reshape(-1, m) for a in (q, k, v, row_max))
+    n_rows = len(qf)
+    block = max(1, min(n_rows, ATTN_BLOCK_BYTES // (8 * m * m)))
 
-    def probs_unnormalised(i: int, out: np.ndarray) -> np.ndarray:
-        """exp(S - row max) of head row i, written into `out` (M, M)."""
-        np.multiply(qf[i][:, None], kf[i], out=out)
-        np.subtract(out, rf[i][:, None], out=out)
+    def probs_unnormalised(lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
+        """exp(S - row max) of head rows lo:hi, written into `buf` (block, M, M)."""
+        out = buf[:hi - lo]
+        np.multiply(qf[lo:hi, :, None], kf[lo:hi, None, :], out=out)
+        np.subtract(out, rf[lo:hi, :, None], out=out)
         return np.exp(out, out=out)
 
     h = np.empty(qf.shape)
     den = np.empty(qf.shape)
-    e = np.empty((m, m))
-    for i in range(len(qf)):
-        p = probs_unnormalised(i, e)
-        den[i] = p.sum(axis=1)
-        h[i] = (p @ vf[i]) / den[i]
+    buf = np.empty((block, m, m))
+    for lo in range(0, n_rows, block):
+        hi = min(lo + block, n_rows)
+        p = probs_unnormalised(lo, hi, buf)
+        den[lo:hi] = p.sum(axis=-1)
+        h[lo:hi] = (p @ vf[lo:hi, :, None])[..., 0] / den[lo:hi]
     heads = np.swapaxes(h.reshape(x.shape), -1, -2)  # (..., M, 4)
     data = _mm(heads, wo.data) if dense else heads * wo.data
 
@@ -646,17 +659,19 @@ def sca_attention(tokens: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor
         gh = np.ascontiguousarray(np.swapaxes(gh, -1, -2)).reshape(-1, m)
         dq, dk, dv = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
         dqf, dkf, dvf = (a.reshape(-1, m) for a in (dq, dk, dv))
-        buf = np.empty((m, m))
-        for i in range(len(qf)):
+        buf = np.empty((block, m, m))
+        for lo in range(0, n_rows, block):
+            hi = min(lo + block, n_rows)
             # With P the row-normalised probabilities and dS = P * g (v - h):
             # dq = g (P(v k) - h P k), dk = v P^T(g q) - P^T(g q h), dv = P^T g.
-            p = probs_unnormalised(i, buf)
-            rows = p @ np.stack([vf[i] * kf[i], kf[i]], axis=1) / den[i][:, None]
-            dqf[i] = gh[i] * (rows[:, 0] - h[i] * rows[:, 1])
-            gq = gh[i] * qf[i]
-            cols = p.T @ (np.stack([gq, gq * h[i], gh[i]], axis=1) / den[i][:, None])
-            dkf[i] = vf[i] * cols[:, 0] - cols[:, 1]
-            dvf[i] = cols[:, 2]
+            p = probs_unnormalised(lo, hi, buf)
+            dn = den[lo:hi, :, None]
+            rows = p @ np.stack([vf[lo:hi] * kf[lo:hi], kf[lo:hi]], axis=-1) / dn
+            dqf[lo:hi] = gh[lo:hi] * (rows[..., 0] - h[lo:hi] * rows[..., 1])
+            gq = gh[lo:hi] * qf[lo:hi]
+            cols = np.swapaxes(p, -1, -2) @ (np.stack([gq, gq * h[lo:hi], gh[lo:hi]], axis=-1) / dn)
+            dkf[lo:hi] = vf[lo:hi] * cols[..., 0] - cols[..., 1]
+            dvf[lo:hi] = cols[..., 2]
         if tokens.requires_grad:
             dx = dq * wq.data[:, None] + dk * wk.data[:, None] + dv * wv.data[:, None]
             tokens._accumulate(np.swapaxes(dx, -1, -2))

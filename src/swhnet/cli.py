@@ -21,6 +21,7 @@ from . import config as cfgmod
 from .autodiff import count_params
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import config_hash, load_config
+from .container import atomic_open_text
 from .errors import ConfigError, ContractError, FormatError, NonFiniteError, ShapeError
 from .metrics import export_bias_grid, export_scatter, report
 from .model import WaveHeightModel
@@ -245,7 +246,7 @@ def _load_for_inference(args):
 
 
 def _write_predictions(path: str, dataset, preds: np.ndarray, h: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open_text(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(PREDICTION_FIELDS)
         for i in range(len(dataset)):

@@ -244,10 +244,44 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
     return cfg
 
 
+# The kind a value takes where the default is None, and the kind of a list's items.
+_OPTIONAL_KINDS = {"head_hidden": list, "train_subsample": int, "val_subsample": int,
+                   "test_subsample": int}
+_LIST_ITEM_KINDS = {"head_hidden": int, "report_bin_edges": float}
+_KIND_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+               bool: ("true or false", ""), str: ("a string", ""), list: ("a list", "")}
+
+
+def _is_kind(value, kind: type) -> bool:
+    """True when `value` can stand where a default of type `kind` does: an int
+    or float for a float, and a bool only for a bool."""
+    if isinstance(value, bool) and kind is not bool:
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_kind(key: str, value, source: str) -> None:
+    """Raise ConfigError naming `key` when `value` is not of its default's kind."""
+    default = DEFAULT_CONFIG[key]
+    if default is None and value is None:
+        return
+    kind = _OPTIONAL_KINDS[key] if default is None else type(default)
+    want = _KIND_NAMES[kind][0]
+    ok = _is_kind(value, kind)
+    if kind is list:
+        item = _LIST_ITEM_KINDS[key]
+        want += " of " + _KIND_NAMES[item][1]
+        ok = ok and all(_is_kind(v, item) for v in value)
+    if not ok:
+        null = "null or " if default is None else ""
+        raise ConfigError(f"config key {key!r} (from {source}) must be {null}{want}, got {value!r}")
+
+
 def _apply(cfg: dict, updates: dict, source: str) -> None:
     for key, value in updates.items():
         if key not in DEFAULT_CONFIG:
             raise ConfigError(f"unknown config key {key!r} (from {source})")
+        _check_kind(key, value, source)
         cfg[key] = value
 
 

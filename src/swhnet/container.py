@@ -5,9 +5,12 @@ file order with their shapes), then one raw `.npy` record per array.
 
 Writes go to a temporary file beside the target that is then renamed onto
 it, so a crashed writer leaves no half-written file. There is no fsync.
+The text reports (history, predictions, metrics and plot data) are written
+the same way, through `atomic_open_text`.
 """
 
 import contextlib
+import io
 import json
 import os
 
@@ -29,6 +32,13 @@ def atomic_open(path: str):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+@contextlib.contextmanager
+def atomic_open_text(path: str):
+    """`atomic_open` through a UTF-8 text handle that writes newlines as given."""
+    with atomic_open(path) as raw, io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
+        yield fh
 
 
 def write(path: str, kind: str, version: int, meta: dict, arrays: dict[str, np.ndarray]) -> None:

@@ -7,9 +7,10 @@ give (..., M, 4) features, each sample computed exactly as alone.
 Each of the four receiver channels supplies a stack of three DDM types.
 Per channel (weights shared across channels) the three maps are patch
 embedded, a learnable global token is prepended, and sinusoidal position
-codes are added. The four flattened channel sequences are stacked
-token-major into an M x 4 tensor whose feature axis is the channel axis,
-and each channel becomes one attention head (d_k = 1).
+codes are added. All four channels go through the embedding in one call,
+the channel axis as one more batch axis. The four flattened channel
+sequences then become the columns of an M x 4 tensor whose feature axis
+is the channel axis, and each channel becomes one attention head (d_k = 1).
 
 Cross-channel information flow is localized in the head-mixing output
 projection, the feedforward maps, and the normalization statistics:
@@ -166,6 +167,10 @@ class DdmEncoder:
         The flatten order is row-major over (token, embed_dim) with the
         token axis enumerating (global, ddm_type, patch); the result is
         (..., M, 4) with channel c in feature column c.
+
+        `forward` builds the same tensor with one reshape and transpose and
+        does not call this; the benchmark's composed forward
+        (perfbench/composed.py) still embeds channel by channel through it.
         """
         if len(per_channel) != 4:
             raise ShapeError(f"expected 4 channel sequences, got {len(per_channel)}")
@@ -224,15 +229,16 @@ class DdmEncoder:
     def forward(self, stack: Tensor, train: bool = False, rng=None) -> Tensor:
         """Encode a (..., 4, 3, W, H) stack into (..., M, 4) channel features.
 
-        `rng` is a Generator or a list of them, one per sample of the
-        leading axis (see `autodiff.dropout`).
+        One `embed_channel` call embeds all four channels; the result is
+        bit for bit that of embedding each channel alone and stacking the
+        four with `aggregate_channels`. `rng` is a Generator or a list of
+        them, one per sample of the leading axis (see `autodiff.dropout`).
         """
         if stack.shape[-4:-2] != (4, 3):
             raise ShapeError(f"encoder input must be (..., 4, 3, W, H), got {stack.shape}")
-        channels = ad.split(stack, 4, axis=-4)
-        per_channel = [self.embed_channel(ad.reshape(ch, stack.shape[:-4] + stack.shape[-3:]))
-                       for ch in channels]
-        tokens = self.aggregate_channels(per_channel)
+        # (..., 4, 3N+1, embed_dim) flattens to (..., 4, M) and turns channel-last.
+        embedded = self.embed_channel(stack)
+        tokens = ad.transpose(ad.reshape(embedded, stack.shape[:-3] + (-1,)))
         for layer in self.layers:
             tokens = self.layer_forward(tokens, layer, train, rng)
         return tokens

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .container import atomic_open_text
 from .errors import ConfigError, ContractError
 
 MAPE_MIN_REF = 0.01
@@ -112,13 +113,13 @@ class MetricsReport:
         return json.dumps(doc, indent=1) + "\n"
 
     def write_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open_text(path) as fh:
             fh.write(self.to_json())
 
     def write_csv(self, path: str) -> None:
         fields = ["scope", "channel", "bin_lo", "bin_hi", "n",
                   "rmse", "mae", "bias", "mape_percent", "cc", "mape_excluded"]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with atomic_open_text(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(fields + ["config_hash"])
             def fmt(cell, scope, channel="", lo="", hi=""):
@@ -139,7 +140,7 @@ class MetricsReport:
 
     def write_binned_csv(self, path: str) -> None:
         """One bin-averaged row per bin (the data behind range histograms)."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with atomic_open_text(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(["bin_lo", "bin_hi", "n", "rmse", "mae", "bias",
                              "mape_percent", "cc", "config_hash"])
@@ -238,7 +239,7 @@ def export_scatter(pred, ref, path_prefix: str, bin_width: float = 0.1,
     pred, ref = _pair(pred, ref)
     if bin_width <= 0:
         raise ConfigError("bin width must be positive")
-    with open(f"{path_prefix}_pairs.csv", "w", encoding="utf-8", newline="") as fh:
+    with atomic_open_text(f"{path_prefix}_pairs.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(["ref", "pred", "config_hash"])
         for r, p in zip(ref, pred):
@@ -246,7 +247,7 @@ def export_scatter(pred, ref, path_prefix: str, bin_width: float = 0.1,
     nbins = int(round((hi - lo) / bin_width))
     edges = lo + bin_width * np.arange(nbins + 1)
     hist, _, _ = np.histogram2d(ref, pred, bins=[edges, edges])
-    with open(f"{path_prefix}_hist.csv", "w", encoding="utf-8", newline="") as fh:
+    with atomic_open_text(f"{path_prefix}_hist.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(["ref_bin_lo", "pred_bin_lo", "count", "config_hash"])
         for i in range(nbins):
@@ -257,7 +258,7 @@ def export_scatter(pred, ref, path_prefix: str, bin_width: float = 0.1,
     slope, intercept = least_squares_fit(pred, ref)
     fit = {"slope": slope, "intercept": intercept, "n": int(pred.size),
            "hist_total": int(hist.sum()), "config_hash": config_hash}
-    with open(f"{path_prefix}_fit.json", "w", encoding="utf-8") as fh:
+    with atomic_open_text(f"{path_prefix}_fit.json") as fh:
         json.dump(fit, fh, indent=1)
         fh.write("\n")
     return fit
@@ -283,7 +284,7 @@ def export_bias_grid(lats, lons, pred, ref, path: str, cell_deg: float = 1.0,
         errors = cells[(iy, ix)]
         rows.append(((iy + 0.5) * cell_deg, (ix + 0.5) * cell_deg,
                      float(np.mean(errors)), len(errors)))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open_text(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["lat_center", "lon_center", "bias", "n", "config_hash"])
         for lat_c, lon_c, b, n in rows:

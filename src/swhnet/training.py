@@ -14,6 +14,7 @@ batches of at most `eval_batch_size(cfg)` samples.
 from __future__ import annotations
 
 import csv
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamBag
 from .config import ModelConfig, TrainConfig
+from .container import atomic_open_text
 from .errors import ConfigError, ContractError
 from .model import WaveHeightModel, batch_loss
 from .pipeline import ap_matrix, standardize_ap
@@ -239,9 +241,11 @@ def train(model: WaveHeightModel, train_set: ModelDataset, val_set: ModelDataset
     for epoch in range(1, tcfg.max_epochs + 1):
         order = rng.permutation(len(train_set))
         epoch_loss = 0.0
+        t0 = time.perf_counter()
         for start in range(0, len(order), tcfg.batch_size):
             chunk = order[start:start + tcfg.batch_size]
             epoch_loss += _train_step(model, opt, train_set, chunk, rng, tcfg.delta) * len(chunk)
+        train_s = time.perf_counter() - t0
         train_loss = epoch_loss / len(order)
         rmse = validation_rmse(model, val_set)
         avg = float(rmse.mean())
@@ -255,7 +259,8 @@ def train(model: WaveHeightModel, train_set: ModelDataset, val_set: ModelDataset
             "val_rmse_avg": avg,
         })
         if log is not None:
-            log(f"epoch {epoch}: train_loss={train_loss:.6f} val_rmse_avg={avg:.6f}")
+            log(f"epoch {epoch}: train_loss={train_loss:.6f} val_rmse_avg={avg:.6f} "
+                f"train_s={train_s:.3f} train_samples_per_s={len(order) / train_s:.1f}")
         improved, stop = stopper.update(avg, epoch)
         if improved:
             best_state = model.bag.state_arrays()
@@ -272,7 +277,7 @@ def train(model: WaveHeightModel, train_set: ModelDataset, val_set: ModelDataset
 
 
 def write_history(path: str, history: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open_text(path) as fh:
         writer = csv.DictWriter(fh, fieldnames=HISTORY_FIELDS)
         writer.writeheader()
         for row in history:

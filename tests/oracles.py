@@ -2,13 +2,16 @@
 
 Everything here is written with explicit loops and no reuse of package
 internals, so the network implementation is checked against genuinely
-independent arithmetic.
+independent arithmetic. The exceptions are `softmax_rows`, an autodiff
+node of its own, and `encoder_forward_per_channel`, which keeps the
+channel-by-channel embedding as the reference for the batched one.
 """
 
 import math
 
 import numpy as np
 
+from swhnet import autodiff as ad
 from swhnet.autodiff import Tensor, _as_tensor
 from swhnet.errors import ConfigError, ShapeError
 
@@ -102,6 +105,22 @@ def encoder_layer_oracle(tokens, w, strategy, eps=1e-5):
 def layer_weight_arrays(encoder, index):
     """Extract one encoder layer's weights as plain numpy arrays."""
     return {k: t.data.copy() for k, t in encoder.layers[index].items()}
+
+
+def encoder_forward_per_channel(encoder, stack, train=False, rng=None):
+    """`DdmEncoder.forward` with the channels embedded one at a time: split ->
+    embed_channel x 4 -> aggregate_channels, then the same layers.
+
+    Built from the encoder's own pieces, so it checks only that embedding
+    all four channels in one call changes nothing.
+    """
+    stack = _as_tensor(stack)
+    per_channel = [encoder.embed_channel(ad.reshape(ch, stack.shape[:-4] + stack.shape[-3:]))
+                   for ch in ad.split(stack, 4, axis=-4)]
+    tokens = encoder.aggregate_channels(per_channel)
+    for layer in encoder.layers:
+        tokens = encoder.layer_forward(tokens, layer, train, rng)
+    return tokens
 
 
 def spatial_gate_oracle(a1, p1, b1, p2, b2):

@@ -420,6 +420,30 @@ def test_sca_attention_matches_oracle_and_gradcheck(m, wo_shape):
     check_grads(lambda ts: ad.tsum(ad.mul(ad.sca_attention(*ts), probe)), arrays)
 
 
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("wo_shape", [(4, 4), (4,)], ids=["CD", "CI"])
+@pytest.mark.parametrize("m", [1, 3, 40])
+def test_sca_attention_block_size_changes_no_bit(monkeypatch, m, wo_shape, batch):
+    """One (sample, head) row per block and all rows in one block give the
+    same values and the same five gradients, bit for bit."""
+    _, wq, wk, wv, wo = attention_case(m, wo_shape, seed=m)
+    rng = np.random.default_rng(70 + m)
+    tokens = rng.uniform(-1.0, 1.0, size=(batch, m, 4))
+    probe = rng.normal(size=(batch, m, 4))
+
+    def run(block_bytes):
+        monkeypatch.setattr(ad, "ATTN_BLOCK_BYTES", block_bytes)
+        ts = [ad.Tensor(a, requires_grad=True) for a in (tokens, wq, wk, wv, wo)]
+        out = ad.sca_attention(*ts)
+        ad.tsum(ad.mul(out, probe)).backward()
+        return [out.data] + [t.grad for t in ts]
+
+    one_row = run(1)
+    all_rows = run(8 * m * m * 4 * batch)
+    for a, b in zip(one_row, all_rows):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_sca_attention_score_overflow_names_op():
     tokens = ad.Tensor(np.array([[1e160, 1.0, 1.0, 1.0], [-1e160, 2.0, 2.0, 2.0]]))
     ones = ad.Tensor(np.ones(4))

@@ -217,3 +217,12 @@ def test_negative_subsample_exits_one(tmp_path, toy_config):
     bad.write_text(json.dumps({**TOY, "train_subsample": -1}))
     assert main(["train", "--config", str(bad), "--data", str(data),
                  "--out-dir", str(tmp_path / "run")]) == 1
+
+
+@pytest.mark.parametrize("key, value", [("synth_n_samples", "5"), ("n_layers", True),
+                                        ("report_bin_edges", 5)])
+def test_value_of_the_wrong_kind_exits_one(tmp_path, key, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**TOY, key: value}))
+    assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "x.jsonl")]) == 1
+    assert not (tmp_path / "x.jsonl").exists()

@@ -9,8 +9,8 @@ from swhnet.config import ModelConfig
 from swhnet.encoder import DdmEncoder, add_norm, positional_encoding
 from swhnet.errors import ConfigError, ShapeError
 
-from oracles import (encoder_layer_oracle, finite_difference_grad, layer_weight_arrays,
-                     max_rel_error, norm_oracle, softmax_rows)
+from oracles import (encoder_forward_per_channel, encoder_layer_oracle, finite_difference_grad,
+                     layer_weight_arrays, max_rel_error, norm_oracle, softmax_rows)
 
 
 def tiny_config(**kw):
@@ -122,6 +122,35 @@ def test_aggregate_ragged_rejected():
     seqs = [Tensor(np.zeros((4, 2)))] * 3 + [Tensor(np.zeros((5, 2)))]
     with pytest.raises(ShapeError):
         enc.aggregate_channels(seqs)
+
+
+@pytest.mark.parametrize("strategy", ["CI", "CD"])
+def test_forward_matches_per_channel_embedding(strategy):
+    """Train and eval outputs equal the per-channel oracle bit for bit. Only
+    the shared embedding weights' gradients may differ, by summation order."""
+    cfg = tiny_config(width=5, height=4, patch_size=2, embed_dim=3, n_layers=2, d_ff=8,
+                      dropout_p=0.2, strategy=strategy)
+    rng = np.random.default_rng(8)
+    stack = rng.normal(size=(3, 4, 3, 5, 4))
+    probe = rng.normal(size=(3, cfg.flat_len, 4))
+
+    def run(forward):
+        enc, bag = build_encoder(cfg)
+        out = forward(enc, Tensor(stack), True, np.random.default_rng(9))
+        ad.tsum(ad.mul(out, probe)).backward()
+        with ad.no_grad():
+            eval_out = forward(enc, Tensor(stack), False, None)
+        return out.data, eval_out.data, {name: p.grad for name, p in bag.items()}
+
+    train_a, eval_a, grads_a = run(DdmEncoder.forward)
+    train_b, eval_b, grads_b = run(encoder_forward_per_channel)
+    assert train_a.tobytes() == train_b.tobytes()
+    assert eval_a.tobytes() == eval_b.tobytes()
+    for name, g in grads_b.items():
+        if name.startswith("encoder.embed."):
+            assert np.max(np.abs(grads_a[name] - g)) <= 1e-12 * np.max(np.abs(g))
+        else:
+            assert grads_a[name].tobytes() == g.tobytes()
 
 
 # ---------------------------------------------------------------------------

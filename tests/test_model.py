@@ -433,3 +433,28 @@ def test_batch_loss_takes_the_batched_tensor():
     assert len(Tensor(preds)) == 3
     with pytest.raises(ShapeError):
         batch_loss(Tensor(preds[:, :3]), refs[:, :3], 2.0)
+
+
+def op_nodes(loss):
+    """Op nodes (tensors with a backward) reachable from `loss`."""
+    seen, todo, count = set(), [loss], 0
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            count += node._backward is not None
+            todo.extend(node._parents)
+    return count
+
+
+def test_quick_start_training_graph_op_nodes():
+    """The README quick-start model under CI, one B = 2 training graph: the
+    four channels embedded in one call keep it at 101 op nodes (167 with
+    one embedding call per channel)."""
+    cfg = ModelConfig(width=6, height=6, patch_size=3, embed_dim=2, n_layers=1, d_ff=16,
+                      dropout_p=0.0, head_hidden=[16] * 9, strategy="CI")
+    model = WaveHeightModel(cfg)
+    rng = np.random.default_rng(0)
+    preds = model.forward_batch(rng.normal(size=(2, 4, 3, 6, 6)), rng.normal(size=(2, 4, cfg.k_ap)),
+                                train=True, rng=rng)
+    assert op_nodes(batch_loss(preds, np.ones((2, 4)), 2.0)) <= 101

@@ -2,6 +2,7 @@
 and checkpoint round trips."""
 
 import json
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -168,6 +169,32 @@ def test_train_returns_best_not_last():
     assert result.best_meta.val_rmse_avg == pytest.approx(min(avgs))
     # model holds the best state afterwards
     assert validation_rmse(model, val).mean() == pytest.approx(result.best_meta.val_rmse_avg)
+
+
+def test_epoch_log_reports_training_time_and_throughput():
+    model = toy_model()
+    ds = toy_dataset(model.cfg, 12, seed=1)
+    val = toy_dataset(model.cfg, 8, seed=2)
+    lines = []
+    train(model, ds, val, small_tcfg(max_epochs=2, patience=2), log=lines.append)
+    assert len(lines) == 2
+    for epoch, line in enumerate(lines, start=1):
+        m = re.fullmatch(rf"epoch {epoch}: train_loss=\S+ val_rmse_avg=\S+ "
+                         r"train_s=(\d+\.\d{3}) train_samples_per_s=(\d+\.\d)", line)
+        assert m, line
+        assert float(m.group(2)) > 0.0
+
+
+def test_failed_report_write_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "history.csv"
+    row = {"epoch": 1, "train_loss": 0.5, "val_rmse_ch1": 1.0, "val_rmse_ch2": 1.0,
+           "val_rmse_ch3": 1.0, "val_rmse_ch4": 1.0, "val_rmse_avg": 1.0}
+    training.write_history(str(path), [row])
+    before = path.read_bytes()
+    with pytest.raises(KeyError):
+        training.write_history(str(path), [row] * 2000 + [{"epoch": 2}])
+    assert path.read_bytes() == before
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_train_empty_dataset_rejected():
