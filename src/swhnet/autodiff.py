@@ -119,9 +119,13 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def _accumulate(self, g: np.ndarray) -> None:
+        """Add `g`, of this node's shape, into grad. The first gradient is
+        copied: `g` may be a view of another node's gradient."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, g)
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         backward(self)

@@ -36,8 +36,8 @@ def load_checkpoint(path: str) -> tuple[WaveHeightModel, dict | None, dict | Non
     header, state = container.read(path, "checkpoint", FORMAT_VERSION)
     try:
         cfg = ModelConfig(**header.get("config", {}))
-    except TypeError as exc:
-        raise FormatError(f"checkpoint config does not fit ModelConfig: {exc}") from exc
+    except (TypeError, ConfigError) as exc:
+        raise FormatError(f"checkpoint {path} config does not fit ModelConfig: {exc}") from exc
     model = WaveHeightModel(cfg)
     try:
         model.bag.load_state_arrays(state)

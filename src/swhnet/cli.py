@@ -20,7 +20,7 @@ import numpy as np
 from . import config as cfgmod
 from .autodiff import count_params
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import config_hash, load_config
+from .config import STRATEGIES, config_hash, load_config
 from .container import atomic_open_text
 from .errors import ConfigError, ContractError, FormatError, NonFiniteError, ShapeError
 from .metrics import export_bias_grid, export_scatter, report
@@ -41,7 +41,7 @@ PREDICTION_FIELDS = ("sample_index", "timestamp", "channel", "sp_lat", "sp_lon",
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file (flat key/value schema)")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--strategy", choices=("CI", "CD"), help="channel strategy override")
+    p.add_argument("--strategy", choices=STRATEGIES, help="channel strategy override")
     p.add_argument("--use-wind", dest="use_wind", action="store_true", default=None,
                    help="enable the wind-speed input column")
 

@@ -1,15 +1,23 @@
 """Configuration objects, the flat config-file schema, and config hashing.
 
-The CLI consumes a flat JSON key/value file; every key has a default
-below. Unknown keys are rejected with an error naming the key. CLI flags
-override file values. The config hash (short sha256 of the resolved
-config) is embedded in every produced artifact for traceability.
+The four dataclasses below are the schema. The CLI consumes a flat JSON
+key/value file whose keys are their field names, prefixed `split_` for
+SplitSpec and `synth_` for SynthSpec; `seed`, `width`, `height` and the
+three `*_subsample` counts stay bare. A field's default is its key's
+default and its annotation the kind of value the key takes. Unknown keys,
+values of the wrong kind and values out of range raise a ConfigError
+naming the key. CLI flags override file values. The config hash (short
+sha256 of the resolved config) is embedded in every produced artifact for
+traceability.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import types
+import typing
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -59,22 +67,15 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
-        if self.patch_size < 1:
-            raise ConfigError("patch_size must be >= 1")
-        if self.embed_dim < 1 or self.d_ff < 1 or self.n_layers < 1:
-            raise ConfigError("embed_dim, d_ff and n_layers must be >= 1")
-        if self.strategy == "CI" and self.d_ff % 4 != 0:
-            raise ConfigError("CI strategy requires d_ff divisible by 4")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ConfigError("dropout_p must be in [0, 1)")
-        if self.head_input not in ("full", "global_only"):
-            raise ConfigError(f"head_input must be 'full' or 'global_only', got {self.head_input!r}")
-        if self.width < 1 or self.height < 1:
-            raise ConfigError("DDM width/height must be >= 1")
-        if self.head_hidden is not None and (len(self.head_hidden) != 9 or any(w < 1 for w in self.head_hidden)):
-            raise ConfigError("head_hidden must be 9 positive widths")
+        _check_kinds(self)
+        _need(self, "strategy", self.strategy in STRATEGIES, f"be one of {STRATEGIES}")
+        for name in ("width", "height", "patch_size", "embed_dim", "n_layers", "d_ff"):
+            _need(self, name, getattr(self, name) >= 1, "be >= 1")
+        _need(self, "d_ff", self.strategy != "CI" or self.d_ff % 4 == 0, "be divisible by 4 under CI")
+        _need(self, "dropout_p", 0.0 <= self.dropout_p < 1.0, "lie in [0, 1)")
+        _need(self, "head_input", self.head_input in ("full", "global_only"), "be 'full' or 'global_only'")
+        _need(self, "head_hidden", self.head_hidden is None
+              or (len(self.head_hidden) == 9 and min(self.head_hidden) >= 1), "be null or 9 widths >= 1")
 
     @property
     def k_ap(self) -> int:
@@ -111,14 +112,16 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ConfigError("batch_size and max_epochs must be >= 1")
-        if not 0 < self.patience <= self.max_epochs:
-            raise ConfigError("patience must satisfy 0 < patience <= max_epochs")
-        if self.lr <= 0 or self.delta <= 0:
-            raise ConfigError("lr and delta must be positive")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be >= 0")
+        _check_kinds(self)
+        for name in ("batch_size", "max_epochs"):
+            _need(self, name, getattr(self, name) >= 1, "be >= 1")
+        _need(self, "patience", 0 < self.patience <= self.max_epochs, "satisfy 0 < patience <= max_epochs")
+        for name in ("lr", "delta", "adam_eps"):
+            _need(self, name, getattr(self, name) > 0, "be positive")
+        _need(self, "weight_decay", self.weight_decay >= 0, "be >= 0")
+        # A beta of 1 zeroes Adam's bias correction 1 - beta**t.
+        for name in ("adam_beta1", "adam_beta2"):
+            _need(self, name, 0 <= getattr(self, name) < 1, "lie in [0, 1)")
 
 
 @dataclass
@@ -139,14 +142,12 @@ class SynthSpec:
     time_end: str = "2022-08-01"
 
     def __post_init__(self):
-        if self.n_samples < 0:
-            raise ConfigError("n_samples must be >= 0")
-        if not 0.0 <= self.channel_corr <= 1.0:
-            raise ConfigError("channel_corr must lie in [0, 1]")
-        if self.swh_lo < 0 or self.swh_hi > SWH_CAP_M or self.swh_lo >= self.swh_hi:
-            raise ConfigError(f"swh range must satisfy 0 <= lo < hi <= {SWH_CAP_M}")
-        if self.noise_sd < 0:
-            raise ConfigError("noise_sd must be >= 0")
+        _check_kinds(self)
+        for name in ("n_samples", "noise_sd"):
+            _need(self, name, getattr(self, name) >= 0, "be >= 0")
+        _need(self, "channel_corr", 0.0 <= self.channel_corr <= 1.0, "lie in [0, 1]")
+        _need(self, "swh_lo", 0 <= self.swh_lo < self.swh_hi, "satisfy 0 <= synth_swh_lo < synth_swh_hi")
+        _need(self, "swh_hi", self.swh_hi <= SWH_CAP_M, f"be <= {SWH_CAP_M}")
 
 
 @dataclass
@@ -167,68 +168,83 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("train_subsample", "val_subsample", "test_subsample"):
-            n = getattr(self, key)
-            if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 0):
-                raise ConfigError(f"{key} must be null or a non-negative integer, got {n!r}")
+        _check_kinds(self)
+        for name in ("train_subsample", "val_subsample", "test_subsample"):
+            n = getattr(self, name)
+            _need(self, name, n is None or n >= 0, "be null or >= 0")
 
 
 # ---------------------------------------------------------------------------
 # Flat config-file schema
 # ---------------------------------------------------------------------------
 
-DEFAULT_CONFIG: dict = {
-    # model
-    "strategy": "CD",
-    "use_wind": False,
-    "seed": 0,
-    "width": 11,
-    "height": 17,
-    "patch_size": 3,
-    "embed_dim": 8,
-    "n_layers": 6,
-    "d_ff": 2048,
-    "dropout_p": 0.1,
-    "standard_residual": False,
-    "head_input": "full",
-    "head_hidden": None,
-    # training
-    "batch_size": 512,
-    "max_epochs": 75,
-    "patience": 15,
-    "lr": 1.4e-4,
-    "weight_decay": 1e-5,
-    "delta": 2.0,
-    "adam_beta1": 0.9,
-    "adam_beta2": 0.999,
-    "adam_eps": 1e-8,
-    # temporal split
-    "split_train_start": "2019-08-01",
-    "split_val_start": "2020-08-01",
-    "split_test_start": "2021-08-01",
-    "split_test_end": "2022-08-01",
-    "train_subsample": None,
-    "val_subsample": None,
-    "test_subsample": None,
-    # synthetic data
-    "synth_n_samples": 256,
-    "synth_noise_sd": 0.05,
-    "synth_swh_lo": 0.2,
-    "synth_swh_hi": 8.0,
-    "synth_channel_corr": 0.9,
-    "synth_planted_signal": True,
-    "synth_include_wind": False,
-    "synth_time_start": "2019-08-01",
-    "synth_time_end": "2022-08-01",
-    # reporting
-    "report_bin_edges": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
-    "scatter_bin_width": 0.1,
-    "bias_cell_deg": 1.0,
+# The key prefix of each dataclass's fields; the _BARE fields take none.
+_SECTIONS = {ModelConfig: "", TrainConfig: "", SplitSpec: "split_", SynthSpec: "synth_"}
+_BARE = frozenset({"seed", "width", "height", "train_subsample", "val_subsample", "test_subsample"})
+
+# Reporting keys that no dataclass owns: key -> (kind, default).
+_REPORT_KEYS = {
+    "report_bin_edges": (list[float], [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]),
+    "scatter_bin_width": (float, 0.1),
+    "bias_cell_deg": (float, 1.0),
 }
 
 
+def _key(cls: type, name: str) -> str:
+    """The config-file key of field `name` of `cls`."""
+    return name if name in _BARE else _SECTIONS[cls] + name
+
+
+# Key -> evaluated field annotation: the kind of value the key takes.
+_KINDS = {_key(cls, name): hint for cls in _SECTIONS for name, hint in typing.get_type_hints(cls).items()} \
+    | {key: kind for key, (kind, _) in _REPORT_KEYS.items()}
+DEFAULT_CONFIG: dict = {_key(cls, f.name): f.default for cls in _SECTIONS for f in fields(cls)} \
+    | {key: default for key, (_, default) in _REPORT_KEYS.items()}
+
+_KIND_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+               bool: ("true or false", ""), str: ("a string", ""), list: ("a list", "")}
+
+
+def _is_kind(value, kind: type) -> bool:
+    """True when `value` can stand where `kind` is annotated: an int or float
+    for a float, and a bool only for a bool."""
+    if isinstance(value, bool) and kind is not bool:
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_kind(label: str, value, hint) -> None:
+    """Raise ConfigError naming `label` unless `value` is of the kind `hint`
+    states: bool, int, float, str or list[item] of one of them, each
+    optionally `| None`."""
+    null = typing.get_origin(hint) is types.UnionType
+    if null:
+        if value is None:
+            return
+        hint = typing.get_args(hint)[0]
+    kind, item = typing.get_origin(hint) or hint, (typing.get_args(hint) or (None,))[0]
+    if not (_is_kind(value, kind) and (item is None or all(_is_kind(v, item) for v in value))):
+        want = _KIND_NAMES[kind][0] + (f" of {_KIND_NAMES[item][1]}" if item else "")
+        raise ConfigError(f"{label} must be {'null or ' if null else ''}{want}, got {value!r}")
+
+
+def _check_kinds(spec) -> None:
+    """Check every field of a config dataclass against its annotation."""
+    for f in fields(spec):
+        key = _key(type(spec), f.name)
+        _check_kind(f"config key {key!r}", getattr(spec, f.name), _KINDS[key])
+
+
+def _need(spec, name: str, ok: bool, rule: str) -> None:
+    """Raise ConfigError naming the key of field `name` unless `ok`."""
+    if not ok:
+        raise ConfigError(f"config key {_key(type(spec), name)!r} must {rule}, "
+                          f"got {getattr(spec, name)!r}")
+
+
 def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
-    """Resolve a config: defaults <- file <- overrides. Unknown keys error."""
+    """Resolve a config: defaults <- file <- overrides. Unknown keys, values of
+    the wrong kind and values out of range raise ConfigError naming the key."""
     cfg = dict(DEFAULT_CONFIG)
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
@@ -241,47 +257,16 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
         _apply(cfg, loaded, source=path)
     if overrides:
         _apply(cfg, overrides, source="command line")
+    for cls in _SECTIONS:
+        _section(cls, cfg)
     return cfg
-
-
-# The kind a value takes where the default is None, and the kind of a list's items.
-_OPTIONAL_KINDS = {"head_hidden": list, "train_subsample": int, "val_subsample": int,
-                   "test_subsample": int}
-_LIST_ITEM_KINDS = {"head_hidden": int, "report_bin_edges": float}
-_KIND_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers"),
-               bool: ("true or false", ""), str: ("a string", ""), list: ("a list", "")}
-
-
-def _is_kind(value, kind: type) -> bool:
-    """True when `value` can stand where a default of type `kind` does: an int
-    or float for a float, and a bool only for a bool."""
-    if isinstance(value, bool) and kind is not bool:
-        return False
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
-def _check_kind(key: str, value, source: str) -> None:
-    """Raise ConfigError naming `key` when `value` is not of its default's kind."""
-    default = DEFAULT_CONFIG[key]
-    if default is None and value is None:
-        return
-    kind = _OPTIONAL_KINDS[key] if default is None else type(default)
-    want = _KIND_NAMES[kind][0]
-    ok = _is_kind(value, kind)
-    if kind is list:
-        item = _LIST_ITEM_KINDS[key]
-        want += " of " + _KIND_NAMES[item][1]
-        ok = ok and all(_is_kind(v, item) for v in value)
-    if not ok:
-        null = "null or " if default is None else ""
-        raise ConfigError(f"config key {key!r} (from {source}) must be {null}{want}, got {value!r}")
 
 
 def _apply(cfg: dict, updates: dict, source: str) -> None:
     for key, value in updates.items():
-        if key not in DEFAULT_CONFIG:
+        if key not in _KINDS:
             raise ConfigError(f"unknown config key {key!r} (from {source})")
-        _check_kind(key, value, source)
+        _check_kind(f"config key {key!r} (from {source})", value, _KINDS[key])
         cfg[key] = value
 
 
@@ -291,43 +276,12 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
-def model_config(cfg: dict) -> ModelConfig:
-    names = {f.name for f in fields(ModelConfig)}
-    kwargs = {k: v for k, v in cfg.items() if k in names}
-    return ModelConfig(**kwargs)
+def _section(cls: type, cfg: dict):
+    """The `cls` dataclass read from a resolved flat config."""
+    return cls(**{f.name: cfg[_key(cls, f.name)] for f in fields(cls)})
 
 
-def train_config(cfg: dict) -> TrainConfig:
-    names = {f.name for f in fields(TrainConfig)}
-    kwargs = {k: v for k, v in cfg.items() if k in names}
-    return TrainConfig(**kwargs)
-
-
-def synth_spec(cfg: dict) -> SynthSpec:
-    return SynthSpec(
-        n_samples=cfg["synth_n_samples"],
-        width=cfg["width"],
-        height=cfg["height"],
-        seed=cfg["seed"],
-        noise_sd=cfg["synth_noise_sd"],
-        swh_lo=cfg["synth_swh_lo"],
-        swh_hi=cfg["synth_swh_hi"],
-        channel_corr=cfg["synth_channel_corr"],
-        planted_signal=cfg["synth_planted_signal"],
-        include_wind=cfg["synth_include_wind"],
-        time_start=cfg["synth_time_start"],
-        time_end=cfg["synth_time_end"],
-    )
-
-
-def split_spec(cfg: dict) -> SplitSpec:
-    return SplitSpec(
-        train_start=cfg["split_train_start"],
-        val_start=cfg["split_val_start"],
-        test_start=cfg["split_test_start"],
-        test_end=cfg["split_test_end"],
-        train_subsample=cfg["train_subsample"],
-        val_subsample=cfg["val_subsample"],
-        test_subsample=cfg["test_subsample"],
-        seed=cfg["seed"],
-    )
+model_config = functools.partial(_section, ModelConfig)
+train_config = functools.partial(_section, TrainConfig)
+synth_spec = functools.partial(_section, SynthSpec)
+split_spec = functools.partial(_section, SplitSpec)

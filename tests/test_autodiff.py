@@ -195,6 +195,21 @@ def test_reshape_flatten_roundtrip_bit_exact():
     assert np.array_equal(back.data, x)
 
 
+@pytest.mark.parametrize("a_last", [False, True])
+def test_gradients_of_a_shared_add_do_not_alias(a_last):
+    # add passes the same upstream array to both operands; a later gradient
+    # into `a` must not reach `b` through it.
+    a = ad.Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    b = ad.Tensor(np.array([4.0, 5.0, 6.0]), requires_grad=True)
+    c, d = np.array([0.5, -1.0, 2.0]), np.array([3.0, 0.25, -0.5])
+    via_sum = ad.tsum(ad.mul(ad.add(a, b), c))
+    direct = ad.tsum(ad.mul(a, d))
+    ad.add(direct, via_sum).backward() if a_last else ad.add(via_sum, direct).backward()
+    assert np.array_equal(a.grad, c + d)
+    assert np.array_equal(b.grad, c)
+    assert not np.shares_memory(a.grad, b.grad)
+
+
 def test_concat_split_stack_roundtrip():
     rng = np.random.default_rng(2)
     a = rng.normal(size=(2, 3))

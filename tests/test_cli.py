@@ -7,7 +7,11 @@ import json
 import numpy as np
 import pytest
 
+from swhnet import container
+from swhnet.checkpoint import FORMAT_VERSION
 from swhnet.cli import main
+from swhnet.config import load_config, model_config
+from swhnet.model import WaveHeightModel
 from swhnet.pipeline import parse_time, read_samples, write_era5_grid, Era5Grid
 
 TOY = {
@@ -197,6 +201,19 @@ def test_strategy_mismatch_on_checkpoint_exits_one(tmp_path, toy_config):
     assert code == 1
 
 
+def test_checkpoint_config_of_the_wrong_kind_exits_two(tmp_path, toy_config):
+    data = tmp_path / "samples.jsonl"
+    main(["synth", "--config", toy_config, "--out", str(data)])
+    model = WaveHeightModel(model_config(load_config(toy_config)))
+    config = {**vars(model.cfg), "n_layers": 1.0}
+    ckpt = tmp_path / "checkpoint.json"
+    container.write(str(ckpt), "checkpoint", FORMAT_VERSION,
+                    {"config": config, "standardization": None, "meta": None},
+                    model.bag.state_arrays())
+    assert main(["predict", "--config", toy_config, "--data", str(data), "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "preds.csv")]) == 2
+
+
 def test_missing_input_exits_two(tmp_path, toy_config):
     assert main(["preprocess", "--config", toy_config, "--input", str(tmp_path / "nope.jsonl"),
                  "--out", str(tmp_path / "g.jsonl")]) == 2
@@ -220,7 +237,9 @@ def test_negative_subsample_exits_one(tmp_path, toy_config):
 
 
 @pytest.mark.parametrize("key, value", [("synth_n_samples", "5"), ("n_layers", True),
-                                        ("report_bin_edges", 5)])
+                                        ("report_bin_edges", 5), ("adam_beta1", 1.0),
+                                        ("adam_beta2", 1.5), ("adam_eps", 0.0),
+                                        ("synth_time_start", "2023-01-01")])
 def test_value_of_the_wrong_kind_exits_one(tmp_path, key, value):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**TOY, key: value}))

@@ -1,9 +1,18 @@
-"""Tests for the flat config schema: value kinds and the config hash."""
+"""Tests for the flat config schema: keys and defaults derived from the
+config dataclasses, value kinds and ranges, and the config hash."""
+
+import typing
+from collections import Counter
+from dataclasses import fields
 
 import pytest
 
-from swhnet.config import DEFAULT_CONFIG, config_hash, load_config
+from swhnet.config import (DEFAULT_CONFIG, ModelConfig, SplitSpec, SynthSpec, TrainConfig,
+                           config_hash, load_config, model_config, split_spec, synth_spec,
+                           train_config)
 from swhnet.errors import ConfigError
+
+SECTIONS = (ModelConfig, TrainConfig, SplitSpec, SynthSpec)
 
 
 def test_default_config_hash_is_pinned():
@@ -21,6 +30,11 @@ def test_default_config_hash_is_pinned():
     ("report_bin_edges", [0.0, "1"]),
     ("head_hidden", [16.5] * 9),
     ("train_subsample", 2.5),
+    # Out of range: a beta of 1 zeroes Adam's bias correction.
+    ("adam_beta1", 1.0),
+    ("adam_beta2", 1.5),
+    ("adam_eps", 0.0),
+    ("adam_eps", -1e-8),
 ])
 def test_value_of_the_wrong_kind_names_its_key(key, value):
     with pytest.raises(ConfigError, match=repr(key)):
@@ -40,3 +54,35 @@ def test_value_of_the_wrong_kind_names_its_key(key, value):
 ])
 def test_value_of_its_default_kind_is_taken(key, value):
     assert load_config(None, {key: value})[key] == value
+
+
+def test_keys_shared_by_several_dataclasses_agree():
+    names = Counter(f.name for cls in SECTIONS for f in fields(cls))
+    shared = sorted(name for name, n in names.items() if n > 1)
+    assert shared == ["height", "seed", "width"]
+    for name in shared:
+        owners = [cls for cls in SECTIONS if name in typing.get_type_hints(cls)]
+        assert len({typing.get_type_hints(cls)[name] for cls in owners}) == 1
+        assert len({f.default for cls in owners for f in fields(cls) if f.name == name}) == 1
+
+
+def test_sections_read_their_prefixed_keys():
+    assert model_config(load_config()) == ModelConfig()
+    assert train_config(load_config()) == TrainConfig()
+    cfg = load_config(None, {"seed": 3, "width": 5, "synth_n_samples": 7, "synth_time_end": "2021-01-01",
+                             "split_val_start": "2020-02-01", "test_subsample": 4})
+    assert synth_spec(cfg) == SynthSpec(n_samples=7, width=5, seed=3, time_end="2021-01-01")
+    assert split_spec(cfg) == SplitSpec(val_start="2020-02-01", test_subsample=4, seed=3)
+    assert model_config(cfg) == ModelConfig(width=5, seed=3)
+
+
+@pytest.mark.parametrize("cls, kwargs, key", [
+    (ModelConfig, {"n_layers": 2.0}, "n_layers"),
+    (ModelConfig, {"head_hidden": [2.0] * 9}, "head_hidden"),
+    (TrainConfig, {"lr": "0.1"}, "lr"),
+    (SplitSpec, {"seed": True}, "seed"),
+    (SynthSpec, {"n_samples": "5"}, "synth_n_samples"),
+])
+def test_dataclass_built_with_the_wrong_kind_names_its_key(cls, kwargs, key):
+    with pytest.raises(ConfigError, match=repr(key)):
+        cls(**kwargs)

@@ -353,6 +353,17 @@ def test_checkpoint_v2_rejected(tmp_path):
         load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("key, value", [("n_layers", 1.0), ("patch_size", 2.0),
+                                        ("head_hidden", [8.0] * 9)])
+def test_checkpoint_config_is_checked_like_a_config_file(tmp_path, key, value):
+    model = toy_model()
+    header = {"config": {**asdict(model.cfg), key: value}, "standardization": None, "meta": None}
+    path = tmp_path / "ckpt.json"
+    container.write(str(path), "checkpoint", FORMAT_VERSION, header, model.bag.state_arrays())
+    with pytest.raises(FormatError, match=repr(key)):
+        load_checkpoint(str(path))
+
+
 def test_checkpoint_array_shape_must_match_config(tmp_path):
     model = toy_model()
     state = model.bag.state_arrays()
