@@ -5,10 +5,10 @@ key/value file whose keys are their field names, prefixed `split_` for
 SplitSpec and `synth_` for SynthSpec; `seed`, `width`, `height` and the
 three `*_subsample` counts stay bare. A field's default is its key's
 default and its annotation the kind of value the key takes. Unknown keys,
-values of the wrong kind and values out of range raise a ConfigError
-naming the key. CLI flags override file values. The config hash (short
-sha256 of the resolved config) is embedded in every produced artifact for
-traceability.
+values of the wrong kind, values out of range and dates that do not parse
+or are out of order raise a ConfigError naming the key. CLI flags
+override file values. The config hash (short sha256 of the resolved
+config) is embedded in every produced artifact for traceability.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ import json
 import types
 import typing
 from dataclasses import dataclass, fields
+from datetime import datetime, timezone
 
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 
 STRATEGIES = ("CI", "CD")
 
@@ -42,6 +43,17 @@ WIND_COLUMN = "wind_speed"
 DDM_TYPES = ("brcs", "eff_scatter", "power_analog")
 
 SWH_CAP_M = 8.0
+
+
+def parse_time(text: str) -> float:
+    """ISO date or datetime to UTC epoch seconds; naive times are UTC."""
+    try:
+        dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    except ValueError as exc:
+        raise FormatError(f"cannot parse time {text!r}: {exc}") from exc
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return dt.timestamp()
 
 
 @dataclass
@@ -148,6 +160,7 @@ class SynthSpec:
         _need(self, "channel_corr", 0.0 <= self.channel_corr <= 1.0, "lie in [0, 1]")
         _need(self, "swh_lo", 0 <= self.swh_lo < self.swh_hi, "satisfy 0 <= synth_swh_lo < synth_swh_hi")
         _need(self, "swh_hi", self.swh_hi <= SWH_CAP_M, f"be <= {SWH_CAP_M}")
+        _need_time_order(self, ("time_start", "time_end"), strict=False)
 
 
 @dataclass
@@ -172,6 +185,7 @@ class SplitSpec:
         for name in ("train_subsample", "val_subsample", "test_subsample"):
             n = getattr(self, name)
             _need(self, name, n is None or n >= 0, "be null or >= 0")
+        _need_time_order(self, ("train_start", "val_start", "test_start", "test_end"), strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +254,22 @@ def _need(spec, name: str, ok: bool, rule: str) -> None:
     if not ok:
         raise ConfigError(f"config key {_key(type(spec), name)!r} must {rule}, "
                           f"got {getattr(spec, name)!r}")
+
+
+def _need_time_order(spec, names: tuple[str, ...], strict: bool) -> None:
+    """Raise ConfigError naming the key of a date field in `names` that does
+    not parse, or that comes before the field preceding it (or at the same
+    time, when `strict`)."""
+    times = []
+    for name in names:
+        try:
+            times.append(parse_time(getattr(spec, name)))
+        except FormatError:
+            _need(spec, name, False, "be an ISO date or datetime")
+    for (a, ta), (b, tb) in zip(zip(names, times), zip(names[1:], times[1:])):
+        _need(spec, b, tb > ta if strict else tb >= ta,
+              f"come {'after' if strict else 'no earlier than'} {_key(type(spec), a)!r} "
+              f"({getattr(spec, a)!r})")
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> dict:

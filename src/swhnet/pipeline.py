@@ -15,12 +15,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from datetime import datetime, timezone
 
 import numpy as np
 
 from . import container
-from .config import AP_COLUMNS, DDM_TYPES, SWH_CAP_M, WIND_COLUMN, SplitSpec
+from .config import AP_COLUMNS, DDM_TYPES, SWH_CAP_M, WIND_COLUMN, SplitSpec, parse_time
 from .errors import ConfigError, ContractError, FormatError
 
 EARTH_RADIUS_KM = 6371.0
@@ -51,17 +50,6 @@ QC_RULES = (
 )
 
 BASE_AP_FIELDS = ("ddm_nbrcs", "ddm_les", "ddm_snr", "gps_eirp", "sp_rx_gain", "sp_inc_angle")
-
-
-def parse_time(text: str) -> float:
-    """ISO date or datetime to UTC epoch seconds; naive times are UTC."""
-    try:
-        dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError as exc:
-        raise FormatError(f"cannot parse time {text!r}: {exc}") from exc
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.timestamp()
 
 
 def normalize_lon(lon: float) -> float:
@@ -136,6 +124,11 @@ class BuoyRecord:
     swh: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.lat, self.lon, self.timestamp, self.swh)):
+            raise FormatError(f"buoy {self.station_id} has a non-finite lat, lon, time or SWH: "
+                              f"{self.lat}, {self.lon}, {self.timestamp}, {self.swh}")
+        if not -90.0 <= self.lat <= 90.0:
+            raise FormatError(f"buoy {self.station_id} has lat {self.lat} outside [-90, 90]")
         if self.swh < 0:
             raise FormatError(f"buoy {self.station_id} has negative SWH {self.swh}")
 
@@ -234,7 +227,7 @@ def _qc_violation(rec: L1Record) -> str | None:
         np.array([rec.sp_lat, rec.sp_lon, rec.range_tx_sp_m, rec.range_sp_rx_m,
                   rec.roll_deg, rec.yaw_deg, rec.pitch_deg, rec.distance_to_land_km]),
     ])
-    if not np.all(np.isfinite(numeric)):
+    if not (np.all(np.isfinite(numeric)) and math.isfinite(rec.timestamp)):
         return "nan_inf"
     if np.any(numeric <= FILL_VALUE_THRESHOLD):
         return "fill_value"
@@ -392,32 +385,90 @@ def match_era5_groups(groups, grid: Era5Grid) -> tuple[list[FourChannelSample], 
     return samples, tally
 
 
+def _haversine_km_np(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """haversine_km over arrays, with numpy's trigonometry."""
+    p1, p2 = np.radians(lat1), np.radians(lat2)
+    a = np.sin((p2 - p1) / 2.0) ** 2 + np.cos(p1) * np.cos(p2) * np.sin(np.radians(lon2 - lon1) / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(a)))
+
+
+# _match_buoys' window and prefilter only narrow the candidates; the exact
+# scalar tests decide. The time window is widened past BUOY_MAX_S by more
+# than any rounding of `t +- BUOY_MAX_S`. numpy's vectorized trigonometry
+# (arcsin in particular) can differ from the `math` functions that
+# haversine_km calls by a few ulps, about 1e-14 km at 25 km, so the
+# prefilter keeps rows up to a metre beyond BUOY_MAX_KM: no row the exact
+# test accepts is ever dropped. Its first cut is a latitude band, as a
+# great-circle distance is at least EARTH_RADIUS_KM times the latitude
+# difference in radians.
+_WINDOW_SLACK_S = 1.0
+_PREFILTER_SLACK_KM = 1e-3
+_PREFILTER_MAX_DLAT = math.degrees((BUOY_MAX_KM + _PREFILTER_SLACK_KM) / EARTH_RADIUS_KM)
+_PREFILTER_MAX_PAIRS = 1 << 18   # (record, row) pairs per prefilter chunk, 2 MB per array
+
+
+def _match_buoys(recs: list[L1Record], buoys: list[BuoyRecord]) -> list[BuoyRecord | None]:
+    """Each record's buoy: the minimum of (distance, time difference, CSV
+    row) over the rows within BUOY_MAX_KM and BUOY_MAX_S, both inclusive,
+    which is the first-wins minimum of (distance, time difference) in CSV
+    order. The rows are sorted by time once; each record's time window is
+    found by binary search, its (record, row) pairs are prefiltered in
+    arrays, and the exact scalar tests decide on the few that survive.
+    Buoy rows are finite (BuoyRecord checks them)."""
+    ts = np.array([b.timestamp for b in buoys], dtype=np.float64)
+    order = np.argsort(ts, kind="stable")   # rows of equal time keep CSV order
+    ts = ts[order]
+    blat = np.array([b.lat for b in buoys], dtype=np.float64)[order]
+    blon = np.array([b.lon for b in buoys], dtype=np.float64)[order]
+    t = np.array([r.timestamp for r in recs], dtype=np.float64)
+    lat = np.array([r.sp_lat for r in recs], dtype=np.float64)
+    lon = np.array([r.sp_lon for r in recs], dtype=np.float64)
+    lo = np.searchsorted(ts, t - (BUOY_MAX_S + _WINDOW_SLACK_S), side="left")
+    hi = np.searchsorted(ts, t + (BUOY_MAX_S + _WINDOW_SLACK_S), side="right")
+    best: list[tuple | None] = [None] * len(recs)
+    # Chunks of records whose (record, row) pairs number at most
+    # _PREFILTER_MAX_PAIRS, or one record with a larger window.
+    step = max(1, _PREFILTER_MAX_PAIRS // max(1, int(np.max(hi - lo, initial=0))))
+    for start in range(0, len(recs), step):
+        n = hi[start:start + step] - lo[start:start + step]
+        rec = np.repeat(np.arange(start, start + n.size), n)
+        # Sorted positions lo[j], lo[j] + 1, ..., hi[j] - 1 of each record j.
+        pos = np.arange(n.sum()) + np.repeat(lo[start:start + step] - np.cumsum(n) + n, n)
+        band = np.abs(blat[pos] - lat[rec]) <= _PREFILTER_MAX_DLAT
+        rec, pos = rec[band], pos[band]
+        near = _haversine_km_np(lat[rec], lon[rec], blat[pos], blon[pos]) <= BUOY_MAX_KM + _PREFILTER_SLACK_KM
+        for i, row in zip(rec[near].tolist(), order[pos[near]].tolist()):
+            r, buoy = recs[i], buoys[row]
+            dt = abs(buoy.timestamp - r.timestamp)
+            if dt > BUOY_MAX_S:
+                continue
+            dist = haversine_km(r.sp_lat, r.sp_lon, buoy.lat, buoy.lon)
+            if dist > BUOY_MAX_KM:
+                continue
+            key = (dist, dt, row)
+            if best[i] is None or key < best[i]:
+                best[i] = key
+    return [None if key is None else buoys[key[2]] for key in best]
+
+
 def match_buoy_record(rec: L1Record, buoys: list[BuoyRecord]) -> BuoyRecord | None:
-    """Closest buoy within 25 km and 30 min; ties break to the nearest in time."""
-    best = None
-    for buoy in buoys:
-        dt = abs(buoy.timestamp - rec.timestamp)
-        if dt > BUOY_MAX_S:
-            continue
-        dist = haversine_km(rec.sp_lat, rec.sp_lon, buoy.lat, buoy.lon)
-        if dist > BUOY_MAX_KM:
-            continue
-        key = (dist, dt)
-        if best is None or key < best[0]:
-            best = (key, buoy)
-    return None if best is None else best[1]
+    """Nearest buoy within 25 km and 30 min, both inclusive; ties break to
+    the nearest in time, then to the earliest CSV row."""
+    return _match_buoys([rec], buoys)[0]
 
 
 def match_buoy_groups(groups, buoys: list[BuoyRecord]) -> tuple[list[FourChannelSample], dict[str, int]]:
     """Match each channel independently, then keep groups with all four matched."""
+    groups = list(groups)
+    matched = iter(_match_buoys([rec for group in groups for rec in group], buoys))
     tally = {"unmatched_channel": 0, "matched": 0}
     samples = []
     for group in groups:
-        matched = [match_buoy_record(rec, buoys) for rec in group]
-        if any(m is None for m in matched):
+        found = [next(matched) for _ in group]
+        if any(m is None for m in found):
             tally["unmatched_channel"] += 1
             continue
-        obs = [_record_to_obs(rec, buoy.swh) for rec, buoy in zip(group, matched)]
+        obs = [_record_to_obs(rec, buoy.swh) for rec, buoy in zip(group, found)]
         samples.append(FourChannelSample(timestamp=group[0].timestamp, source="buoy", channels=obs))
     tally["matched"] = len(samples)
     return samples, tally
@@ -440,8 +491,6 @@ def split_dataset(samples: list[FourChannelSample], spec: SplitSpec
     then optionally subsample each split with a seeded uniform draw."""
     bounds = [parse_time(spec.train_start), parse_time(spec.val_start),
               parse_time(spec.test_start), parse_time(spec.test_end)]
-    if not all(a < b for a, b in zip(bounds, bounds[1:])):
-        raise ConfigError("split boundaries must be strictly increasing (disjoint ranges)")
     splits: dict[str, list[FourChannelSample]] = {"train": [], "val": [], "test": []}
     outside = 0
     for s in samples:

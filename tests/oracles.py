@@ -3,8 +3,10 @@
 Everything here is written with explicit loops and no reuse of package
 internals, so the network implementation is checked against genuinely
 independent arithmetic. The exceptions are `softmax_rows`, an autodiff
-node of its own, and `encoder_forward_per_channel`, which keeps the
-channel-by-channel embedding as the reference for the batched one.
+node of its own, `encoder_forward_per_channel`, which keeps the
+channel-by-channel embedding as the reference for the batched one, and
+`match_buoy_record_oracle`, the brute-force buoy scan that the indexed
+matcher must reproduce exactly, so it shares the scalar `haversine_km`.
 """
 
 import math
@@ -14,6 +16,7 @@ import numpy as np
 from swhnet import autodiff as ad
 from swhnet.autodiff import Tensor, _as_tensor
 from swhnet.errors import ConfigError, ShapeError
+from swhnet.pipeline import BUOY_MAX_KM, BUOY_MAX_S, haversine_km
 
 
 def norm_oracle(x, gamma, beta, strategy, eps=1e-5):
@@ -203,3 +206,20 @@ def max_rel_error(analytic, numeric, floor=1e-4):
     """Worst-case elementwise relative error with a scale floor for tiny entries."""
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / denom)) if analytic.size else 0.0
+
+
+def match_buoy_record_oracle(rec, buoys):
+    """Closest buoy within 25 km and 30 min; ties break to the nearest in
+    time, then to the first in list order. Scans every buoy."""
+    best = None
+    for buoy in buoys:
+        dt = abs(buoy.timestamp - rec.timestamp)
+        if dt > BUOY_MAX_S:
+            continue
+        dist = haversine_km(rec.sp_lat, rec.sp_lon, buoy.lat, buoy.lon)
+        if dist > BUOY_MAX_KM:
+            continue
+        key = (dist, dt)
+        if best is None or key < best[0]:
+            best = (key, buoy)
+    return None if best is None else best[1]

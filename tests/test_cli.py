@@ -239,7 +239,8 @@ def test_negative_subsample_exits_one(tmp_path, toy_config):
 @pytest.mark.parametrize("key, value", [("synth_n_samples", "5"), ("n_layers", True),
                                         ("report_bin_edges", 5), ("adam_beta1", 1.0),
                                         ("adam_beta2", 1.5), ("adam_eps", 0.0),
-                                        ("synth_time_start", "2023-01-01")])
+                                        ("synth_time_start", "2023-01-01"),
+                                        ("split_val_start", "soon")])
 def test_value_of_the_wrong_kind_exits_one(tmp_path, key, value):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**TOY, key: value}))

@@ -35,6 +35,10 @@ def test_default_config_hash_is_pinned():
     ("adam_beta2", 1.5),
     ("adam_eps", 0.0),
     ("adam_eps", -1e-8),
+    # Dates that do not parse.
+    ("split_val_start", "soon"),
+    ("split_test_end", "2022-13-01"),
+    ("synth_time_start", ""),
 ])
 def test_value_of_the_wrong_kind_names_its_key(key, value):
     with pytest.raises(ConfigError, match=repr(key)):
@@ -86,3 +90,22 @@ def test_sections_read_their_prefixed_keys():
 def test_dataclass_built_with_the_wrong_kind_names_its_key(cls, kwargs, key):
     with pytest.raises(ConfigError, match=repr(key)):
         cls(**kwargs)
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"split_val_start": "2019-01-01"}, "split_val_start"),
+    ({"split_val_start": "2019-08-01"}, "split_val_start"),
+    ({"split_test_start": "2030-01-01"}, "split_test_end"),
+    ({"split_test_end": "2021-08-01T00:00:00Z"}, "split_test_end"),
+    ({"synth_time_start": "2023-01-01"}, "synth_time_end"),
+])
+def test_dates_out_of_order_name_the_later_key(overrides, key):
+    with pytest.raises(ConfigError, match=f"{key!r} must come"):
+        load_config(None, overrides)
+
+
+def test_equal_synth_times_and_datetime_splits_are_taken():
+    cfg = load_config(None, {"synth_time_start": "2020-01-01", "synth_time_end": "2020-01-01T00:00:00Z",
+                             "split_val_start": "2020-08-01T06:00:00+06:00"})
+    assert synth_spec(cfg).time_end == "2020-01-01T00:00:00Z"
+    assert split_spec(cfg).val_start == "2020-08-01T06:00:00+06:00"

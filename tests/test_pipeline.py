@@ -9,17 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import match_buoy_record_oracle
+from swhnet import pipeline
 from swhnet.config import SplitSpec
 from swhnet.errors import ConfigError, ContractError, FormatError
-from swhnet.pipeline import (BuoyRecord, ChannelObs, Era5Grid, FourChannelSample,
+from swhnet.pipeline import (BUOY_MAX_S, BuoyRecord, ChannelObs, Era5Grid, FourChannelSample,
                              align_channels, cap_and_filter,
                              compute_ap_stats, compute_rcg, haversine_km,
                              interpolate_swh, match_buoy_groups,
                              match_buoy_record, match_era5_groups,
-                             parse_l1_record, parse_time, quality_control,
-                             read_groups, read_samples, split_dataset,
-                             standardize_ap, write_groups, write_samples,
-                             _InterpError)
+                             normalize_lon, parse_l1_record, parse_time,
+                             quality_control, read_buoys, read_groups,
+                             read_samples, split_dataset, standardize_ap,
+                             write_groups, write_samples, _InterpError)
 
 W, H = 3, 4
 
@@ -165,6 +167,26 @@ def test_qc_idempotent():
     kept2, tally2 = quality_control(kept1)
     assert [id(r) for r in kept1] == [id(r) for r in kept2]
     assert tally2["kept"] == tally2["input"]
+
+
+@pytest.mark.parametrize("ts", [math.inf, -math.inf, math.nan])
+def test_qc_rejects_a_non_finite_timestamp(ts):
+    docs = [record_doc(timestamp=ts, channel=c) for c in (1, 2, 3, 4)]
+    kept, tally = quality_control(docs)
+    assert not kept and tally["nan_inf"] == 4
+    groups, align = align_channels(kept)
+    assert not groups and align == {"incomplete_channels": 0, "duplicate_channel": 0, "groups": 0}
+
+
+def test_qc_keeps_a_pre_1970_timestamp():
+    # Only the finite check covers the timestamp: an epoch below the -9000
+    # fill threshold is a date before 1970, not a fill value.
+    ts = parse_time("1969-12-31T21:00:00")
+    assert ts < -9000
+    kept, tally = quality_control([record_doc(timestamp=ts, channel=c) for c in (1, 2, 3, 4)])
+    assert tally["kept"] == 4 and tally["fill_value"] == 0
+    groups, align = align_channels(kept)
+    assert align["groups"] == 1 and groups[0][0].timestamp == ts
 
 
 def test_parse_normalizes_longitude():
@@ -362,6 +384,166 @@ def test_match_buoy_groups_requires_all_channels():
     group[2].sp_lat += 5.0
     samples, tally = match_buoy_groups([group], buoys)
     assert not samples and tally["unmatched_channel"] == 1
+
+
+def buoy_near(rec, name, dlat=0.0, dt=0.0):
+    return BuoyRecord(name, rec.sp_lat + dlat, rec.sp_lon, rec.timestamp + dt, 1.0)
+
+
+@st.composite
+def records_and_buoys(draw):
+    """A few records around one point and buoys drawn from a small pool of
+    positions and whole-minute times, so that equal distances, equal time
+    differences and equal timestamps are common."""
+    lat0 = draw(st.floats(-89.5, 89.5))
+    lon0 = draw(st.one_of(st.sampled_from([179.99, -179.99, 0.0]), st.floats(-180.0, 180.0)))
+    offsets = st.floats(-0.4, 0.4)
+    t0 = parse_time("2019-09-01")
+    recs = [make_records(t0 + 60.0 * draw(st.integers(-5, 5)), [1])[0]
+            for _ in range(draw(st.integers(1, 4)))]
+    for rec in recs:
+        rec.sp_lat = lat0 + draw(st.floats(-0.1, 0.1))
+        rec.sp_lon = normalize_lon(lon0 + draw(st.floats(-0.1, 0.1)))
+    places = draw(st.lists(st.tuples(offsets, offsets), min_size=1, max_size=5))
+    minutes = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=5))
+    picks = draw(st.lists(st.tuples(st.sampled_from(places), st.sampled_from(minutes)), max_size=30))
+    buoys = [BuoyRecord(f"b{i}", min(90.0, max(-90.0, lat0 + dlat)), normalize_lon(lon0 + dlon),
+                        t0 + 60.0 * m, 1.0) for i, ((dlat, dlon), m) in enumerate(picks)]
+    return recs, buoys
+
+
+@settings(max_examples=300, deadline=None)
+@given(records_and_buoys())
+def test_buoy_matcher_returns_the_brute_force_match(case):
+    recs, buoys = case
+    expected = [match_buoy_record_oracle(rec, buoys) for rec in recs]
+    assert all(match_buoy_record(rec, buoys) is e for rec, e in zip(recs, expected))
+    assert all(got is e for got, e in zip(pipeline._match_buoys(recs, buoys), expected))
+
+
+def test_buoy_matcher_in_small_chunks_returns_the_brute_force_match(monkeypatch):
+    # Many records over a day of buoys, matched a few (record, row) pairs
+    # per prefilter chunk.
+    rng = np.random.default_rng(5)
+    t0 = parse_time("2019-09-01")
+    recs = []
+    for _ in range(60):
+        rec = make_records(t0 + float(rng.integers(0, 86400)), [1])[0]
+        rec.sp_lat, rec.sp_lon = float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))
+        recs.append(rec)
+    buoys = [BuoyRecord(f"b{i}", float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)),
+                        t0 + 60.0 * float(rng.integers(0, 1440)), 1.0) for i in range(3000)]
+    expected = [match_buoy_record_oracle(rec, buoys) for rec in recs]
+    assert sum(e is not None for e in expected) > 10
+    for cap in (1, 7, 1000):
+        monkeypatch.setattr(pipeline, "_PREFILTER_MAX_PAIRS", cap)
+        assert all(got is e for got, e in zip(pipeline._match_buoys(recs, buoys), expected))
+
+
+def test_buoy_tie_on_distance_and_time_goes_to_the_earlier_csv_row():
+    rec = quality_control([record_doc()])[0][0]
+    after = buoy_near(rec, "after", dlat=0.1, dt=600.0)
+    before = buoy_near(rec, "before", dlat=0.1, dt=-600.0)
+    assert match_buoy_record(rec, [after, before]) is after
+    assert match_buoy_record(rec, [before, after]) is before
+    twin_a, twin_b = buoy_near(rec, "a", dlat=0.1), buoy_near(rec, "b", dlat=0.1)
+    assert match_buoy_record(rec, [twin_a, twin_b]) is twin_a
+    assert match_buoy_record(rec, [twin_b, twin_a]) is twin_b
+
+
+def test_buoy_rows_at_equal_times_go_to_the_nearest_then_the_earlier_row():
+    rec = quality_control([record_doc()])[0][0]
+    rows = [buoy_near(rec, "far", dlat=0.15, dt=60.0), buoy_near(rec, "near", dlat=0.05, dt=60.0),
+            buoy_near(rec, "near_too", dlat=0.05, dt=60.0), buoy_near(rec, "nearest_late", dlat=0.02, dt=1200.0)]
+    assert match_buoy_record(rec, rows) is rows[3]
+    assert match_buoy_record(rec, rows[:3]) is rows[1]
+
+
+def _edge_buoys(rec, n):
+    """Buoys in n directions at the last float step inside 25 km of rec,
+    found by bisection on the scalar haversine_km, each with its first
+    step outside."""
+    pairs = []
+    for theta in np.linspace(0.0, 2 * math.pi, n, endpoint=False):
+        def place(s):
+            return rec.sp_lat + s * math.cos(theta), rec.sp_lon + s * math.sin(theta)
+        inside, outside = 0.0, 0.5
+        while True:
+            mid = (inside + outside) / 2
+            if mid in (inside, outside):
+                break
+            if haversine_km(rec.sp_lat, rec.sp_lon, *place(mid)) <= 25.0:
+                inside = mid
+            else:
+                outside = mid
+        pairs.append(tuple(BuoyRecord(f"{name}{theta:.3f}", *place(s), rec.timestamp, 1.0)
+                           for name, s in (("in", inside), ("out", outside))))
+    return pairs
+
+
+def test_buoy_edges_are_inclusive():
+    rec = quality_control([record_doc()])[0][0]
+    for inside, outside in _edge_buoys(rec, 400):
+        assert match_buoy_record(rec, [inside]) is inside
+        assert match_buoy_record(rec, [outside]) is None
+    for dt in (-BUOY_MAX_S, BUOY_MAX_S):
+        on_edge = buoy_near(rec, "t", dt=dt)
+        assert match_buoy_record(rec, [on_edge]) is on_edge
+        assert match_buoy_record(rec, [buoy_near(rec, "t", dt=math.copysign(BUOY_MAX_S + 1e-3, dt))]) is None
+
+
+def test_buoy_prefilter_allows_for_trigonometry_a_few_ulps_high(monkeypatch):
+    # numpy's vectorized trigonometry is not libm's: on some platforms its
+    # arcsin rounds up where math.asin rounds down. The prefilter must still
+    # keep every buoy the exact scalar test accepts.
+    exact = pipeline._haversine_km_np
+    monkeypatch.setattr(pipeline, "_haversine_km_np", lambda *a: exact(*a) * (1 + 8 * np.finfo(float).eps))
+    rec = quality_control([record_doc()])[0][0]
+    edges = _edge_buoys(rec, 400)
+    assert any(haversine_km(rec.sp_lat, rec.sp_lon, inside.lat, inside.lon) == 25.0 for inside, _ in edges)
+    for inside, outside in edges:
+        assert match_buoy_record(rec, [inside]) is inside
+        assert match_buoy_record(rec, [outside]) is None
+
+
+def test_buoy_matches_across_the_antimeridian():
+    rec = quality_control([record_doc(sp_lon=179.99)])[0][0]
+    across = BuoyRecord("across", rec.sp_lat, -179.99, rec.timestamp, 1.0)
+    assert haversine_km(rec.sp_lat, rec.sp_lon, across.lat, across.lon) < 3.0
+    assert match_buoy_record(rec, [across]) is across
+    back = quality_control([record_doc(sp_lon=-179.99)])[0][0]
+    assert match_buoy_record(back, [BuoyRecord("x", back.sp_lat, 179.99, back.timestamp, 1.0)]) is not None
+
+
+def test_buoy_match_without_candidates():
+    rec = quality_control([record_doc()])[0][0]
+    assert match_buoy_record(rec, []) is None
+    assert match_buoy_groups([], []) == ([], {"unmatched_channel": 0, "matched": 0})
+    outside_window = [buoy_near(rec, "early", dt=-BUOY_MAX_S - 60.0), buoy_near(rec, "late", dt=2 * 3600.0)]
+    assert match_buoy_record(rec, outside_window) is None
+    group = make_records(rec.timestamp, [1, 2, 3, 4])
+    assert match_buoy_groups([group], outside_window)[1] == {"unmatched_channel": 1, "matched": 0}
+
+
+@pytest.mark.parametrize("field, value", [("lat", math.nan), ("lat", 95.0), ("lat", -90.5),
+                                          ("lon", math.inf), ("timestamp", math.nan),
+                                          ("swh", math.nan), ("swh", -0.1)])
+def test_buoy_record_rejects_non_finite_and_out_of_range_values(field, value):
+    fields = {"station_id": "b", "lat": 10.0, "lon": 40.0, "timestamp": 0.0, "swh": 1.0, field: value}
+    with pytest.raises(FormatError, match="buoy b"):
+        BuoyRecord(**fields)
+    BuoyRecord(**{**fields, field: 0.0})
+
+
+@pytest.mark.parametrize("row", ["B1,nan,40.0,2019-09-01T00:00:00Z,1.2",
+                                 "B1,95,40.0,2019-09-01T00:00:00Z,1.2",
+                                 "B1,10.0,inf,2019-09-01T00:00:00Z,1.2",
+                                 "B1,10.0,40.0,2019-09-01T00:00:00Z,nan"])
+def test_read_buoys_names_the_line_of_a_bad_row(tmp_path, row):
+    path = tmp_path / "buoys.csv"
+    path.write_text("station_id,lat,lon,iso_time,swh_m\nB0,10.0,40.0,2019-09-01T00:00:00Z,1.0\n" + row + "\n")
+    with pytest.raises(FormatError, match=r"buoys\.csv:3: "):
+        read_buoys(str(path))
 
 
 # ---------------------------------------------------------------------------
