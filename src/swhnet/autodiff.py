@@ -17,6 +17,8 @@ Design notes:
     once per call, where overflow can arise, not every intermediate.
   * The fused ops keep only O(M) or O(M * d_ff) arrays for backward and
     recompute the rest there, instead of a tape node per intermediate.
+    They run over tiles of at most TILE_BYTES, sized to a core's L2
+    cache, and make every elementwise pass over a tile while it is there.
   * backward() accumulates: a second call without zeroing adds gradients.
   * Dropout takes an explicit numpy Generator so runs are reproducible.
     A list of generators, one per index of the leading (batch) axis,
@@ -27,6 +29,7 @@ Design notes:
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -35,12 +38,16 @@ from .errors import ConfigError, ContractError, NonFiniteError, ShapeError
 
 _grad_enabled = True
 
-# Bytes of (M, M) attention probabilities `sca_attention` computes at once:
-# blocks of max(1, ATTN_BLOCK_BYTES // (8 M^2)) (sample, head) rows. Small
-# models take a whole batch's heads in one block, where the per-head Python
-# and numpy call overhead would dominate; at the paper default (M = 584,
-# 2.7 MB per head) a block is one head, as large blocks would only add memory.
-ATTN_BLOCK_BYTES = 4 << 20
+# Bytes of the largest scratch array a fused op works through at once: a
+# tile of `ffn`'s (rows, d_ff) hidden array or of `sca_attention`'s (rows, M)
+# probabilities (see `_tiles`). A tile stays in a core's 2 MB L2 cache, so
+# each elementwise pass over it reads cache, not memory. Swept from 256 KB
+# to 2 MB, paper-default training time was flat within its noise and the
+# feedforward forward was fastest at 512 KB, where its two tile-sized
+# buffers (hidden rows and mask) fill half of L2. Small models take a whole
+# batch in one tile, where per-tile Python and numpy call overhead would
+# dominate.
+TILE_BYTES = 512 << 10
 
 
 @contextmanager
@@ -537,11 +544,6 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (_rows(a) @ b).reshape(a.shape[:-1] + b.shape[1:])
 
 
-def _lead_sum(a: np.ndarray, nd: int) -> np.ndarray:
-    """Sum over every axis but the last `nd`: a batch's weight gradient."""
-    return a.reshape((-1,) + a.shape[a.ndim - nd:]).sum(axis=0)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """a (..., n, k) @ b (k, m); b's gradient sums over a's leading axes."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -595,6 +597,19 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 # -- fused encoder ops --------------------------------------------------------
 
 
+def _tiles(units: int, rows: int, row_bytes: int):
+    """Tiles of `units` stacked slabs of `rows` rows, row_bytes each, within
+    TILE_BYTES where a row allows: as many whole slabs as fit, else blocks
+    of rows of one slab. Returns the largest tile's (slabs, rows) and the
+    (u0, u1, r0, r1) tiles in the slabs' memory order."""
+    per = TILE_BYTES // row_bytes
+    if per >= rows:
+        k = max(1, per // max(rows, 1))
+        return (min(k, units), rows), [(u, min(u + k, units), 0, rows) for u in range(0, units, k)]
+    per = max(1, per)
+    return (min(1, units), per), [(u, u + 1, r, min(r + per, rows)) for u in range(units) for r in range(0, rows, per)]
+
+
 def sca_attention(tokens: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) -> Tensor:
     """Four single-feature attention heads plus the head-mixing projection.
 
@@ -605,13 +620,16 @@ def sca_attention(tokens: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor
     mixed by wo: H @ wo for a dense (4, 4) wo, H * wo for a diagonal (4,) wo.
 
     S is a rank-one outer product, so its row max is q_t * max(k) when
-    q_t >= 0 and q_t * min(k) otherwise, exactly and in O(M). Forward and
-    backward take the batch's (sample, head) rows in blocks of heads, as
-    many as fit ATTN_BLOCK_BYTES of (M, M) probabilities, in one buffer
-    allocated per call. Each head's arithmetic is that of a head alone.
-    Backward keeps only q, k, v, H and the per-row max and normaliser, and
-    recomputes each block's probabilities in turn. Overflow is checked
-    once, on the largest score magnitude max|q| * max|k|, and on the output.
+    q_t >= 0 and q_t * min(k) otherwise, exactly and in O(M). Forward takes
+    the batch's (sample, head) probabilities in tiles of TILE_BYTES (see
+    `_tiles`): whole heads where they fit, else blocks of rows of one head.
+    Each row's normaliser and output are sums along that row alone, so the
+    tile size changes no bit. Backward keeps only q, k, v, H and the per-row
+    max and normaliser, and recomputes the probabilities in blocks of whole
+    heads (one head when a head exceeds TILE_BYTES), since its key and value
+    gradients sum over a head's rows. Each buffer is allocated once per
+    call. Overflow is checked once, on the largest score magnitude
+    max|q| * max|k|, and on the output.
     """
     tokens, wq, wk, wv, wo = (_as_tensor(t) for t in (tokens, wq, wk, wv, wo))
     if tokens.ndim < 2 or tokens.shape[-1] != 4:
@@ -634,23 +652,25 @@ def sca_attention(tokens: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor
     # One row per (sample, head).
     qf, kf, vf, rf = (a.reshape(-1, m) for a in (q, k, v, row_max))
     n_rows = len(qf)
-    block = max(1, min(n_rows, ATTN_BLOCK_BYTES // (8 * m * m)))
 
-    def probs_unnormalised(lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
-        """exp(S - row max) of head rows lo:hi, written into `buf` (block, M, M)."""
-        out = buf[:hi - lo]
-        np.multiply(qf[lo:hi, :, None], kf[lo:hi, None, :], out=out)
-        np.subtract(out, rf[lo:hi, :, None], out=out)
+    def probs_unnormalised(u0: int, u1: int, r0: int, r1: int, buf: np.ndarray) -> np.ndarray:
+        """exp(S - row max) of rows r0:r1 of heads u0:u1, written into `buf`."""
+        out = buf[:u1 - u0, :r1 - r0]
+        # einsum's outer product, the same single rounded products as
+        # np.multiply's broadcast, takes half its time.
+        np.einsum("hi,hj->hij", qf[u0:u1, r0:r1], kf[u0:u1], out=out)
+        np.subtract(out, rf[u0:u1, r0:r1, None], out=out)
         return np.exp(out, out=out)
 
     h = np.empty(qf.shape)
     den = np.empty(qf.shape)
-    buf = np.empty((block, m, m))
-    for lo in range(0, n_rows, block):
-        hi = min(lo + block, n_rows)
-        p = probs_unnormalised(lo, hi, buf)
-        den[lo:hi] = p.sum(axis=-1)
-        h[lo:hi] = (p @ vf[lo:hi, :, None])[..., 0] / den[lo:hi]
+    shape, tiles = _tiles(n_rows, m, 8 * m)
+    buf = np.empty(shape + (m,))
+    for u0, u1, r0, r1 in tiles:
+        p = probs_unnormalised(u0, u1, r0, r1, buf)
+        np.einsum("hij->hi", p, out=den[u0:u1, r0:r1])
+        np.einsum("hij,hj->hi", p, vf[u0:u1], out=h[u0:u1, r0:r1])
+    h /= den
     heads = np.swapaxes(h.reshape(x.shape), -1, -2)  # (..., M, 4)
     data = _mm(heads, wo.data) if dense else heads * wo.data
 
@@ -663,25 +683,26 @@ def sca_attention(tokens: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor
         gh = np.ascontiguousarray(np.swapaxes(gh, -1, -2)).reshape(-1, m)
         dq, dk, dv = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
         dqf, dkf, dvf = (a.reshape(-1, m) for a in (dq, dk, dv))
+        block = max(1, min(n_rows, TILE_BYTES // (8 * m * m)))
         buf = np.empty((block, m, m))
         for lo in range(0, n_rows, block):
             hi = min(lo + block, n_rows)
             # With P the row-normalised probabilities and dS = P * g (v - h):
             # dq = g (P(v k) - h P k), dk = v P^T(g q) - P^T(g q h), dv = P^T g.
-            p = probs_unnormalised(lo, hi, buf)
+            p = probs_unnormalised(lo, hi, 0, m, buf)
             dn = den[lo:hi, :, None]
             rows = p @ np.stack([vf[lo:hi] * kf[lo:hi], kf[lo:hi]], axis=-1) / dn
             dqf[lo:hi] = gh[lo:hi] * (rows[..., 0] - h[lo:hi] * rows[..., 1])
             gq = gh[lo:hi] * qf[lo:hi]
-            cols = np.swapaxes(p, -1, -2) @ (np.stack([gq, gq * h[lo:hi], gh[lo:hi]], axis=-1) / dn)
-            dkf[lo:hi] = vf[lo:hi] * cols[..., 0] - cols[..., 1]
-            dvf[lo:hi] = cols[..., 2]
+            cols = (np.stack([gq, gq * h[lo:hi], gh[lo:hi]], axis=-2) / den[lo:hi, None, :]) @ p
+            dkf[lo:hi] = vf[lo:hi] * cols[:, 0] - cols[:, 1]
+            dvf[lo:hi] = cols[:, 2]
         if tokens.requires_grad:
             dx = dq * wq.data[:, None] + dk * wk.data[:, None] + dv * wv.data[:, None]
             tokens._accumulate(np.swapaxes(dx, -1, -2))
         for w, d in ((wq, dq), (wk, dk), (wv, dv)):
             if w.requires_grad:
-                w._accumulate(_lead_sum((d * x).sum(axis=-1), 1))
+                w._accumulate(_rows((d * x).sum(axis=-1)).sum(axis=0))
 
     return Tensor._from_op(data, (tokens, wq, wk, wv, wo), _bw, "sca_attention")
 
@@ -694,22 +715,30 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     b2 (d,). Per-channel blocks when b1 is 2-D: x (..., M, C), w1, b1 and
     w2 (C, F/C), b2 (C,); column c passes through its own 1 -> F/C -> 1 map
     and no other, so channels stay isolated exactly. Leading axes of x are
-    a batch.
+    a batch, folded into rows; a sample is one index of the first axis.
 
-    In train mode with p > 0 each sample's keep mask is one rng.random call
-    of its hidden shape: (M, F) dense, (C, M, F/C) blocked, the same stream
-    as C per-channel (M, F/C) draws in channel order. `rng` is a Generator,
-    drawing one mask for the whole hidden array, or a list of one per index
-    of the leading axis, drawing one sample's mask at a time. Backward keeps
-    only the post-dropout hidden array: d(pre) = d(hidden) * scale where
-    hidden > 0.
+    One loop serves both layouts: group by group (the one dense map, or
+    channel by channel), then tile by tile of TILE_BYTES of hidden rows
+    (see `_tiles`: whole samples where they fit, else blocks of rows of one
+    sample), each tile running the first product with its bias, ReLU,
+    dropout and the second product while it is in cache. In train mode
+    with p > 0 the keep masks are drawn in that order, group by group over
+    the rows. `rng` is a Generator, drawing all of them from one stream
+    (for one sample, the stream of C per-channel (M, F/C) draws in channel
+    order), or a list of one per sample, from which each sample draws its
+    own masks as if it ran alone. The tile size never changes a mask. The
+    1/(1-p) scale is applied to the (rows, d) output and w2's gradient, not
+    to the wider hidden array. Backward keeps only the unscaled
+    post-dropout hidden array, and none under no_grad: d(pre) = d(hidden) *
+    scale where hidden > 0, tile by tile, with weight and bias gradients
+    summed over the tiles.
     """
     x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
     drop = _check_dropout(p, train, rng)
     scale = 1.0 / (1.0 - p) if drop else 1.0
     if x.ndim < 2:
         raise ShapeError(f"ffn input must be (..., M, d), got {x.shape}")
-    d = x.shape[-1]
+    m, d = x.shape[-2:]
     blocks = b1.ndim == 2
     if blocks:
         ok = w1.shape == b1.shape == w2.shape and w1.shape[0] == d and b2.shape == (d,)
@@ -718,49 +747,82 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
             and w2.shape == w1.shape[::-1] and b2.shape == (d,)
     if not ok:
         raise ShapeError(f"ffn: weights {w1.shape}/{b1.shape}/{w2.shape}/{b2.shape} do not fit input {x.shape}")
+    n, m = (x.shape[0], math.prod(x.shape[1:-1])) if x.ndim > 2 else (1, m)  # samples, rows of each
+    if drop and not isinstance(rng, np.random.Generator) and len(rng) != n:
+        raise ShapeError(f"{len(rng)} per-sample generators for {n} samples")
 
-    xt = np.swapaxes(x.data, -1, -2)  # (..., C, M)
+    # Each group's inputs with a ones column, and its w1 with b1 as the last
+    # row: one product gives x w1 + b1, and the transposed product gives
+    # w1's and b1's gradients together. Groups are the dense map, or
+    # channel c's block with its own column.
+    xr = _rows(x.data)
     if blocks:
-        hidden = xt[..., None] * w1.data[:, None, :]  # (..., C, M, F/C)
-        hidden += b1.data[:, None, :]
+        xa = np.ones((d, n * m, 2))
+        xa[:, :, 0] = xr.T
+        groups = [(slice(c, c + 1), np.stack([w1.data[c], b1.data[c]]), w2.data[c][:, None]) for c in range(d)]
     else:
-        hidden = _mm(x.data, w1.data)
-        hidden += b1.data
-    np.maximum(hidden, 0.0, out=hidden)
+        xa = np.ones((1, n * m, d + 1))
+        xa[0, :, :d] = xr
+        groups = [(slice(None), np.vstack([w1.data, b1.data]), w2.data)]
+    width = b1.shape[-1]
+    shape, tiles = _tiles(n, m, 8 * width)
+    spans = [(u0 * m + r0, (u1 - 1) * m + r1) for u0, u1, r0, r1 in tiles]  # in folded rows
+    tile_rows = shape[0] * shape[1]
+    keep = _grad_enabled and any(t.requires_grad for t in (x, w1, b1, w2, b2))
+    hidden = np.empty((len(groups), n * m, width)) if keep else None
+    buf = None if keep else np.empty((tile_rows, width))
+    mask = np.empty((tile_rows, width)) if drop else None
+    out = np.empty((n * m, d))
+    for gi, (cols, w1b, w2g) in enumerate(groups):
+        for lo, hi in spans:
+            h = hidden[gi, lo:hi] if keep else buf[:hi - lo]
+            np.matmul(xa[gi, lo:hi], w1b, out=h)
+            np.maximum(h, 0.0, out=h)
+            if drop:
+                kept = mask[:hi - lo]
+                if isinstance(rng, np.random.Generator):
+                    rng.random(out=kept)
+                else:
+                    for s in range(lo // m, (hi - 1) // m + 1):
+                        a, b = max(lo, s * m), min(hi, (s + 1) * m)
+                        rng[s].random(out=kept[a - lo:b - lo])
+                np.greater_equal(kept, p, out=kept)
+                h *= kept
+            np.matmul(h, w2g, out=out[lo:hi, cols])
     if drop:
-        for block, g in _per_sample(hidden, rng):
-            keep = g.random(block.shape)
-            np.greater_equal(keep, p, out=keep)
-            keep *= scale
-            block *= keep
-    if blocks:
-        data = np.swapaxes((hidden @ w2.data[:, :, None])[..., 0], -1, -2) + b2.data
-    else:
-        data = _mm(hidden, w2.data) + b2.data
+        out *= scale
+    out += b2.data
 
     def _bw(g):
-        gt = np.swapaxes(g, -1, -2)
-        if w2.requires_grad:
-            w2._accumulate(_lead_sum((gt[..., None, :] @ hidden)[..., 0, :], 2) if blocks
-                           else _rows(hidden).T @ _rows(g))
+        gr = _rows(g)
         if b2.requires_grad:
-            b2._accumulate(_rows(g).sum(axis=0))
-        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+            b2._accumulate(gr.sum(axis=0))
+        inner = x.requires_grad or w1.requires_grad or b1.requires_grad
+        if not (inner or w2.requires_grad):
             return
-        pre = gt[..., None] * w2.data[:, None, :] if blocks else _mm(g, w2.data.T)
-        pre *= hidden > 0.0
-        if drop:
-            pre *= scale
-        if w1.requires_grad:
-            w1._accumulate(_lead_sum((xt[..., None, :] @ pre)[..., 0, :], 2) if blocks
-                           else _rows(x.data).T @ _rows(pre))
-        if b1.requires_grad:
-            b1._accumulate(_lead_sum(pre.sum(axis=-2), b1.ndim))
-        if x.requires_grad:
-            x._accumulate(np.swapaxes((pre @ w1.data[:, :, None])[..., 0], -1, -2) if blocks
-                          else _mm(pre, w1.data.T))
+        gx = np.empty((n * m, d))
+        gw1b = np.zeros((len(groups),) + groups[0][1].shape)
+        gw2 = np.zeros((len(groups),) + groups[0][2].shape)
+        pre = np.empty((tile_rows, width))
+        for gi, (cols, w1b, w2g) in enumerate(groups):
+            w2t = w2g.T * scale
+            for lo, hi in spans:
+                h, gt = hidden[gi, lo:hi], gr[lo:hi, cols]
+                if w2.requires_grad:
+                    gw2[gi] += h.T @ gt
+                if not inner:
+                    continue
+                pt = np.matmul(gt, w2t, out=pre[:hi - lo])
+                pt *= h > 0.0
+                gw1b[gi] += xa[gi, lo:hi].T @ pt
+                if x.requires_grad:
+                    np.matmul(pt, w1b[:-1].T, out=gx[lo:hi, cols])
+        gw2 *= scale
+        for t, grad in ((x, gx), (w1, gw1b[:, :-1]), (b1, gw1b[:, -1]), (w2, gw2)):
+            if t.requires_grad:
+                t._accumulate(grad.reshape(t.shape))
 
-    return Tensor._from_op(data, (x, w1, b1, w2, b2), _bw, "ffn")
+    return Tensor._from_op(out.reshape(x.shape), (x, w1, b1, w2, b2), _bw, "ffn")
 
 
 def huber(residual: Tensor, delta: float) -> Tensor:

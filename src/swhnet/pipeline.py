@@ -196,7 +196,7 @@ def parse_l1_record(doc: dict) -> L1Record:
         lat = float(doc["sp_lat"])
         if channel not in (1, 2, 3, 4):
             raise FormatError(f"channel must be 1..4, got {channel}")
-        if not -90.0 <= lat <= 90.0:
+        if math.isfinite(lat) and not -90.0 <= lat <= 90.0:  # non-finite is QC's nan_inf
             raise FormatError(f"sp_lat out of range: {lat}")
         return L1Record(
             timestamp=float(doc["timestamp"]),

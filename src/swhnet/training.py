@@ -27,11 +27,14 @@ from .errors import ConfigError, ContractError
 from .model import WaveHeightModel, batch_loss
 from .pipeline import ap_matrix, standardize_ap
 
-# Memory one no-grad evaluation batch may take for its largest activation,
-# the (M, d_ff) feedforward hidden array of each sample. It caps memory
-# only: small models fit a whole split in one batch, where batching pays,
-# and at the paper default (9.6 MB per sample) evaluation speed and peak
-# RSS measured the same with 1, 3 or 4 samples per batch.
+# Sizes a no-grad evaluation batch as if each sample held its (M, d_ff)
+# feedforward hidden array, the largest activation a training forward keeps.
+# Evaluation keeps none: `ffn` runs in tiles of autodiff.TILE_BYTES, and a
+# paper-default batch of 3 peaks near 1.2 MB above its inputs. So this is a
+# size rule, not a memory bound: small models fit a whole split in one
+# batch, where batching pays, and the paper default (9.6 MB a sample) takes
+# 3 samples a batch, where evaluation speed and peak RSS measured the same
+# with 1, 3 or 4.
 EVAL_BATCH_BYTES = 32 << 20
 
 # Elements per slice of a parameter that AdamW.step updates at a time. Two

@@ -439,24 +439,25 @@ def test_sca_attention_matches_oracle_and_gradcheck(m, wo_shape):
 @pytest.mark.parametrize("wo_shape", [(4, 4), (4,)], ids=["CD", "CI"])
 @pytest.mark.parametrize("m", [1, 3, 40])
 def test_sca_attention_block_size_changes_no_bit(monkeypatch, m, wo_shape, batch):
-    """One (sample, head) row per block and all rows in one block give the
-    same values and the same five gradients, bit for bit."""
+    """Tiles of one probability row, of two rows (a partial last tile when M
+    is odd), of one head, and all heads in one tile give the same values and
+    the same five gradients, bit for bit."""
     _, wq, wk, wv, wo = attention_case(m, wo_shape, seed=m)
     rng = np.random.default_rng(70 + m)
     tokens = rng.uniform(-1.0, 1.0, size=(batch, m, 4))
     probe = rng.normal(size=(batch, m, 4))
 
-    def run(block_bytes):
-        monkeypatch.setattr(ad, "ATTN_BLOCK_BYTES", block_bytes)
+    def run(tile_bytes):
+        monkeypatch.setattr(ad, "TILE_BYTES", tile_bytes)
         ts = [ad.Tensor(a, requires_grad=True) for a in (tokens, wq, wk, wv, wo)]
         out = ad.sca_attention(*ts)
         ad.tsum(ad.mul(out, probe)).backward()
         return [out.data] + [t.grad for t in ts]
 
-    one_row = run(1)
     all_rows = run(8 * m * m * 4 * batch)
-    for a, b in zip(one_row, all_rows):
-        assert a.tobytes() == b.tobytes()
+    for tile_bytes in (1, 16 * m, 8 * m * m):
+        for a, b in zip(run(tile_bytes), all_rows):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_sca_attention_score_overflow_names_op():
@@ -495,6 +496,57 @@ def test_ffn_train_mode_matches_ordered_mask_oracle(strategy):
     oracle = ffn_oracle(x, weights, strategy, p=0.4, rng=np.random.default_rng(35))
     assert np.max(np.abs(out.data - oracle)) < 1e-12
     assert np.abs(out.data - ffn_oracle(x, weights, strategy)).max() > 1e-3  # masks did drop units
+
+
+@pytest.mark.parametrize("strategy", ["CI", "CD"])
+@pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+def test_ffn_tile_size_keeps_values_gradients_and_masks(monkeypatch, strategy, train):
+    """Tiles of one row, of two rows (a partial last tile of M = 5 rows) and
+    the whole batch agree in values and all five gradients to 1e-12
+    relative, and every sample equals the ordered-mask oracle. BLAS may
+    round a product's last bits differently for another row count, so bits
+    are compared only where a tile is smaller than a sample: tiles never
+    span two samples, so each sample then equals itself run alone."""
+    from oracles import ffn_oracle
+    _, w1, b1, w2, b2 = ffn_case(strategy, 5, seed=37)
+    weights = {"ffn_w1": w1, "ffn_b1": b1, "ffn_w2": w2, "ffn_b2": b2}
+    rng = np.random.default_rng(38)
+    x = rng.normal(size=(3, 5, 4))
+    probe = rng.normal(size=(3, 5, 4))
+    row_bytes = 8 * w1.shape[1]
+
+    def gens():
+        return [np.random.default_rng(40 + b) for b in range(3)] if train else None
+
+    def run(tile_bytes):
+        monkeypatch.setattr(ad, "TILE_BYTES", tile_bytes)
+        ts = [ad.Tensor(a, requires_grad=True) for a in (x, w1, b1, w2, b2)]
+        out = ad.ffn(*ts, 0.4, train, gens())
+        ad.tsum(ad.mul(out, probe)).backward()
+        return [out.data] + [t.grad for t in ts]
+
+    whole = run(row_bytes * 5 * 3)
+    for tile_bytes in (1, 2 * row_bytes, row_bytes * 5 * 3):
+        got = run(tile_bytes)
+        for a, b in zip(got, whole):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+        for s, g in enumerate(gens() or [None] * 3):
+            oracle = ffn_oracle(x[s], weights, strategy, p=0.4 if train else 0.0, rng=g)
+            assert np.max(np.abs(got[0][s] - oracle)) < 1e-12
+        if tile_bytes < row_bytes * 5:
+            for s, g in enumerate(gens() or [None] * 3):
+                alone = ad.ffn(ad.Tensor(x[s]), w1, b1, w2, b2, 0.4, train, g).data
+                assert alone.tobytes() == got[0][s].tobytes()
+
+
+@pytest.mark.parametrize("strategy", ["CI", "CD"])
+def test_ffn_gradcheck_one_row_tiles(monkeypatch, strategy):
+    monkeypatch.setattr(ad, "TILE_BYTES", 1)
+    _, *weights = ffn_case(strategy, 3, seed=41)
+    batch = np.random.default_rng(42).normal(size=(2, 3, 4))
+    probe = np.random.default_rng(43).normal(size=(2, 3, 4))
+    check_grads(lambda ts: ad.tsum(ad.mul(ad.ffn(*ts, 0.3, True, [np.random.default_rng(44 + b) for b in range(2)]),
+                                          probe)), [batch] + weights)
 
 
 def test_ffn_rejects_mismatched_weights():

@@ -296,6 +296,28 @@ def test_paper_default_train_forward_holds_under_100mb():
     assert held < 100e6, f"{held / 1e6:.0f} MB held after one training forward"
 
 
+@pytest.mark.parametrize("strategy", ["CI", "CD"])
+def test_paper_default_eval_batch_peaks_below_one_hidden_array(strategy):
+    """A no-grad paper-default batch of 3 samples keeps no (M, d_ff)
+    feedforward hidden array, only tiles: its peak above the inputs stays
+    below one such array (9.6 MB)."""
+    cfg = ModelConfig(strategy=strategy)
+    model = WaveHeightModel(cfg)
+    rng = np.random.default_rng(0)
+    ddms = rng.normal(size=(3, 4, 3, cfg.width, cfg.height))
+    aps = rng.normal(size=(3, 4, cfg.k_ap))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with ad.no_grad():
+            out = model.forward_batch(ddms, aps)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (3, 4)
+    assert peak < 8 * cfg.flat_len * cfg.d_ff, f"{peak / 1e6:.1f} MB peak in a no-grad batch of 3"
+
+
 # ---------------------------------------------------------------------------
 # batched forward
 # ---------------------------------------------------------------------------

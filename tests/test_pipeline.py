@@ -178,6 +178,17 @@ def test_qc_rejects_a_non_finite_timestamp(ts):
     assert not groups and align == {"incomplete_channels": 0, "duplicate_channel": 0, "groups": 0}
 
 
+@pytest.mark.parametrize("lat", [math.nan, math.inf, -math.inf])
+def test_qc_tallies_a_non_finite_latitude_as_nan_inf(lat):
+    kept, tally = quality_control([record_doc(sp_lat=lat)])
+    assert not kept and tally["nan_inf"] == 1 and tally["malformed"] == 0
+
+
+def test_qc_tallies_an_out_of_range_latitude_as_malformed():
+    kept, tally = quality_control([record_doc(sp_lat=95.0)])
+    assert not kept and tally["malformed"] == 1 and tally["nan_inf"] == 0
+
+
 def test_qc_keeps_a_pre_1970_timestamp():
     # Only the finite check covers the timestamp: an epoch below the -9000
     # fill threshold is a date before 1970, not a fill value.
