@@ -72,10 +72,11 @@ class Tensor:
     """A dense array node in the computation graph.
 
     `data` is always a float64 ndarray. `grad` is materialized lazily
-    during backward() and has the same shape as `data`.
+    during backward() and has the same shape as `data`: for a parameter
+    of a sealed ParamBag, as its view of the bag's gradient buffer.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_grad_view", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -83,6 +84,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self._grad_view = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
 
@@ -94,6 +96,7 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
+        out._grad_view = None
         if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
@@ -125,12 +128,18 @@ class Tensor:
             raise ContractError(f"item() on tensor of size {self.data.size}")
         return float(self.data.reshape(()))
 
+    def _new_grad(self) -> np.ndarray:
+        """Set and return the array that this node's first gradient of a
+        backward is written into: its view of the bag's gradient buffer for
+        a sealed parameter, else a fresh array. Its contents are stale."""
+        self.grad = self._grad_view if self._grad_view is not None else np.empty_like(self.data)
+        return self.grad
+
     def _accumulate(self, g: np.ndarray) -> None:
         """Add `g`, of this node's shape, into grad. The first gradient is
         copied: `g` may be a view of another node's gradient."""
         if self.grad is None:
-            self.grad = np.empty_like(self.data)
-            np.copyto(self.grad, g)
+            np.copyto(self._new_grad(), g)
         else:
             self.grad += g
 
@@ -146,17 +155,49 @@ def _as_tensor(x) -> Tensor:
 
 
 class ParamBag:
-    """Ordered registry of the trainable tensors, keyed by unique names."""
+    """Ordered registry of the trainable tensors, keyed by unique names.
+
+    Parameters are added one by one, each with its own array, then the bag
+    is sealed once (`seal`): one float64 buffer `data` takes every value in
+    the order added, and each parameter's `data` becomes its view of it. A
+    second buffer `grad` of the same layout holds the gradients: a
+    parameter's first gradient of a backward is written into its view there
+    (`Tensor._new_grad`), so a backward allocates no weight gradient and an
+    optimizer updates the whole bag in one pass over the two buffers.
+    """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
+        self.data: np.ndarray | None = None
+        self.grad: np.ndarray | None = None
 
     def add(self, name: str, data) -> Tensor:
+        if self.data is not None:
+            raise ContractError(f"cannot add {name}: the parameter bag is sealed")
         if name in self._params:
             raise ContractError(f"duplicate parameter name: {name}")
         p = Tensor(data, requires_grad=True)
         self._params[name] = p
         return p
+
+    def seal(self) -> None:
+        """Move every parameter into the flat buffers; a no-op once sealed.
+
+        The gradient buffer is left unwritten, so its pages cost memory only
+        once a backward reaches them.
+        """
+        if self.data is not None:
+            return
+        total = sum(p.data.size for p in self._params.values())
+        self.data, self.grad = np.empty(total), np.empty(total)
+        lo = 0
+        for p in self._params.values():
+            hi = lo + p.data.size
+            view = self.data[lo:hi].reshape(p.data.shape)
+            np.copyto(view, p.data)
+            p.data = view
+            p._grad_view = self.grad[lo:hi].reshape(view.shape)
+            lo = hi
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -180,22 +221,51 @@ class ParamBag:
         for p in self._params.values():
             p.grad = None
 
+    def flat_buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sealed (values, gradients) buffers, ready for an in-place
+        update of every parameter at once.
+
+        A gradient assigned by hand, not in the buffer, is copied into its
+        view. Raises ContractError for a parameter without a gradient, or
+        one whose `data` was rebound away from the buffer, which an update
+        of the buffer would miss.
+        """
+        if self.data is None:
+            raise ContractError("flat buffers of an unsealed parameter bag")
+        for name, p in self._params.items():
+            if p.grad is None:
+                raise ContractError(f"missing gradient for {name}")
+            if p.data.base is not self.data:
+                raise ContractError(f"{name} no longer views the parameter buffer")
+            if p.grad is not p._grad_view:
+                np.copyto(p._grad_view, p.grad)
+                p.grad = p._grad_view
+        return self.data, self.grad
+
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Copies of all parameter arrays, keyed by name."""
         return {k: p.data.copy() for k, p in self._params.items()}
 
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
+        """Copy `state` into the parameters, which keep their arrays (and so
+        their views of a sealed bag's buffer). Every array is checked, for
+        its name, shape and finite values, before any is copied."""
         missing = set(self._params) - set(state)
         extra = set(state) - set(self._params)
         if missing or extra:
             raise ConfigError(
                 f"parameter set mismatch (missing={sorted(missing)}, unexpected={sorted(extra)})"
             )
+        arrays = []
         for k, p in self._params.items():
             arr = np.asarray(state[k], dtype=np.float64)
             if arr.shape != p.data.shape:
                 raise ConfigError(f"shape mismatch for {k}: {arr.shape} vs {p.data.shape}")
-            p.data = arr.copy()
+            if not np.isfinite(arr).all():
+                raise NonFiniteError(f"parameter {k} holds non-finite values")
+            arrays.append((p.data, arr))
+        for dst, arr in arrays:
+            np.copyto(dst, arr)
 
 
 def count_params(bag: ParamBag) -> int:
@@ -466,7 +536,7 @@ def split(x: Tensor, parts: int, axis: int = 0) -> list[Tensor]:
         def _bw(g, idx=idx):
             if x.requires_grad:
                 if x.grad is None:
-                    x.grad = np.zeros_like(x.data)
+                    x._new_grad().fill(0.0)
                 x.grad[idx] += g
 
         out.append(Tensor._from_op(np.ascontiguousarray(x.data[idx]), (x,), _bw, "split"))
@@ -557,7 +627,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a._accumulate(_mm(g, b.data.T))
         if b.requires_grad:
-            b._accumulate(_rows(a.data).T @ _rows(g))
+            at, gr = _rows(a.data).T, _rows(g)
+            if b.grad is None:  # written in place: no (k, m) temporary
+                np.matmul(at, gr, out=b._new_grad())
+            else:
+                b.grad += at @ gr
 
     return Tensor._from_op(data, (a, b), _bw, "matmul")
 

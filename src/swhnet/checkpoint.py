@@ -16,7 +16,7 @@ import numpy as np
 
 from . import container
 from .config import ModelConfig
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, NonFiniteError
 from .model import WaveHeightModel
 
 FORMAT_VERSION = 3
@@ -43,4 +43,6 @@ def load_checkpoint(path: str) -> tuple[WaveHeightModel, dict | None, dict | Non
         model.bag.load_state_arrays(state)
     except ConfigError as exc:
         raise FormatError(f"checkpoint {path} does not match its declared config: {exc}") from exc
+    except NonFiniteError as exc:
+        raise FormatError(f"checkpoint {path}: {exc}") from exc
     return model, header.get("standardization"), header.get("meta")

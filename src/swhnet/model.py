@@ -128,6 +128,7 @@ class WaveHeightModel:
         self.encoder = DdmEncoder(cfg, self.bag, rng)
         self.ap_branch = ApGateBranch(cfg, self.bag, rng)
         self.head = FusionHead(cfg, self.bag, rng)
+        self.bag.seal()
 
     def forward_batch(self, ddms: np.ndarray, aps: np.ndarray,
                       train: bool = False, rng: np.random.Generator | None = None) -> Tensor:

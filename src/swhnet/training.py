@@ -37,9 +37,10 @@ from .pipeline import ap_matrix, standardize_ap
 # with 1, 3 or 4.
 EVAL_BATCH_BYTES = 32 << 20
 
-# Elements per slice of a parameter that AdamW.step updates at a time. Two
-# slice-sized scratch buffers stay in cache; full-size ones for the largest
-# parameter cost peak memory and measured slower end to end.
+# Elements per slice of the parameter buffer that AdamW.step updates at a
+# time. Its two slice-sized scratch buffers stay in cache whatever the
+# model's size; whole-buffer temporaries would cost peak memory and
+# measured slower end to end.
 ADAMW_SLICE = 1 << 16
 
 HISTORY_FIELDS = ("epoch", "train_loss", "val_rmse_ch1", "val_rmse_ch2",
@@ -114,10 +115,14 @@ class AdamW:
     """Adam with decoupled weight decay.
 
     p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p)
+
+    The moments are two flat arrays laid out as the bag's parameter buffer
+    (see `ParamBag.seal`, which this seals if the bag is not yet).
     """
 
     def __init__(self, bag: ParamBag, lr: float, weight_decay: float = 0.0,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        bag.seal()
         self.bag = bag
         self.lr = lr
         self.weight_decay = weight_decay
@@ -125,45 +130,41 @@ class AdamW:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self._m = {name: np.zeros(p.data.size) for name, p in bag.items()}
-        self._v = {name: np.zeros(p.data.size) for name, p in bag.items()}
-        largest = max((p.data.size for p in bag.values()), default=0)
-        self._scratch = (np.empty(min(largest, ADAMW_SLICE)), np.empty(min(largest, ADAMW_SLICE)))
+        self._m = np.zeros(bag.data.size)
+        self._v = np.zeros(bag.data.size)
+        n = min(bag.data.size, ADAMW_SLICE)
+        self._scratch = (np.empty(n), np.empty(n))
 
     def step(self) -> None:
-        """One update, in place: the textbook expression's operations in its
-        order, written slice by slice into two scratch buffers."""
+        """One update of every parameter, in place: the textbook expression's
+        operations in its order, slice by slice of the parameter buffer,
+        written into two scratch buffers."""
+        data, grad = self.bag.flat_buffers()
         self.step_count += 1
         t = self.step_count
         b1, b2, lr, wd, eps = self.beta1, self.beta2, self.lr, self.weight_decay, self.eps
         bc1 = 1.0 - b1 ** t
         bc2 = 1.0 - b2 ** t
-        for name, p in self.bag.items():
-            if p.grad is None:
-                raise ContractError(f"adamw step with missing gradient for {name}")
-            if not p.data.flags.c_contiguous:  # else reshape(-1) copies and the update is lost
-                raise ContractError(f"adamw step needs a contiguous array for {name}")
-            data, grad = p.data.reshape(-1), p.grad.reshape(-1)
-            for lo in range(0, data.size, ADAMW_SLICE):
-                sl = slice(lo, lo + ADAMW_SLICE)
-                g, m, v, w = grad[sl], self._m[name][sl], self._v[name][sl], data[sl]
-                s1, s2 = (buf[:len(g)] for buf in self._scratch)
-                m *= b1
-                np.multiply(1.0 - b1, g, out=s1)
-                m += s1
-                v *= b2
-                np.multiply(1.0 - b2, g, out=s1)
-                s1 *= g
-                v += s1
-                np.divide(m, bc1, out=s1)            # m_hat
-                np.divide(v, bc2, out=s2)            # v_hat
-                np.sqrt(s2, out=s2)
-                s2 += eps
-                np.divide(s1, s2, out=s1)            # m_hat / (sqrt(v_hat) + eps)
-                np.multiply(wd, w, out=s2)
-                s1 += s2
-                np.multiply(lr, s1, out=s1)
-                w -= s1
+        for lo in range(0, data.size, ADAMW_SLICE):
+            sl = slice(lo, lo + ADAMW_SLICE)
+            g, m, v, w = grad[sl], self._m[sl], self._v[sl], data[sl]
+            s1, s2 = (buf[:len(g)] for buf in self._scratch)
+            m *= b1
+            np.multiply(1.0 - b1, g, out=s1)
+            m += s1
+            v *= b2
+            np.multiply(1.0 - b2, g, out=s1)
+            s1 *= g
+            v += s1
+            np.divide(m, bc1, out=s1)            # m_hat
+            np.divide(v, bc2, out=s2)            # v_hat
+            np.sqrt(s2, out=s2)
+            s2 += eps
+            np.divide(s1, s2, out=s1)            # m_hat / (sqrt(v_hat) + eps)
+            np.multiply(wd, w, out=s2)
+            s1 += s2
+            np.multiply(lr, s1, out=s1)
+            w -= s1
 
 
 class EarlyStopper:

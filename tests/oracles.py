@@ -6,7 +6,9 @@ independent arithmetic. The exceptions are `softmax_rows`, an autodiff
 node of its own, `encoder_forward_per_channel`, which keeps the
 channel-by-channel embedding as the reference for the batched one, and
 `match_buoy_record_oracle`, the brute-force buoy scan that the indexed
-matcher must reproduce exactly, so it shares the scalar `haversine_km`.
+matcher must reproduce exactly, so it shares the scalar `haversine_km`,
+and `PerParameterAdamW`, the optimizer as it ran before the parameters
+shared one buffer, which the one-pass `AdamW` must reproduce bit for bit.
 """
 
 import math
@@ -15,7 +17,7 @@ import numpy as np
 
 from swhnet import autodiff as ad
 from swhnet.autodiff import Tensor, _as_tensor
-from swhnet.errors import ConfigError, ShapeError
+from swhnet.errors import ConfigError, ContractError, ShapeError
 from swhnet.pipeline import BUOY_MAX_KM, BUOY_MAX_S, haversine_km
 
 
@@ -223,3 +225,53 @@ def match_buoy_record_oracle(rec, buoys):
         if best is None or key < best[0]:
             best = (key, buoy)
     return None if best is None else best[1]
+
+
+class PerParameterAdamW:
+    """`training.AdamW` one parameter at a time: per-name moments, and each
+    parameter's textbook update in slices of `slice_len` elements, written
+    into two scratch buffers."""
+
+    def __init__(self, bag, lr, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8,
+                 slice_len=1 << 16):
+        self.bag = bag
+        self.lr, self.weight_decay, self.beta1, self.beta2, self.eps = lr, weight_decay, beta1, beta2, eps
+        self.slice_len = slice_len
+        self.step_count = 0
+        self._m = {name: np.zeros(p.data.size) for name, p in bag.items()}
+        self._v = {name: np.zeros(p.data.size) for name, p in bag.items()}
+        largest = max((p.data.size for p in bag.values()), default=0)
+        self._scratch = (np.empty(min(largest, slice_len)), np.empty(min(largest, slice_len)))
+
+    def step(self):
+        self.step_count += 1
+        t = self.step_count
+        b1, b2, lr, wd, eps = self.beta1, self.beta2, self.lr, self.weight_decay, self.eps
+        bc1 = 1.0 - b1 ** t
+        bc2 = 1.0 - b2 ** t
+        for name, p in self.bag.items():
+            if p.grad is None:
+                raise ContractError(f"adamw step with missing gradient for {name}")
+            if not p.data.flags.c_contiguous:  # else reshape(-1) copies and the update is lost
+                raise ContractError(f"adamw step needs a contiguous array for {name}")
+            data, grad = p.data.reshape(-1), p.grad.reshape(-1)
+            for lo in range(0, data.size, self.slice_len):
+                sl = slice(lo, lo + self.slice_len)
+                g, m, v, w = grad[sl], self._m[name][sl], self._v[name][sl], data[sl]
+                s1, s2 = (buf[:len(g)] for buf in self._scratch)
+                m *= b1
+                np.multiply(1.0 - b1, g, out=s1)
+                m += s1
+                v *= b2
+                np.multiply(1.0 - b2, g, out=s1)
+                s1 *= g
+                v += s1
+                np.divide(m, bc1, out=s1)            # m_hat
+                np.divide(v, bc2, out=s2)            # v_hat
+                np.sqrt(s2, out=s2)
+                s2 += eps
+                np.divide(s1, s2, out=s1)            # m_hat / (sqrt(v_hat) + eps)
+                np.multiply(wd, w, out=s2)
+                s1 += s2
+                np.multiply(lr, s1, out=s1)
+                w -= s1

@@ -214,6 +214,21 @@ def test_checkpoint_config_of_the_wrong_kind_exits_two(tmp_path, toy_config):
                  "--out", str(tmp_path / "preds.csv")]) == 2
 
 
+def test_checkpoint_with_a_non_finite_parameter_exits_two(tmp_path, toy_config, caplog):
+    data = tmp_path / "samples.jsonl"
+    main(["synth", "--config", toy_config, "--out", str(data)])
+    model = WaveHeightModel(model_config(load_config(toy_config)))
+    state = model.bag.state_arrays()
+    state["head.out.b"][0] = np.nan
+    ckpt = tmp_path / "checkpoint.json"
+    container.write(str(ckpt), "checkpoint", FORMAT_VERSION,
+                    {"config": vars(model.cfg), "standardization": None, "meta": None}, state)
+    assert main(["predict", "--config", toy_config, "--data", str(data), "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "preds.csv")]) == 2
+    assert "head.out.b" in caplog.text
+    assert not (tmp_path / "preds.csv").exists()
+
+
 def test_missing_input_exits_two(tmp_path, toy_config):
     assert main(["preprocess", "--config", toy_config, "--input", str(tmp_path / "nope.jsonl"),
                  "--out", str(tmp_path / "g.jsonl")]) == 2

@@ -296,6 +296,49 @@ def test_paper_default_train_forward_holds_under_100mb():
     assert held < 100e6, f"{held / 1e6:.0f} MB held after one training forward"
 
 
+def traced_paper_default_backward(strategy):
+    """A paper-default model and one B = 1 training loss; returns the model
+    and the bytes held after, and the peak during, `loss.backward()`. The
+    bag's gradient buffer was allocated with the model, before tracing."""
+    cfg = ModelConfig(strategy=strategy)
+    model = WaveHeightModel(cfg)
+    rng = np.random.default_rng(0)
+    preds = model.forward_batch(rng.normal(size=(1, 4, 3, cfg.width, cfg.height)),
+                                rng.normal(size=(1, 4, cfg.k_ap)), train=True, rng=np.random.default_rng(1))
+    loss = batch_loss(preds, rng.uniform(1.0, 3.0, size=(1, 4)), 2.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss.backward()
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    return model, held, peak
+
+
+@pytest.mark.parametrize("strategy", ["CI", "CD"])
+def test_paper_default_backward_writes_weight_gradients_into_the_buffer(strategy):
+    """Every weight gradient lands in the bag's gradient buffer, so the
+    backward leaves less held than the parameters' size, which fresh
+    gradient arrays alone would take."""
+    model, held, _ = traced_paper_default_backward(strategy)
+    for name, p in model.bag.items():
+        assert np.shares_memory(p.grad, model.bag.grad), name
+    assert held < model.bag.grad.nbytes, f"{held / 1e6:.1f} MB held after a B = 1 backward"
+
+
+def test_paper_default_cd_backward_builds_no_weight_gradient_temporary():
+    """matmul's backward writes each head weight gradient straight into the
+    buffer: the peak during a B = 1 backward rises by less than the largest
+    parameter (head.layer0.w, 27.9 MB), which one product temporary would
+    take. Under CI the largest parameter (2.0 MB) is below the attention
+    backward's own (M, M) probability block, so the check is CD's."""
+    model, _, peak = traced_paper_default_backward("CD")
+    largest = max(p.data.nbytes for p in model.bag.values())
+    assert largest == model.bag["head.layer0.w"].data.nbytes
+    assert peak < largest, f"{peak / 1e6:.1f} MB peak in a B = 1 backward"
+
+
 @pytest.mark.parametrize("strategy", ["CI", "CD"])
 def test_paper_default_eval_batch_peaks_below_one_hidden_array(strategy):
     """A no-grad paper-default batch of 3 samples keeps no (M, d_ff)

@@ -8,15 +8,18 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from swhnet import autodiff as ad
 from swhnet.autodiff import ParamBag, count_params
 from swhnet import container
 from swhnet.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from swhnet.config import ModelConfig, TrainConfig
-from swhnet.errors import ConfigError, ContractError, FormatError
+from swhnet.errors import ConfigError, ContractError, FormatError, NonFiniteError
 from swhnet.model import WaveHeightModel
 from swhnet import training
 from swhnet.training import (ADAMW_SLICE, AdamW, EarlyStopper, ModelDataset, eval_batch_size,
                              predict, train, validation_rmse)
+
+from oracles import PerParameterAdamW
 
 
 def toy_model(strategy="CD", seed=0, use_wind=False):
@@ -120,6 +123,123 @@ def test_adamw_five_steps_bit_identical_to_textbook_expression():
         opt.step()
     for name, p in bag.items():
         assert p.data.tobytes() == ref[name].tobytes(), name
+
+
+def quick_start_model(strategy):
+    """The README quick-start model."""
+    return WaveHeightModel(ModelConfig(width=6, height=6, patch_size=3, embed_dim=2, n_layers=1,
+                                       d_ff=16, dropout_p=0.0, head_hidden=[16] * 9,
+                                       strategy=strategy))
+
+
+@pytest.mark.parametrize("strategy", ["CI", "CD"])
+def test_adamw_five_training_steps_byte_equal_to_per_parameter_oracle(strategy):
+    models = [quick_start_model(strategy) for _ in range(2)]
+    opts = [AdamW(models[0].bag, lr=0.003, weight_decay=1e-5),
+            PerParameterAdamW(models[1].bag, lr=0.003, weight_decay=1e-5, slice_len=ADAMW_SLICE)]
+    data = toy_dataset(models[0].cfg, 48, seed=6)
+    for model, opt in zip(models, opts):
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            training._train_step(model, opt, data, rng.choice(len(data), 16, replace=False), rng, 2.0)
+    assert models[0].bag.data.tobytes() == models[1].bag.data.tobytes()
+    for (name, a), b in zip(models[0].bag.items(), models[1].bag.values()):
+        assert a.data.tobytes() == b.data.tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# the flat parameter and gradient buffers
+# ---------------------------------------------------------------------------
+
+
+def test_parameters_and_their_gradients_view_the_bag_buffers():
+    model = toy_model()
+    bag = model.bag
+    assert bag.data.size == bag.grad.size == count_params(bag)
+    assert bag.data.tobytes() == b"".join(arr.tobytes() for arr in bag.state_arrays().values())
+    data = toy_dataset(model.cfg, 3)
+    preds = model.forward_batch(data.ddms, data.aps, train=True, rng=np.random.default_rng(0))
+    training.batch_loss(preds, data.refs, 2.0).backward()
+    for name, p in bag.items():
+        assert np.shares_memory(p.data, bag.data), name
+        assert np.shares_memory(p.grad, bag.grad), name
+
+
+@pytest.mark.parametrize("strategy", ["CI", "CD"])
+def test_a_backward_after_zero_grad_repeats_the_gradients(strategy):
+    # Each first gradient overwrites its stale buffer entries, those that
+    # `split` sums into (the CI AP embedding's kernel and bias) included.
+    model = toy_model(strategy)
+    data = toy_dataset(model.cfg, 3)
+    grads = []
+    for _ in range(2):
+        model.bag.zero_grad()
+        training.batch_loss(model.forward_batch(data.ddms, data.aps), data.refs, 2.0).backward()
+        grads.append(model.bag.grad.copy())
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
+def test_state_arrays_are_copies():
+    bag = toy_model().bag
+    before = bag.data.tobytes()
+    for arr in bag.state_arrays().values():
+        arr += 1.0
+    assert bag.data.tobytes() == before
+
+
+def test_load_state_arrays_keeps_the_views_and_checks_every_array_first():
+    bag = toy_model(seed=1).bag
+    views = {name: p.data for name, p in bag.items()}
+    other = toy_model(seed=2).bag.state_arrays()
+    bag.load_state_arrays(other)
+    for name, p in bag.items():
+        assert p.data is views[name]
+        assert p.data.tobytes() == other[name].tobytes()
+    loaded = bag.data.tobytes()
+    first, last = bag.names()[0], bag.names()[-1]
+    bad_sets = [({k: v for k, v in other.items() if k != last}, ConfigError, "missing"),
+                ({**other, "extra": np.zeros(1)}, ConfigError, "unexpected"),
+                ({**other, last: np.zeros(other[last].size + 1)}, ConfigError, f"shape mismatch for {last}"),
+                ({**other, last: np.full(other[last].shape, np.inf)}, NonFiniteError, last)]
+    for state, error, match in bad_sets:
+        state = {**state, first: other[first] + 1.0}  # loaded only if every array is good
+        with pytest.raises(error, match=match):
+            bag.load_state_arrays(state)
+        assert bag.data.tobytes() == loaded
+
+
+def test_add_to_a_sealed_bag_rejected():
+    bag, _ = scalar_bag()
+    AdamW(bag, lr=0.1)  # seals a bare bag
+    with pytest.raises(ContractError, match="sealed"):
+        bag.add("q", np.zeros(2))
+    with pytest.raises(ContractError, match="sealed"):
+        toy_model().bag.add("q", np.zeros(2))
+
+
+def test_adamw_rejects_a_parameter_the_backward_never_reached():
+    # The first step writes both gradients into the buffer; after zero_grad
+    # the second backward reaches only "a", and b's stale buffer entries
+    # must not stand in for its gradient.
+    bag = ParamBag()
+    a = bag.add("a", np.ones(3))
+    b = bag.add("b", np.ones(2))
+    opt = AdamW(bag, lr=0.1)
+    ad.tsum(ad.add(ad.tsum(a), ad.tsum(b))).backward()
+    opt.step()
+    bag.zero_grad()
+    ad.tsum(a).backward()
+    with pytest.raises(ContractError, match="missing gradient for b"):
+        opt.step()
+
+
+def test_adamw_rejects_a_parameter_rebound_away_from_the_buffer():
+    bag, t = scalar_bag()
+    opt = AdamW(bag, lr=0.1)
+    t.data = np.ones(1)
+    t.grad = np.ones(1)
+    with pytest.raises(ContractError, match="no longer views"):
+        opt.step()
 
 
 # ---------------------------------------------------------------------------
@@ -372,4 +492,14 @@ def test_checkpoint_array_shape_must_match_config(tmp_path):
     path = tmp_path / "ckpt.json"
     save_checkpoint(str(path), model, state=state)
     with pytest.raises(FormatError, match=f"shape mismatch for {name}"):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_with_a_non_finite_array_rejected(tmp_path):
+    model = toy_model()
+    state = model.bag.state_arrays()
+    state["head.out.b"][0] = np.nan
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(str(path), model, state=state)
+    with pytest.raises(FormatError, match=rf"{re.escape(str(path))}.*head\.out\.b"):
         load_checkpoint(str(path))
