@@ -5,8 +5,8 @@ and the canonical sample file format.
 Stages are pure functions over record lists and every stage reports a
 rejection tally, so kept + rejected always reconciles with the input
 count. The sample and group files swhnet writes are `container` files
-with a JSON sidecar manifest; the inputs (L1 records, the reanalysis
-grid, buoys) are JSON and CSV. Identical inputs and seeds reproduce
+that carry their manifest in the header; the inputs (L1 records, the
+reanalysis grid, buoys) are JSON and CSV. Identical inputs and seeds reproduce
 byte-identical outputs.
 """
 
@@ -35,7 +35,7 @@ QUALITY_FLAG_MASK = (1 << 28) - 1  # bits 1..28
 BUOY_MAX_KM = 25.0
 BUOY_MAX_S = 30.0 * 60.0
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 QC_RULES = (
     "nan_inf",
@@ -522,16 +522,16 @@ def split_dataset(samples: list[FourChannelSample], spec: SplitSpec
 def ap_matrix(samples: list[FourChannelSample], include_wind: bool) -> np.ndarray:
     """The raw (n, 4, K_ap) AP values of `samples`: each channel's AP_COLUMNS,
     then its wind speed when `include_wind`."""
-    k = len(AP_COLUMNS)
-    aps = np.zeros((len(samples), 4, k + int(include_wind)))
-    for i, s in enumerate(samples):
-        for c, ch in enumerate(s.channels):
-            aps[i, c, :k] = ch.aps
-            if include_wind:
-                if ch.wind_speed is None:
-                    raise ConfigError("use_wind is set but a sample has no wind_speed")
-                aps[i, c, k] = ch.wind_speed
-    return aps
+    n = len(samples)
+    if n == 0:
+        return np.zeros((0, 4, len(AP_COLUMNS) + int(include_wind)))
+    chans = [ch for s in samples for ch in s.channels]
+    aps = per_channel(chans, n, "aps")["aps"]
+    if not include_wind:
+        return aps
+    if any(ch.wind_speed is None for ch in chans):
+        raise ConfigError("use_wind is set but a sample has no wind_speed")
+    return np.concatenate([aps, per_channel(chans, n, "wind_speed")["wind_speed"][..., None]], axis=-1)
 
 
 def compute_ap_stats(samples: list[FourChannelSample], include_wind: bool) -> dict:
@@ -558,31 +558,7 @@ def standardize_ap(ap: np.ndarray, stats: dict) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def manifest_path(path: str) -> str:
-    return path + ".manifest.json"
-
-
-def _write_manifest(path: str, doc: dict) -> None:
-    with container.atomic_open(manifest_path(path)) as fh:
-        fh.write(json.dumps(doc, indent=1).encode("utf-8") + b"\n")
-
-
-def _read_manifest(path: str) -> dict:
-    """The sidecar manifest of a sample or group file; its schema version
-    must be SCHEMA_VERSION."""
-    try:
-        with open(manifest_path(path), "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError:
-        raise FormatError(f"missing manifest {manifest_path(path)}")
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"manifest for {path} is not valid JSON: {exc}") from exc
-    if manifest.get("schema_version") != SCHEMA_VERSION:
-        raise FormatError(f"manifest version {manifest.get('schema_version')} unsupported (expected {SCHEMA_VERSION})")
-    return manifest
-
-
-def _per_channel(items: list, n: int, *fields: str) -> dict[str, np.ndarray]:
+def per_channel(items: list, n: int, *fields: str) -> dict[str, np.ndarray]:
     """{field: (n, 4, ...) float64 array of item.field} over the
     channel-ordered items of n samples or groups."""
     arrays = {}
@@ -595,27 +571,36 @@ def _per_channel(items: list, n: int, *fields: str) -> dict[str, np.ndarray]:
     return arrays
 
 
+def _read_container(path: str, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """`container.read` of a sample or group file at SCHEMA_VERSION whose
+    header holds a manifest."""
+    header, arrays = container.read(path, kind, SCHEMA_VERSION)
+    if not isinstance(header.get("manifest"), dict):
+        raise FormatError(f"{path}: {kind} header has no manifest")
+    return header, arrays
+
+
 def write_samples(path: str, samples: list[FourChannelSample], manifest: dict) -> None:
     """A `container` file with one (n_samples, 4, ...) array per channel
-    field, plus a sidecar manifest document. A channel without wind speed
-    has has_wind False and wind_speed 0."""
+    field and `manifest` in its header. A channel without wind speed has
+    has_wind False and wind_speed 0."""
     chans = [ch for s in samples for ch in s.channels]
     n = len(samples)
     sources = sorted({s.source for s in samples})
-    container.write(path, "samples", SCHEMA_VERSION, {"sources": sources}, {
+    container.write(path, "samples", SCHEMA_VERSION, {"sources": sources, "manifest": manifest}, {
         "timestamp": np.array([s.timestamp for s in samples], dtype=np.float64),
         "source": np.array([sources.index(s.source) for s in samples], dtype=np.int64),
-        **_per_channel(chans, n, "sp_lat", "sp_lon", "ddms", "aps", "swh_ref"),
+        **per_channel(chans, n, "sp_lat", "sp_lon", "ddms", "aps", "swh_ref"),
         "has_wind": np.array([c.wind_speed is not None for c in chans], dtype=bool).reshape(n, 4),
         "wind_speed": np.array([c.wind_speed if c.wind_speed is not None else 0.0 for c in chans],
                                dtype=np.float64).reshape(n, 4),
     })
-    _write_manifest(path, {"schema_version": SCHEMA_VERSION, "n_samples": n, **manifest})
 
 
 def read_samples(path: str) -> tuple[list[FourChannelSample], dict]:
-    manifest = _read_manifest(path)
-    header, a = container.read(path, "samples", SCHEMA_VERSION)
+    """The samples of a file written by write_samples and its manifest,
+    with n_samples counted from the arrays."""
+    header, a = _read_container(path, "samples")
     try:
         ts, src, lat, lon, ref, has, wind = (a[k].tolist() for k in (
             "timestamp", "source", "sp_lat", "sp_lon", "swh_ref", "has_wind", "wind_speed"))
@@ -625,9 +610,7 @@ def read_samples(path: str) -> tuple[list[FourChannelSample], dict]:
             for c in range(4)]) for i in range(len(ts))]
     except (KeyError, IndexError, TypeError) as exc:
         raise FormatError(f"{path}: malformed sample arrays: {exc}") from exc
-    if manifest.get("n_samples") not in (None, len(samples)):
-        raise FormatError(f"{path} holds {len(samples)} samples but the manifest declares {manifest['n_samples']}")
-    return samples, manifest
+    return samples, {**header["manifest"], "n_samples": len(samples)}
 
 
 def read_l1_records(path: str) -> list[dict]:
@@ -698,25 +681,22 @@ def read_buoys(path: str) -> list[BuoyRecord]:
 
 def write_groups(path: str, groups: list[list[L1Record]], tally: dict) -> None:
     """A `container` file with one (n_groups, 4, ...) array per persisted
-    record field, plus a sidecar manifest document."""
+    record field and the QC and alignment `tally` in its header's manifest."""
     recs = [r for group in groups for r in group]
     n = len(groups)
-    container.write(path, "groups", SCHEMA_VERSION, {}, {
-        **_per_channel(recs, n, "timestamp", "sp_lat", "sp_lon", "ddms", "rcg"),
+    container.write(path, "groups", SCHEMA_VERSION, {"manifest": {"tally": tally}}, {
+        **per_channel(recs, n, "timestamp", "sp_lat", "sp_lon", "ddms", "rcg"),
         "channel": np.array([r.channel for r in recs], dtype=np.int64).reshape(n, 4),
         "aps": np.array([[r.aps[k] for k in BASE_AP_FIELDS] for r in recs],
                         dtype=np.float64).reshape(n, 4, len(BASE_AP_FIELDS)),
     })
-    _write_manifest(path, {"schema_version": SCHEMA_VERSION, "n_groups": n, "tally": tally})
 
 
 def read_groups(path: str) -> list[list[L1Record]]:
     """Groups written by write_groups: records are post-screening, so the
     screening-only fields (geometry, flags) are not persisted and are
-    restored as pass-through placeholders. The sidecar manifest must be
-    present, at SCHEMA_VERSION, and agree on the group count."""
-    manifest = _read_manifest(path)
-    _, a = container.read(path, "groups", SCHEMA_VERSION)
+    restored as pass-through placeholders."""
+    _, a = _read_container(path, "groups")
     try:
         ts, ch, lat, lon, aps, rcg = (a[k].tolist() for k in (
             "timestamp", "channel", "sp_lat", "sp_lon", "aps", "rcg"))
@@ -729,6 +709,4 @@ def read_groups(path: str) -> list[list[L1Record]]:
             for i in range(len(ts))]
     except (KeyError, IndexError, TypeError) as exc:
         raise FormatError(f"{path}: malformed group arrays: {exc}") from exc
-    if manifest.get("n_groups") not in (None, len(groups)):
-        raise FormatError(f"{path} holds {len(groups)} groups but the manifest declares {manifest['n_groups']}")
     return groups

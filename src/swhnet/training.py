@@ -25,7 +25,7 @@ from .config import ModelConfig, TrainConfig
 from .container import atomic_open_text
 from .errors import ConfigError, ContractError
 from .model import WaveHeightModel, batch_loss
-from .pipeline import ap_matrix, standardize_ap
+from .pipeline import ap_matrix, per_channel, standardize_ap
 
 # Sizes a no-grad evaluation batch as if each sample held its (M, d_ff)
 # feedforward hidden array, the largest activation a training forward keeps.
@@ -73,21 +73,10 @@ def to_model_dataset(samples, stats: dict, use_wind: bool) -> ModelDataset:
     if n == 0:
         return ModelDataset(ddms=np.zeros((0, 4, 3, 1, 1)), aps=aps, refs=np.zeros((0, 4)),
                             timestamps=np.zeros(0), lats=np.zeros((0, 4)), lons=np.zeros((0, 4)))
-    w, h = samples[0].channels[0].ddms.shape[1:]
-    ddms = np.zeros((n, 4, 3, w, h))
-    refs = np.zeros((n, 4))
-    timestamps = np.zeros(n)
-    lats = np.zeros((n, 4))
-    lons = np.zeros((n, 4))
-    for i, s in enumerate(samples):
-        timestamps[i] = s.timestamp
-        for c, ch in enumerate(s.channels):
-            ddms[i, c] = ch.ddms
-            refs[i, c] = ch.swh_ref
-            lats[i, c] = ch.sp_lat
-            lons[i, c] = ch.sp_lon
-    return ModelDataset(ddms=ddms, aps=standardize_ap(aps, stats), refs=refs,
-                        timestamps=timestamps, lats=lats, lons=lons)
+    a = per_channel([ch for s in samples for ch in s.channels], n, "ddms", "swh_ref", "sp_lat", "sp_lon")
+    return ModelDataset(ddms=a["ddms"], aps=standardize_ap(aps, stats), refs=a["swh_ref"],
+                        timestamps=np.array([s.timestamp for s in samples], dtype=np.float64),
+                        lats=a["sp_lat"], lons=a["sp_lon"])
 
 
 @dataclass

@@ -365,8 +365,7 @@ def test_criterion_12_reproducibility(tmp_path):
                          "--checkpoint", str(root / "run" / "checkpoint.json"),
                          "--out-dir", str(root / "eval")]) == 0
         artifacts[run] = {
-            "samples": data.read_bytes(),
-            "manifest": (root / "samples.jsonl.manifest.json").read_bytes(),
+            "samples": data.read_bytes(),  # its header holds the manifest
             "checkpoint": (root / "run" / "checkpoint.json").read_bytes(),
             "history": (root / "run" / "history.csv").read_bytes(),
             "metrics": (root / "eval" / "metrics.json").read_bytes(),

@@ -12,7 +12,7 @@ from swhnet.checkpoint import FORMAT_VERSION
 from swhnet.cli import main
 from swhnet.config import load_config, model_config
 from swhnet.model import WaveHeightModel
-from swhnet.pipeline import parse_time, read_samples, write_era5_grid, Era5Grid
+from swhnet.pipeline import SCHEMA_VERSION, parse_time, read_samples, write_era5_grid, Era5Grid
 
 TOY = {
     "width": 4,
@@ -153,10 +153,10 @@ def test_pipeline_commands_era5_and_buoy(tmp_path, toy_config, l1_file, grid_fil
     groups = tmp_path / "groups.jsonl"
     assert main(["preprocess", "--config", toy_config, "--input", l1_file,
                  "--out", str(groups)]) == 0
-    gm = json.loads((tmp_path / "groups.jsonl.manifest.json").read_text())
-    assert gm["tally"]["qc"]["solar_contamination"] == 1
-    assert gm["tally"]["align"]["incomplete_channels"] == 1
-    assert gm["n_groups"] == 12
+    header, arrays = container.read(str(groups), "groups", SCHEMA_VERSION)
+    assert header["manifest"]["tally"]["qc"]["solar_contamination"] == 1
+    assert header["manifest"]["tally"]["align"]["incomplete_channels"] == 1
+    assert arrays["timestamp"].shape[0] == 12
 
     samples = tmp_path / "era5_samples.jsonl"
     assert main(["match-era5", "--config", toy_config, "--input", str(groups),

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import match_buoy_record_oracle
-from swhnet import pipeline
+from swhnet import cli, container, pipeline
 from swhnet.config import SplitSpec
 from swhnet.errors import ConfigError, ContractError, FormatError
 from swhnet.pipeline import (BUOY_MAX_S, BuoyRecord, ChannelObs, Era5Grid, FourChannelSample,
@@ -693,17 +693,47 @@ def test_sample_file_truncation_and_version(tmp_path):
     with pytest.raises(FormatError):
         read_samples(str(path))
     # another format version in the data file's header
-    path.write_bytes(raw.replace(b'"format_version": 2', b'"format_version": 99', 1))
+    version = f'"format_version": {pipeline.SCHEMA_VERSION}'.encode()
+    path.write_bytes(raw.replace(version, b'"format_version": 99', 1))
     with pytest.raises(FormatError, match="version 99"):
         read_samples(str(path))
-    # corrupt manifest version
-    path.write_bytes(raw)
-    mpath = tmp_path / "samples.jsonl.manifest.json"
-    doc = json.loads(mpath.read_text())
-    doc["schema_version"] = 99
-    mpath.write_text(json.dumps(doc))
-    with pytest.raises(FormatError):
-        read_samples(str(path))
+
+
+def _sample_fields(samples):
+    return [(s.timestamp, s.source, [(ch.swh_ref, ch.aps.tolist(), ch.ddms.tobytes()) for ch in s.channels])
+            for s in samples]
+
+
+def test_interrupted_sample_write_keeps_previous_file(tmp_path, monkeypatch):
+    """A write_samples that fails at any of its renames leaves the previous
+    file's samples together with the previous file's manifest."""
+    path = str(tmp_path / "samples.jsonl")
+    old = [sample_with_refs([1, 1, 1, 1], ts=1.0), sample_with_refs([1, 2, 1, 2], ts=2.0)]
+    new = [sample_with_refs([3, 3, 3, 3], ts=5.0), sample_with_refs([4, 4, 4, 4], ts=6.0)]
+    write_samples(path, old, {"config_hash": "run-A", "standardization": {"mean": [0.0], "std": [1.0]}})
+    want_samples, want_manifest = read_samples(path)
+    real_replace = container.os.replace
+    calls = []
+
+    def replace(src, dst):
+        calls.append(dst)
+        if len(calls) == fail_at:
+            raise OSError(f"interrupted at rename {fail_at}")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(container.os, "replace", replace)
+    fail_at = 0
+    write_samples(str(tmp_path / "count.jsonl"), new, {})
+    n_renames = len(calls)
+    assert n_renames
+    for fail_at in range(1, n_renames + 1):
+        calls.clear()
+        with pytest.raises(OSError, match="interrupted"):
+            write_samples(path, new, {"config_hash": "run-B", "standardization": {"mean": [5.0], "std": [2.0]}})
+        got_samples, got_manifest = read_samples(path)
+        assert got_manifest == want_manifest
+        assert _sample_fields(got_samples) == _sample_fields(want_samples)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["count.jsonl", "samples.jsonl"]
 
 
 def test_group_file_roundtrip_bit_identical(tmp_path):
@@ -726,35 +756,40 @@ def test_group_file_roundtrip_bit_identical(tmp_path):
     path2 = tmp_path / "again.jsonl"
     write_groups(str(path2), loaded, {"qc": {}})
     assert path.read_bytes() == path2.read_bytes()
-    assert json.loads((tmp_path / "groups.jsonl.manifest.json").read_text())["n_groups"] == 3
+    header, _ = container.read(str(path), "groups", pipeline.SCHEMA_VERSION)
+    assert header["manifest"] == {"tally": {"qc": {}}}
+    assert not list(tmp_path.glob("*.manifest.json"))
 
 
-def _group_file(tmp_path):
-    path = tmp_path / "groups.jsonl"
-    write_groups(str(path), [make_records(100.0 + i, [1, 2, 3, 4]) for i in range(2)], {"qc": {}})
-    return path, tmp_path / "groups.jsonl.manifest.json"
+def _rewrite_header(path, edit):
+    """Rewrite the JSON header line of a container file through `edit`."""
+    header, rest = path.read_bytes().split(b"\n", 1)
+    doc = json.loads(header)
+    edit(doc)
+    path.write_bytes(json.dumps(doc).encode() + b"\n" + rest)
 
 
-def test_group_file_missing_manifest_rejected(tmp_path):
-    path, mpath = _group_file(tmp_path)
-    mpath.unlink()
-    with pytest.raises(FormatError, match="missing manifest"):
-        read_groups(str(path))
+def _sample_and_group_files(tmp_path):
+    samples, groups = tmp_path / "samples.jsonl", tmp_path / "groups.jsonl"
+    write_samples(str(samples), [sample_with_refs([1, 1, 1, 1], ts=1.0)], {"config_hash": "h"})
+    write_groups(str(groups), [make_records(100.0 + i, [1, 2, 3, 4]) for i in range(2)], {"qc": {}})
+    return (samples, read_samples), (groups, read_groups)
 
 
-def test_group_file_v1_manifest_rejected(tmp_path):
-    path, mpath = _group_file(tmp_path)
-    doc = json.loads(mpath.read_text())
-    doc["schema_version"] = 1
-    mpath.write_text(json.dumps(doc))
-    with pytest.raises(FormatError, match="version 1 unsupported"):
-        read_groups(str(path))
+def test_version_2_sample_and_group_files_rejected(tmp_path):
+    for path, read in _sample_and_group_files(tmp_path):
+        _rewrite_header(path, lambda doc: doc.update(format_version=2))
+        with pytest.raises(FormatError, match="version 2 unsupported"):
+            read(str(path))
 
 
-def test_group_file_manifest_count_must_match(tmp_path):
-    path, mpath = _group_file(tmp_path)
-    doc = json.loads(mpath.read_text())
-    doc["n_groups"] = 3
-    mpath.write_text(json.dumps(doc))
-    with pytest.raises(FormatError, match="holds 2 groups but the manifest declares 3"):
-        read_groups(str(path))
+def test_header_without_manifest_rejected(tmp_path):
+    for path, read in _sample_and_group_files(tmp_path):
+        _rewrite_header(path, lambda doc: doc.pop("manifest"))
+        with pytest.raises(FormatError, match="no manifest"):
+            read(str(path))
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    assert cli.main(["train", "--config", str(config), "--data", str(tmp_path / "samples.jsonl"),
+                     "--out-dir", str(tmp_path / "run")]) == 2
+    assert not (tmp_path / "run").exists()

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from swhnet import container
 from swhnet.config import SynthSpec
 from swhnet.metrics import channel_sd_percentile
-from swhnet.pipeline import parse_time, read_samples, write_samples
+from swhnet.pipeline import SCHEMA_VERSION, parse_time, read_samples, write_samples
 from swhnet.synth import generate, nbrcs_from_swh, swh_from_nbrcs
 
 
@@ -83,4 +84,6 @@ def test_roundtrip_through_canonical_file(tmp_path):
     loaded, manifest = read_samples(str(path))
     assert len(loaded) == len(samples)
     assert loaded[0].channels[0].wind_speed == pytest.approx(samples[0].channels[0].wind_speed)
-    assert manifest["n_samples"] == 50
+    assert manifest == {"config_hash": "h", "n_samples": 50}
+    header, _ = container.read(str(path), "samples", SCHEMA_VERSION)
+    assert header["manifest"] == {"config_hash": "h"}
