@@ -15,8 +15,9 @@ Design notes:
   * Any forward op that produces NaN/Inf from finite inputs raises
     NonFiniteError immediately instead of propagating. A fused op checks
     once per call, where overflow can arise, not every intermediate.
-  * The fused ops keep only O(M) or O(M * d_ff) arrays for backward and
-    recompute the rest there, instead of a tape node per intermediate.
+  * The fused ops keep only O(M) float arrays, and `ffn` a one-byte
+    (M, d_ff) dropout mask, for backward and recompute the rest there,
+    instead of a tape node per intermediate.
     They run over tiles of at most TILE_BYTES, sized to a core's L2
     cache, and make every elementwise pass over a tile while it is there.
   * backward() accumulates: a second call without zeroing adds gradients.
@@ -43,10 +44,10 @@ _grad_enabled = True
 # probabilities (see `_tiles`). A tile stays in a core's 2 MB L2 cache, so
 # each elementwise pass over it reads cache, not memory. Swept from 256 KB
 # to 2 MB, paper-default training time was flat within its noise and the
-# feedforward forward was fastest at 512 KB, where its two tile-sized
-# buffers (hidden rows and mask) fill half of L2. Small models take a whole
-# batch in one tile, where per-tile Python and numpy call overhead would
-# dominate.
+# feedforward forward was fastest at 512 KB, where its two float tile-sized
+# buffers (hidden rows and dropout draws) fill half of L2. Small models take
+# a whole batch in one tile, where per-tile Python and numpy call overhead
+# would dominate.
 TILE_BYTES = 512 << 10
 
 
@@ -802,8 +803,10 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     order), or a list of one per sample, from which each sample draws its
     own masks as if it ran alone. The tile size never changes a mask. The
     1/(1-p) scale is applied to the (rows, d) output and w2's gradient, not
-    to the wider hidden array. Backward keeps only the unscaled
-    post-dropout hidden array, and none under no_grad: d(pre) = d(hidden) *
+    to the wider hidden array. Backward keeps no hidden array, only the
+    keep masks as one byte a unit (nothing without dropout or under
+    no_grad), and rebuilds each tile of the unscaled post-dropout hidden
+    array with the forward's own calls, so bit for bit: d(pre) = d(hidden) *
     scale where hidden > 0, tile by tile, with weight and bias gradients
     summed over the tiles.
     """
@@ -843,26 +846,35 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     spans = [(u0 * m + r0, (u1 - 1) * m + r1) for u0, u1, r0, r1 in tiles]  # in folded rows
     tile_rows = shape[0] * shape[1]
     keep = _grad_enabled and any(t.requires_grad for t in (x, w1, b1, w2, b2))
-    hidden = np.empty((len(groups), n * m, width)) if keep else None
-    buf = None if keep else np.empty((tile_rows, width))
-    mask = np.empty((tile_rows, width)) if drop else None
+    draw = mask = None
+    if drop:  # keep masks, one byte a unit: all of them when a backward follows, else one tile's
+        draw = np.empty((tile_rows, width))
+        mask = np.empty((len(groups), n * m, width) if keep else (1, tile_rows, width), dtype=bool)
+
+    def hidden(gi: int, lo: int, hi: int, kept: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+        """Rows lo:hi of group gi's hidden array, ReLU'd and, with a keep
+        mask, dropped but unscaled, written into `out`."""
+        h = np.matmul(xa[gi, lo:hi], groups[gi][1], out=out[:hi - lo])
+        np.maximum(h, 0.0, out=h)
+        if kept is not None:
+            h *= kept
+        return h
+
+    buf = np.empty((tile_rows, width))
     out = np.empty((n * m, d))
     for gi, (cols, w1b, w2g) in enumerate(groups):
         for lo, hi in spans:
-            h = hidden[gi, lo:hi] if keep else buf[:hi - lo]
-            np.matmul(xa[gi, lo:hi], w1b, out=h)
-            np.maximum(h, 0.0, out=h)
+            kept = None
             if drop:
-                kept = mask[:hi - lo]
+                u = draw[:hi - lo]
                 if isinstance(rng, np.random.Generator):
-                    rng.random(out=kept)
+                    rng.random(out=u)
                 else:
                     for s in range(lo // m, (hi - 1) // m + 1):
                         a, b = max(lo, s * m), min(hi, (s + 1) * m)
-                        rng[s].random(out=kept[a - lo:b - lo])
-                np.greater_equal(kept, p, out=kept)
-                h *= kept
-            np.matmul(h, w2g, out=out[lo:hi, cols])
+                        rng[s].random(out=u[a - lo:b - lo])
+                kept = np.greater_equal(u, p, out=mask[gi, lo:hi] if keep else mask[0, :hi - lo])
+            np.matmul(hidden(gi, lo, hi, kept, buf), w2g, out=out[lo:hi, cols])
     if drop:
         out *= scale
     out += b2.data
@@ -877,11 +889,12 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
         gx = np.empty((n * m, d))
         gw1b = np.zeros((len(groups),) + groups[0][1].shape)
         gw2 = np.zeros((len(groups),) + groups[0][2].shape)
-        pre = np.empty((tile_rows, width))
+        buf, pre = np.empty((tile_rows, width)), np.empty((tile_rows, width))
         for gi, (cols, w1b, w2g) in enumerate(groups):
             w2t = w2g.T * scale
             for lo, hi in spans:
-                h, gt = hidden[gi, lo:hi], gr[lo:hi, cols]
+                h = hidden(gi, lo, hi, mask[gi, lo:hi] if drop else None, buf)
+                gt = gr[lo:hi, cols]
                 if w2.requires_grad:
                     gw2[gi] += h.T @ gt
                 if not inner:

@@ -627,20 +627,6 @@ def read_l1_records(path: str) -> list[dict]:
     return docs
 
 
-def write_era5_grid(path: str, grid: Era5Grid) -> None:
-    doc = {
-        "schema_version": 1,  # the grid is an interchange format; its schema is unchanged
-        "times": grid.times.tolist(),
-        "lats": grid.lats.tolist(),
-        "lons": grid.lons.tolist(),
-        "swh": grid.swh.tolist(),
-        "mask": grid.mask.astype(int).tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
-
-
 def read_era5_grid(path: str) -> Era5Grid:
     try:
         with open(path, "r", encoding="utf-8") as fh:

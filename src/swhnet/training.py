@@ -27,14 +27,15 @@ from .errors import ConfigError, ContractError
 from .model import WaveHeightModel, batch_loss
 from .pipeline import ap_matrix, per_channel, standardize_ap
 
-# Sizes a no-grad evaluation batch as if each sample held its (M, d_ff)
-# feedforward hidden array, the largest activation a training forward keeps.
-# Evaluation keeps none: `ffn` runs in tiles of autodiff.TILE_BYTES, and a
-# paper-default batch of 3 peaks near 1.2 MB above its inputs. So this is a
-# size rule, not a memory bound: small models fit a whole split in one
-# batch, where batching pays, and the paper default (9.6 MB a sample) takes
-# 3 samples a batch, where evaluation speed and peak RSS measured the same
-# with 1, 3 or 4.
+# Sizes a no-grad evaluation batch as if each sample held its float (M, d_ff)
+# feedforward hidden array. No forward keeps one: `ffn` runs in tiles of
+# autodiff.TILE_BYTES, a training forward keeps only its one-byte dropout
+# mask, and a paper-default evaluation batch of 3 peaks near 1.2 MB above its
+# inputs. So this is a size rule, not a memory bound, kept because
+# evaluation bits depend on batch composition: small models fit a whole
+# split in one batch, where batching pays, and the paper default (9.6 MB a
+# sample) takes 3 samples a batch, where evaluation speed and peak RSS
+# measured the same with 1, 3 or 4.
 EVAL_BATCH_BYTES = 32 << 20
 
 # Elements per slice of the parameter buffer that AdamW.step updates at a
@@ -178,8 +179,8 @@ class EarlyStopper:
 
 
 def eval_batch_size(cfg: ModelConfig) -> int:
-    """Samples per no-grad evaluation batch: as many as keep the batch's
-    feedforward hidden arrays within EVAL_BATCH_BYTES, at least one."""
+    """Samples per no-grad evaluation batch: as many as would fit the batch's
+    float feedforward hidden arrays in EVAL_BATCH_BYTES, at least one."""
     return max(1, EVAL_BATCH_BYTES // (8 * cfg.flat_len * cfg.d_ff))
 
 
@@ -228,8 +229,7 @@ def train(model: WaveHeightModel, train_set: ModelDataset, val_set: ModelDataset
     rng = np.random.default_rng([tcfg.seed, 1])
     stopper = EarlyStopper(tcfg.patience)
     history: list[dict] = []
-    best_state = model.bag.state_arrays()
-    best_meta = None
+    best_state = best_meta = None
 
     for epoch in range(1, tcfg.max_epochs + 1):
         order = rng.permutation(len(train_set))
@@ -262,7 +262,7 @@ def train(model: WaveHeightModel, train_set: ModelDataset, val_set: ModelDataset
         if stop:
             break
 
-    if best_meta is None:  # no epoch improved on +inf is impossible, but stay safe
+    if best_meta is None:  # no validation average was below +inf, e.g. all NaN
         raise ContractError("training produced no validation measurements")
     model.bag.load_state_arrays(best_state)
     return TrainResult(history=history, best_state=best_state,

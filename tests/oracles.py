@@ -4,11 +4,14 @@ Everything here is written with explicit loops and no reuse of package
 internals, so the network implementation is checked against genuinely
 independent arithmetic. The exceptions are `softmax_rows`, an autodiff
 node of its own, `encoder_forward_per_channel`, which keeps the
-channel-by-channel embedding as the reference for the batched one, and
+channel-by-channel embedding as the reference for the batched one,
 `match_buoy_record_oracle`, the brute-force buoy scan that the indexed
 matcher must reproduce exactly, so it shares the scalar `haversine_km`,
-and `PerParameterAdamW`, the optimizer as it ran before the parameters
-shared one buffer, which the one-pass `AdamW` must reproduce bit for bit.
+`PerParameterAdamW`, the optimizer as it ran before the parameters
+shared one buffer, which the one-pass `AdamW` must reproduce bit for bit,
+and `kept_hidden_ffn`, the fused feedforward as it ran when it kept the
+float hidden array for backward, which `autodiff.ffn`'s recompute from a
+one-byte mask must reproduce bit for bit.
 """
 
 import math
@@ -16,7 +19,7 @@ import math
 import numpy as np
 
 from swhnet import autodiff as ad
-from swhnet.autodiff import Tensor, _as_tensor
+from swhnet.autodiff import Tensor, _as_tensor, _check_dropout, _rows, _tiles
 from swhnet.errors import ConfigError, ContractError, ShapeError
 from swhnet.pipeline import BUOY_MAX_KM, BUOY_MAX_S, haversine_km
 
@@ -275,3 +278,83 @@ class PerParameterAdamW:
                 s1 += s2
                 np.multiply(lr, s1, out=s1)
                 w -= s1
+
+
+def kept_hidden_ffn(x, w1, b1, w2, b2, p, train, rng=None):
+    """`autodiff.ffn` as it ran when it kept each group's float (rows, d_ff)
+    post-dropout hidden array for backward instead of a one-byte mask: the
+    same tiles, draws and products, with backward reading the kept array."""
+    x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
+    drop = _check_dropout(p, train, rng)
+    scale = 1.0 / (1.0 - p) if drop else 1.0
+    m, d = x.shape[-2:]
+    blocks = b1.ndim == 2
+    n, m = (x.shape[0], math.prod(x.shape[1:-1])) if x.ndim > 2 else (1, m)
+    xr = _rows(x.data)
+    if blocks:
+        xa = np.ones((d, n * m, 2))
+        xa[:, :, 0] = xr.T
+        groups = [(slice(c, c + 1), np.stack([w1.data[c], b1.data[c]]), w2.data[c][:, None]) for c in range(d)]
+    else:
+        xa = np.ones((1, n * m, d + 1))
+        xa[0, :, :d] = xr
+        groups = [(slice(None), np.vstack([w1.data, b1.data]), w2.data)]
+    width = b1.shape[-1]
+    shape, tiles = _tiles(n, m, 8 * width)
+    spans = [(u0 * m + r0, (u1 - 1) * m + r1) for u0, u1, r0, r1 in tiles]
+    tile_rows = shape[0] * shape[1]
+    keep = ad._grad_enabled and any(t.requires_grad for t in (x, w1, b1, w2, b2))
+    hidden = np.empty((len(groups), n * m, width)) if keep else None
+    buf = None if keep else np.empty((tile_rows, width))
+    mask = np.empty((tile_rows, width)) if drop else None
+    out = np.empty((n * m, d))
+    for gi, (cols, w1b, w2g) in enumerate(groups):
+        for lo, hi in spans:
+            h = hidden[gi, lo:hi] if keep else buf[:hi - lo]
+            np.matmul(xa[gi, lo:hi], w1b, out=h)
+            np.maximum(h, 0.0, out=h)
+            if drop:
+                kept = mask[:hi - lo]
+                if isinstance(rng, np.random.Generator):
+                    rng.random(out=kept)
+                else:
+                    for s in range(lo // m, (hi - 1) // m + 1):
+                        a, b = max(lo, s * m), min(hi, (s + 1) * m)
+                        rng[s].random(out=kept[a - lo:b - lo])
+                np.greater_equal(kept, p, out=kept)
+                h *= kept
+            np.matmul(h, w2g, out=out[lo:hi, cols])
+    if drop:
+        out *= scale
+    out += b2.data
+
+    def _bw(g):
+        gr = _rows(g)
+        if b2.requires_grad:
+            b2._accumulate(gr.sum(axis=0))
+        inner = x.requires_grad or w1.requires_grad or b1.requires_grad
+        if not (inner or w2.requires_grad):
+            return
+        gx = np.empty((n * m, d))
+        gw1b = np.zeros((len(groups),) + groups[0][1].shape)
+        gw2 = np.zeros((len(groups),) + groups[0][2].shape)
+        pre = np.empty((tile_rows, width))
+        for gi, (cols, w1b, w2g) in enumerate(groups):
+            w2t = w2g.T * scale
+            for lo, hi in spans:
+                h, gt = hidden[gi, lo:hi], gr[lo:hi, cols]
+                if w2.requires_grad:
+                    gw2[gi] += h.T @ gt
+                if not inner:
+                    continue
+                pt = np.matmul(gt, w2t, out=pre[:hi - lo])
+                pt *= h > 0.0
+                gw1b[gi] += xa[gi, lo:hi].T @ pt
+                if x.requires_grad:
+                    np.matmul(pt, w1b[:-1].T, out=gx[lo:hi, cols])
+        gw2 *= scale
+        for t, grad in ((x, gx), (w1, gw1b[:, :-1]), (b1, gw1b[:, -1]), (w2, gw2)):
+            if t.requires_grad:
+                t._accumulate(grad.reshape(t.shape))
+
+    return Tensor._from_op(out.reshape(x.shape), (x, w1, b1, w2, b2), _bw, "ffn")

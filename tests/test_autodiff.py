@@ -549,6 +549,41 @@ def test_ffn_gradcheck_one_row_tiles(monkeypatch, strategy):
                                           probe)), [batch] + weights)
 
 
+@pytest.mark.parametrize("strategy", ["CI", "CD"])
+@pytest.mark.parametrize("p", [0.0, 0.4])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("one_row_tiles", [True, False], ids=["one_row_tiles", "default_tiles"])
+def test_ffn_recompute_matches_kept_hidden_bit_for_bit(monkeypatch, strategy, p, batch, one_row_tiles):
+    """Rebuilding the hidden tiles in backward from the one-byte keep mask
+    gives the output and all five gradients byte for byte as keeping the
+    float hidden array did. Paper widths over M = 40 rows: default CD tiles
+    are blocks of 32 rows of one sample, default CI tiles whole batches."""
+    from oracles import kept_hidden_ffn
+    if one_row_tiles:
+        monkeypatch.setattr(ad, "TILE_BYTES", 1)
+    rng = np.random.default_rng(90)
+    m = 40
+    shapes = [(4, 2048), (2048,), (2048, 4), (4,)] if strategy == "CD" else [(4, 512), (4, 512), (4, 512), (4,)]
+    weights = [rng.normal(scale=0.5, size=s) for s in shapes]
+    x = rng.normal(size=(batch, m, 4))
+    probe = rng.normal(size=(batch, m, 4))
+
+    def run(op):
+        if p == 0.0:
+            gens = None
+        elif batch == 1:
+            gens = np.random.default_rng(91)
+        else:
+            gens = [np.random.default_rng(91 + b) for b in range(batch)]
+        ts = [ad.Tensor(a, requires_grad=True) for a in [x] + weights]
+        out = op(*ts, p, True, gens)
+        ad.tsum(ad.mul(out, probe)).backward()
+        return [out.data] + [t.grad for t in ts]
+
+    for got, want in zip(run(ad.ffn), run(kept_hidden_ffn)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_ffn_rejects_mismatched_weights():
     x, w1, b1, w2, b2 = ffn_case("CD", 3, seed=36)
     with pytest.raises(ShapeError):

@@ -12,7 +12,7 @@ from swhnet.checkpoint import FORMAT_VERSION
 from swhnet.cli import main
 from swhnet.config import load_config, model_config
 from swhnet.model import WaveHeightModel
-from swhnet.pipeline import SCHEMA_VERSION, parse_time, read_samples, write_era5_grid, Era5Grid
+from swhnet.pipeline import SCHEMA_VERSION, parse_time, read_samples, Era5Grid
 
 TOY = {
     "width": 4,
@@ -74,6 +74,15 @@ def l1_file(tmp_path):
         for d in docs:
             fh.write(json.dumps(d) + "\n")
     return str(path)
+
+
+def write_era5_grid(path, grid):
+    """The ERA5 grid interchange JSON that `swhnet match-era5 --grid` reads."""
+    doc = {"schema_version": 1, "times": grid.times.tolist(), "lats": grid.lats.tolist(),
+           "lons": grid.lons.tolist(), "swh": grid.swh.tolist(), "mask": grid.mask.astype(int).tolist()}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+        fh.write("\n")
 
 
 @pytest.fixture()

@@ -276,10 +276,14 @@ def test_global_only_head_input():
     assert model.predict_sample(ddm, ap).shape == (4,)
 
 
-def test_paper_default_train_forward_holds_under_100mb():
+def test_paper_default_train_forward_holds_two_bytes_per_hidden_unit():
     """Memory still held after one paper-default training forward, before
-    backward: the fused attention and feedforward keep O(M) and O(M d_ff)
-    arrays per layer, not the M x M probabilities or a node per op."""
+    backward: the fused attention keeps O(M) arrays per layer, not the M x M
+    probabilities, and the feedforward a one-byte keep mask per hidden unit,
+    not the float hidden array. The bound, two bytes per hidden unit of all
+    layers (14.4 MB), leaves room for the mask, the attention's arrays and
+    the embedding, AP branch and head, and fails if any layer kept its
+    float hidden array (4.8 MB more each)."""
     cfg = ModelConfig()
     model = WaveHeightModel(cfg)
     rng = np.random.default_rng(0)
@@ -293,7 +297,8 @@ def test_paper_default_train_forward_holds_under_100mb():
     finally:
         tracemalloc.stop()
     assert out.requires_grad
-    assert held < 100e6, f"{held / 1e6:.0f} MB held after one training forward"
+    bound = 2 * cfg.n_layers * cfg.flat_len * cfg.d_ff
+    assert held < bound, f"{held / 1e6:.1f} MB held after one training forward (bound {bound / 1e6:.1f} MB)"
 
 
 def traced_paper_default_backward(strategy):

@@ -291,6 +291,35 @@ def test_train_returns_best_not_last():
     assert validation_rmse(model, val).mean() == pytest.approx(result.best_meta.val_rmse_avg)
 
 
+@pytest.mark.parametrize("avgs, improving", [([3.0, 2.0, 2.5, 1.0, 1.5], 3), ([float("nan")] * 3, 0)])
+def test_train_copies_the_state_once_per_improving_epoch(monkeypatch, avgs, improving):
+    """The best state is copied when an epoch improves and at no other
+    time; the model ends holding the last copy. With no improving epoch,
+    training fails before loading any state."""
+    model = toy_model()
+    ds = toy_dataset(model.cfg, 8, seed=1)
+    scripted = iter(avgs)
+    monkeypatch.setattr(training, "validation_rmse", lambda model, val: np.full(4, next(scripted)))
+    copies = []
+    state_arrays = ParamBag.state_arrays
+
+    def counting(bag):
+        copies.append(state_arrays(bag))
+        return copies[-1]
+
+    monkeypatch.setattr(ParamBag, "state_arrays", counting)
+    tcfg = small_tcfg(max_epochs=len(avgs), patience=len(avgs))
+    if not improving:
+        with pytest.raises(ContractError):
+            train(model, ds, ds, tcfg)
+        assert copies == []
+        return
+    result = train(model, ds, ds, tcfg)
+    assert len(copies) == improving
+    assert result.best_meta.epoch == 4 and result.best_state is copies[-1]
+    assert model.bag.data.tobytes() == b"".join(a.tobytes() for a in copies[-1].values())
+
+
 def test_epoch_log_reports_training_time_and_throughput():
     model = toy_model()
     ds = toy_dataset(model.cfg, 12, seed=1)
