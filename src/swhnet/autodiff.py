@@ -191,14 +191,17 @@ class ParamBag:
             return
         total = sum(p.data.size for p in self._params.values())
         self.data, self.grad = np.empty(total), np.empty(total)
-        lo = 0
-        for p in self._params.values():
-            hi = lo + p.data.size
-            view = self.data[lo:hi].reshape(p.data.shape)
+        for p, view, grad_view in zip(self._params.values(), self._views(self.data), self._views(self.grad)):
             np.copyto(view, p.data)
-            p.data = view
-            p._grad_view = self.grad[lo:hi].reshape(view.shape)
-            lo = hi
+            p.data, p._grad_view = view, grad_view
+
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Each parameter's view, in order, of `flat`, a buffer of the sealed layout."""
+        views, lo = [], 0
+        for p in self._params.values():
+            views.append(flat[lo:lo + p.data.size].reshape(p.data.shape))
+            lo += p.data.size
+        return views
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -244,29 +247,34 @@ class ParamBag:
         return self.data, self.grad
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        """Copies of all parameter arrays, keyed by name."""
-        return {k: p.data.copy() for k, p in self._params.items()}
+        """A copy of all parameter arrays, keyed by name: views of one flat
+        copy of the buffer (the bag is sealed first if it is not yet)."""
+        self.seal()
+        return dict(zip(self._params, self._views(self.data.copy())))
+
+    def check_shapes(self, shapes: dict) -> None:
+        """Raise ConfigError unless `shapes` gives every parameter, and
+        nothing else, by name, with the parameter's shape."""
+        missing = set(self._params) - set(shapes)
+        extra = set(shapes) - set(self._params)
+        if missing or extra:
+            raise ConfigError(
+                f"parameter set mismatch (missing={sorted(missing)}, unexpected={sorted(extra)})"
+            )
+        for k, p in self._params.items():
+            if tuple(shapes[k]) != p.data.shape:
+                raise ConfigError(f"shape mismatch for {k}: {tuple(shapes[k])} vs {p.data.shape}")
 
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
         """Copy `state` into the parameters, which keep their arrays (and so
         their views of a sealed bag's buffer). Every array is checked, for
         its name, shape and finite values, before any is copied."""
-        missing = set(self._params) - set(state)
-        extra = set(state) - set(self._params)
-        if missing or extra:
-            raise ConfigError(
-                f"parameter set mismatch (missing={sorted(missing)}, unexpected={sorted(extra)})"
-            )
-        arrays = []
-        for k, p in self._params.items():
-            arr = np.asarray(state[k], dtype=np.float64)
-            if arr.shape != p.data.shape:
-                raise ConfigError(f"shape mismatch for {k}: {arr.shape} vs {p.data.shape}")
-            if not np.isfinite(arr).all():
+        self.check_shapes({k: np.shape(v) for k, v in state.items()})
+        for k in self._params:
+            if not np.isfinite(state[k]).all():
                 raise NonFiniteError(f"parameter {k} holds non-finite values")
-            arrays.append((p.data, arr))
-        for dst, arr in arrays:
-            np.copyto(dst, arr)
+        for k, p in self._params.items():
+            np.copyto(p.data, state[k])
 
 
 def count_params(bag: ParamBag) -> int:

@@ -3,6 +3,12 @@ header line (artifact kind, format version, metadata, and the arrays in
 file order with their shapes), then one raw `.npy` record per array.
 `.npy` records hold no timestamps, so equal arrays give equal bytes.
 
+One loop reads every file kind. It checks each record's `.npy` header
+(dtype, C order, and shape against the file header and the bytes left)
+before it allocates or writes anything, then reads the data into a fresh
+array or into a destination the caller supplies: a checkpoint's records
+go straight into the model's parameter buffer.
+
 Writes go to a temporary file beside the target that is then renamed onto
 it, so a crashed writer leaves no half-written file. There is no fsync.
 The text reports (history, predictions, metrics and plot data) are written
@@ -12,11 +18,17 @@ the same way, through `atomic_open_text`.
 import contextlib
 import io
 import json
+import math
 import os
 
 import numpy as np
+from numpy.lib import format as npformat
 
 from .errors import FormatError
+
+# The `.npy` header readers by format version; `np.save` writes 1.0, or 2.0
+# for a header over 64 KiB.
+_NPY_HEADERS = {(1, 0): npformat.read_array_header_1_0, (2, 0): npformat.read_array_header_2_0}
 
 
 @contextlib.contextmanager
@@ -48,12 +60,17 @@ def write(path: str, kind: str, version: int, meta: dict, arrays: dict[str, np.n
     with atomic_open(path) as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
         for arr in arrays.values():
-            np.save(fh, arr, allow_pickle=False)
+            np.save(fh, np.require(arr, requirements="C"), allow_pickle=False)
 
 
-def read(path: str, kind: str, version: int) -> tuple[dict, dict[str, np.ndarray]]:
+def read(path: str, kind: str, version: int, into=None) -> tuple[dict, dict[str, np.ndarray]]:
     """(header, arrays by name) of a file written by `write`, after checking
-    its kind, version, array shapes and length."""
+    its kind, version, array shapes and length.
+
+    `into`, if given, is called with the checked header and returns a
+    {name: array} of C-ordered destinations: each named record is read
+    straight into its destination, every other one into a fresh array.
+    """
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline())
@@ -62,17 +79,44 @@ def read(path: str, kind: str, version: int) -> tuple[dict, dict[str, np.ndarray
         found = header.get("format_version") if isinstance(header, dict) else None
         if found != version:
             raise FormatError(f"{path}: {kind} format version {found} unsupported (expected {version})")
-        if header.get("kind") != kind or not isinstance(header.get("arrays"), dict):
+        shapes = header.get("arrays")
+        if header.get("kind") != kind or not isinstance(shapes, dict) or not all(
+                isinstance(shape, list) and all(isinstance(n, int) and n >= 0 for n in shape)
+                for shape in shapes.values()):
             raise FormatError(f"{path} is not a {kind} file")
-        arrays = {}
-        for name, shape in header["arrays"].items():
-            try:
-                arr = np.load(fh, allow_pickle=False)
-            except (ValueError, EOFError) as exc:
-                raise FormatError(f"{path}: array {name!r} is truncated or corrupt: {exc}") from exc
-            if list(arr.shape) != shape:
-                raise FormatError(f"{path}: array {name!r} has shape {list(arr.shape)}, header says {shape}")
-            arrays[name] = arr
+        dests = into(header) if into is not None else {}
+        size = os.fstat(fh.fileno()).st_size
+        arrays = {name: _read_record(fh, size, f"{path}: array {name!r}", shape, dests.get(name))
+                  for name, shape in shapes.items()}
         if fh.read(1):
             raise FormatError(f"{path} has bytes after its last array")
     return header, arrays
+
+
+def _read_record(fh, size: int, where: str, shape: list[int], out: np.ndarray | None) -> np.ndarray:
+    """The `.npy` record at `fh` (a file of `size` bytes), read into `out` or
+    a fresh array. Its header is checked against `shape` and the bytes left
+    before anything is allocated or written."""
+    try:
+        version = npformat.read_magic(fh)
+        if version not in _NPY_HEADERS:
+            raise ValueError(f".npy version {version} unsupported")
+        found, fortran_order, dtype = _NPY_HEADERS[version](fh)
+    except (ValueError, EOFError) as exc:
+        raise FormatError(f"{where} is truncated or corrupt: {exc}") from exc
+    if dtype.hasobject:
+        raise FormatError(f"{where} holds Python objects")
+    if fortran_order:
+        raise FormatError(f"{where} is not in C order")
+    if list(found) != shape:
+        raise FormatError(f"{where} has shape {list(found)}, header says {shape}")
+    nbytes = math.prod(found) * dtype.itemsize
+    if nbytes > size - fh.tell():
+        raise FormatError(f"{where} is truncated: {nbytes} bytes declared, {size - fh.tell()} left")
+    if out is None:
+        out = np.empty(found, dtype)
+    elif out.dtype != dtype or out.shape != found or not out.flags.c_contiguous:
+        raise FormatError(f"{where} is {dtype} {found}, which does not fit its destination")
+    if fh.readinto(out.reshape(-1).view(np.uint8)) != nbytes:
+        raise FormatError(f"{where} is truncated")
+    return out

@@ -95,6 +95,9 @@ class CheckpointMeta:
 
 @dataclass
 class TrainResult:
+    """The epoch history and the best epoch's parameters. `best_state` maps
+    each parameter name to its view of one flat copy of the parameter
+    buffer (`ParamBag.state_arrays`)."""
     history: list[dict]
     best_state: dict[str, np.ndarray]
     best_meta: CheckpointMeta
@@ -221,7 +224,12 @@ def _train_step(model: WaveHeightModel, opt: AdamW, data: ModelDataset, idx: np.
 
 def train(model: WaveHeightModel, train_set: ModelDataset, val_set: ModelDataset,
           tcfg: TrainConfig, config_hash: str = "", log=None) -> TrainResult:
-    """Run the optimization loop and return history plus the best checkpoint."""
+    """Run the optimization loop and return history plus the best checkpoint.
+
+    The model ends holding the best epoch's parameters. They are copied
+    only when needed: before the next epoch's first step changes them, or,
+    if the last epoch run is the best, once the optimizer is released.
+    """
     if len(train_set) == 0 or len(val_set) == 0:
         raise ContractError("train() requires non-empty train and validation sets")
     opt = AdamW(model.bag, lr=tcfg.lr, weight_decay=tcfg.weight_decay,
@@ -232,6 +240,8 @@ def train(model: WaveHeightModel, train_set: ModelDataset, val_set: ModelDataset
     best_state = best_meta = None
 
     for epoch in range(1, tcfg.max_epochs + 1):
+        if best_meta is not None and best_meta.epoch == epoch - 1:  # before a step changes it
+            best_state = model.bag.state_arrays()
         order = rng.permutation(len(train_set))
         epoch_loss = 0.0
         t0 = time.perf_counter()
@@ -256,7 +266,6 @@ def train(model: WaveHeightModel, train_set: ModelDataset, val_set: ModelDataset
                 f"train_s={train_s:.3f} train_samples_per_s={len(order) / train_s:.1f}")
         improved, stop = stopper.update(avg, epoch)
         if improved:
-            best_state = model.bag.state_arrays()
             best_meta = CheckpointMeta(epoch=epoch, val_rmse=[float(r) for r in rmse],
                                        val_rmse_avg=avg, config_hash=config_hash)
         if stop:
@@ -264,7 +273,11 @@ def train(model: WaveHeightModel, train_set: ModelDataset, val_set: ModelDataset
 
     if best_meta is None:  # no validation average was below +inf, e.g. all NaN
         raise ContractError("training produced no validation measurements")
-    model.bag.load_state_arrays(best_state)
+    del opt  # with its two moment buffers, before the model's state is copied
+    if best_meta.epoch == history[-1]["epoch"]:
+        best_state = model.bag.state_arrays()
+    else:
+        model.bag.load_state_arrays(best_state)
     return TrainResult(history=history, best_state=best_state,
                        best_meta=best_meta, stopped_epoch=history[-1]["epoch"])
 

@@ -7,8 +7,9 @@ import json
 import numpy as np
 import pytest
 
+from damage import record_shape
 from swhnet import container
-from swhnet.checkpoint import FORMAT_VERSION
+from swhnet.checkpoint import FORMAT_VERSION, save_checkpoint
 from swhnet.cli import main
 from swhnet.config import load_config, model_config
 from swhnet.model import WaveHeightModel
@@ -235,6 +236,18 @@ def test_checkpoint_with_a_non_finite_parameter_exits_two(tmp_path, toy_config, 
     assert main(["predict", "--config", toy_config, "--data", str(data), "--checkpoint", str(ckpt),
                  "--out", str(tmp_path / "preds.csv")]) == 2
     assert "head.out.b" in caplog.text
+    assert not (tmp_path / "preds.csv").exists()
+
+
+def test_checkpoint_with_a_huge_record_shape_exits_two(tmp_path, toy_config, caplog):
+    data = tmp_path / "samples.jsonl"
+    main(["synth", "--config", toy_config, "--out", str(data)])
+    ckpt = tmp_path / "checkpoint.json"
+    save_checkpoint(str(ckpt), WaveHeightModel(model_config(load_config(toy_config))))
+    ckpt.write_bytes(record_shape(ckpt.read_bytes(), (8,), (400000000000,)))
+    assert main(["predict", "--config", toy_config, "--data", str(data), "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "preds.csv")]) == 2
+    assert "400000000000" in caplog.text
     assert not (tmp_path / "preds.csv").exists()
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from damage import record_shape
 from oracles import match_buoy_record_oracle
 from swhnet import cli, container, pipeline
 from swhnet.config import SplitSpec
@@ -696,6 +697,21 @@ def test_sample_file_truncation_and_version(tmp_path):
     version = f'"format_version": {pipeline.SCHEMA_VERSION}'.encode()
     path.write_bytes(raw.replace(version, b'"format_version": 99', 1))
     with pytest.raises(FormatError, match="version 99"):
+        read_samples(str(path))
+
+
+def test_sample_file_with_a_huge_record_shape_rejected_before_allocating(tmp_path):
+    # np.load would try to allocate 2.91 TiB for this record before any check.
+    samples = [sample_with_refs([k] * 4, ts=float(k)) for k in range(4)]
+    path = tmp_path / "samples.jsonl"
+    write_samples(str(path), samples, {})
+    raw = path.read_bytes()
+    path.write_bytes(record_shape(raw, (4,), (400000000000,)))
+    with pytest.raises(FormatError, match=r"'timestamp' has shape \[400000000000\], header says \[4\]"):
+        read_samples(str(path))
+    path.write_bytes(record_shape(raw, (4,), (400000000000,)).replace(
+        b'"timestamp": [4]', b'"timestamp": [400000000000]', 1))
+    with pytest.raises(FormatError, match="'timestamp' is truncated: 3200000000000 bytes declared"):
         read_samples(str(path))
 
 

@@ -3,6 +3,8 @@ and checkpoint round trips."""
 
 import json
 import re
+import tracemalloc
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -19,6 +21,7 @@ from swhnet import training
 from swhnet.training import (ADAMW_SLICE, AdamW, EarlyStopper, ModelDataset, eval_batch_size,
                              predict, train, validation_rmse)
 
+from damage import record_shape
 from oracles import PerParameterAdamW
 
 
@@ -187,6 +190,16 @@ def test_state_arrays_are_copies():
     assert bag.data.tobytes() == before
 
 
+def test_state_arrays_are_views_of_one_flat_copy():
+    bag = toy_model().bag
+    state = bag.state_arrays()
+    base = state[bag.names()[0]].base
+    assert all(arr.base is base for arr in state.values())
+    assert base is not bag.data and base.nbytes == bag.data.nbytes
+    assert base.tobytes() == bag.data.tobytes()
+    assert list(state) == bag.names() and all(state[k].shape == bag[k].data.shape for k in state)
+
+
 def test_load_state_arrays_keeps_the_views_and_checks_every_array_first():
     bag = toy_model(seed=1).bag
     views = {name: p.data for name, p in bag.items()}
@@ -291,33 +304,63 @@ def test_train_returns_best_not_last():
     assert validation_rmse(model, val).mean() == pytest.approx(result.best_meta.val_rmse_avg)
 
 
-@pytest.mark.parametrize("avgs, improving", [([3.0, 2.0, 2.5, 1.0, 1.5], 3), ([float("nan")] * 3, 0)])
+@pytest.mark.parametrize("avgs, improving", [([3.0, 2.0, 2.5, 1.0, 1.5], 3), ([float("nan")] * 3, 0),
+                                             ([3.0, 2.0, 1.0], 3)])
 def test_train_copies_the_state_once_per_improving_epoch(monkeypatch, avgs, improving):
-    """The best state is copied when an epoch improves and at no other
-    time; the model ends holding the last copy. With no improving epoch,
-    training fails before loading any state."""
+    """Each improving epoch's parameters are copied once, as they were when
+    the epoch was validated, and at no other time: before the next epoch's
+    first step, or, when the last epoch run is the best, after the loop with
+    no AdamW (and its moments) alive; the model then already holds them, so
+    nothing is loaded. Otherwise the model ends by loading the last copy.
+    With no improving epoch, training fails before copying or loading."""
     model = toy_model()
     ds = toy_dataset(model.cfg, 8, seed=1)
     scripted = iter(avgs)
-    monkeypatch.setattr(training, "validation_rmse", lambda model, val: np.full(4, next(scripted)))
-    copies = []
-    state_arrays = ParamBag.state_arrays
+    validated = []
+
+    def scripted_rmse(model, val):
+        validated.append(model.bag.data.copy())
+        return np.full(4, next(scripted))
+
+    monkeypatch.setattr(training, "validation_rmse", scripted_rmse)
+    optimizers = []
+    adamw_init = AdamW.__init__
+
+    def tracked_init(opt, *args, **kwargs):
+        adamw_init(opt, *args, **kwargs)
+        optimizers.append(weakref.ref(opt))
+
+    monkeypatch.setattr(AdamW, "__init__", tracked_init)
+    copies, alive, loads = [], [], []
+    state_arrays, load_state_arrays = ParamBag.state_arrays, ParamBag.load_state_arrays
 
     def counting(bag):
         copies.append(state_arrays(bag))
+        alive.append(sum(ref() is not None for ref in optimizers))
         return copies[-1]
 
+    def loading(bag, state):
+        loads.append(state)
+        load_state_arrays(bag, state)
+
     monkeypatch.setattr(ParamBag, "state_arrays", counting)
+    monkeypatch.setattr(ParamBag, "load_state_arrays", loading)
     tcfg = small_tcfg(max_epochs=len(avgs), patience=len(avgs))
     if not improving:
         with pytest.raises(ContractError):
             train(model, ds, ds, tcfg)
-        assert copies == []
+        assert copies == [] and loads == []
         return
     result = train(model, ds, ds, tcfg)
-    assert len(copies) == improving
-    assert result.best_meta.epoch == 4 and result.best_state is copies[-1]
-    assert model.bag.data.tobytes() == b"".join(a.tobytes() for a in copies[-1].values())
+    best = [e for e, a in enumerate(avgs, start=1) if a < min(avgs[:e - 1], default=np.inf)]
+    assert len(copies) == len(best) == improving
+    assert [b"".join(c[name].tobytes() for name in model.bag.names()) for c in copies] == \
+        [validated[e - 1].tobytes() for e in best]
+    assert result.best_meta.epoch == best[-1] and result.best_state is copies[-1]
+    last_is_best = best[-1] == len(avgs)
+    assert alive == [1] * (len(best) - 1) + [0 if last_is_best else 1]
+    assert [id(state) for state in loads] == ([] if last_is_best else [id(copies[-1])])
+    assert model.bag.data.tobytes() == validated[best[-1] - 1].tobytes()
 
 
 def test_epoch_log_reports_training_time_and_throughput():
@@ -462,6 +505,32 @@ def test_checkpoint_roundtrip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_save_checkpoint_writes_the_parameters_without_copying_them(tmp_path, monkeypatch):
+    model = toy_model(seed=11)
+    save_checkpoint(str(tmp_path / "copy.ckpt"), model, state=model.bag.state_arrays())
+    monkeypatch.setattr(ParamBag, "state_arrays", lambda bag: pytest.fail("the parameters were copied"))
+    save_checkpoint(str(tmp_path / "views.ckpt"), model)
+    assert (tmp_path / "views.ckpt").read_bytes() == (tmp_path / "copy.ckpt").read_bytes()
+
+
+def test_paper_default_load_reads_into_the_model_buffer(tmp_path):
+    # Building the model takes the initial arrays, the value buffer and the
+    # (untouched) gradient buffer: three times the parameter bytes. Reading
+    # the records into arrays of their own, to copy them in after, would
+    # add a fourth.
+    model = WaveHeightModel(ModelConfig(strategy="CD"))
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(str(path), model)
+    tracemalloc.start()
+    try:
+        loaded, _, _ = load_checkpoint(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.bag.data.tobytes() == model.bag.data.tobytes()
+    assert peak < 3.5 * model.bag.data.nbytes
+
+
 def test_checkpoint_version_and_truncation(tmp_path):
     model = toy_model()
     path = tmp_path / "ckpt.json"
@@ -478,6 +547,15 @@ def test_checkpoint_version_and_truncation(tmp_path):
     trunc.write_bytes(raw[:-1])
     with pytest.raises(FormatError):
         load_checkpoint(str(trunc))
+
+
+def test_checkpoint_with_a_huge_record_shape_rejected_before_allocating(tmp_path):
+    model = toy_model()
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(str(path), model)
+    path.write_bytes(record_shape(path.read_bytes(), (8,), (400000000000,)))
+    with pytest.raises(FormatError, match=r"has shape \[400000000000\], header says \[8\]"):
+        load_checkpoint(str(path))
 
 
 def test_checkpoint_v1_json_rejected(tmp_path):
