@@ -70,15 +70,13 @@ class ApGateBranch:
 
     def spatial_gate(self, a1: Tensor) -> Tensor:
         """Row-wise up/down projection along the parameter axis, then sigmoid."""
-        hidden = ad.add(ad.matmul(a1, self.p1), self.b1)
-        return ad.sigmoid(ad.add(ad.matmul(hidden, self.p2), self.b2))
+        return ad.sigmoid(ad.linear(ad.linear(a1, self.p1, self.b1), self.p2, self.b2))
 
     def channel_gate(self, a2: Tensor) -> Tensor:
         """Transpose, project the channel vector at each position, transpose back."""
         t = ad.transpose(a2)  # (..., K_ap, 4)
         if self.cfg.strategy == "CD":
-            hidden = ad.add(ad.matmul(t, self.p3), self.b3)
-            z = ad.add(ad.matmul(hidden, self.p4), self.b4)
+            z = ad.linear(ad.linear(t, self.p3, self.b3), self.p4, self.b4)
         else:
             # Channel c's value at each position through its own 1 -> 4 -> 1
             # map: row c of p3, b3 and p4.

@@ -1,13 +1,16 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Small tape-based autodiff engine providing exactly the operations the
-network needs: matrix products, last-axis normalization,
-the Huber penalty, patch/pointwise convolutions, an elementwise suite
-(add, mul, relu, sigmoid, dropout, transpose, reshape, concat, split,
-stack, pad_end), sum/mean reductions, and two fused encoder ops with
-hand-derived backward passes: `sca_attention` (four d_k = 1 heads plus
-the output projection) and `ffn` (linear -> ReLU -> dropout -> linear,
-dense or per-channel blocks).
+network needs: the Huber penalty, a pointwise convolution, an
+elementwise suite (add, mul, sigmoid, dropout, transpose, reshape,
+concat, split, stack), sum/mean reductions, and fused ops with
+hand-derived backward passes: `linear` (a matrix product with an
+optional bias and ReLU), `affine_norm` (per-token or per-channel
+normalization with its affine map), `patch_embed` (every DDM type's
+patch embedding with the global token and position codes),
+`sca_attention` (four d_k = 1 heads plus the output projection) and
+`ffn` (linear -> ReLU -> dropout -> linear, dense or per-channel
+blocks).
 
 Design notes:
   * Everything is float64; gradients are checked against central finite
@@ -365,17 +368,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(data, (a, b), _bw, "mul")
 
 
-def relu(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    mask = x.data > 0.0
-
-    def _bw(g):
-        if x.requires_grad:
-            x._accumulate(g * mask)
-
-    return Tensor._from_op(np.where(mask, x.data, 0.0), (x,), _bw, "relu")
-
-
 def sigmoid(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     # Stable two-branch evaluation avoids overflow for large |x|.
@@ -569,22 +561,6 @@ def stack(tensors, axis: int = 0) -> Tensor:
     return Tensor._from_op(data, tuple(parts), _bw, "stack")
 
 
-def pad_end(x: Tensor, pads: tuple[int, ...]) -> Tensor:
-    """Zero-pad at the end of each axis; `pads[i]` trailing zeros on axis i."""
-    x = _as_tensor(x)
-    if len(pads) != x.ndim:
-        raise ShapeError(f"pad_end: {len(pads)} pad widths for ndim {x.ndim}")
-    widths = [(0, int(p)) for p in pads]
-    data = np.pad(x.data, widths)
-    idx = tuple(slice(0, s) for s in x.shape)
-
-    def _bw(g):
-        if x.requires_grad:
-            x._accumulate(g[idx])
-
-    return Tensor._from_op(data, (x,), _bw, "pad_end")
-
-
 # -- reductions -----------------------------------------------------------------
 
 
@@ -623,58 +599,81 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (_rows(a) @ b).reshape(a.shape[:-1] + b.shape[1:])
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a (..., n, k) @ b (k, m); b's gradient sums over a's leading axes."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim != 2:
-        raise ShapeError(f"matmul requires (..., n, k) x (k, m) operands, got {a.shape} x {b.shape}")
-    if a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions disagree ({a.shape} x {b.shape})")
-    data = _mm(a.data, b.data)
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) -> Tensor:
+    """x (..., n, k) @ w (k, m), plus b (m,) when given, then max(0, .) when
+    `relu`; w's and b's gradients sum over x's leading axes.
 
-    def _bw(g):
-        if a.requires_grad:
-            a._accumulate(_mm(g, b.data.T))
-        if b.requires_grad:
-            at, gr = _rows(a.data).T, _rows(g)
-            if b.grad is None:  # written in place: no (k, m) temporary
-                np.matmul(at, gr, out=b._new_grad())
-            else:
-                b.grad += at @ gr
-
-    return Tensor._from_op(data, (a, b), _bw, "matmul")
-
-
-def normalize(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Zero-mean unit-variance along the last axis (population statistics).
-
-    eps guards the zero-variance case: a constant slice maps to zeros.
+    One node for the matmul -> add -> ReLU chain. It makes the chain's numpy
+    calls in its order, so every bit is the chain's; the ReLU mask is read
+    back from the output.
     """
-    x = _as_tensor(x)
-    if x.shape[-1] < 1:
-        raise ShapeError("normalize: empty last axis")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    sigma = np.sqrt(var + eps)
-    y = (x.data - mu) / sigma
+    x, w, b = _as_tensor(x), _as_tensor(w), None if b is None else _as_tensor(b)
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear requires (..., n, k) x (k, m) operands, got {x.shape} x {w.shape}")
+    if b is not None and b.shape != (w.shape[1],):
+        raise ShapeError(f"linear bias shape {b.shape} != ({w.shape[1]},)")
+    data = _mm(x.data, w.data)
+    if b is not None:
+        data += b.data
+    if relu:
+        data = np.where(data > 0.0, data, 0.0)
 
     def _bw(g):
+        if relu:
+            g = g * (data > 0.0)
+        if b is not None and b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.shape))
         if x.requires_grad:
-            gm = g.mean(axis=-1, keepdims=True)
-            gym = (g * y).mean(axis=-1, keepdims=True)
-            x._accumulate((g - gm - y * gym) / sigma)
+            x._accumulate(_mm(g, w.data.T))
+        if w.requires_grad:
+            at, gr = _rows(x.data).T, _rows(g)
+            if w.grad is None:  # written in place: no (k, m) temporary
+                np.matmul(at, gr, out=w._new_grad())
+            else:
+                w.grad += at @ gr
 
-    return Tensor._from_op(y, (x,), _bw, "normalize")
+    return Tensor._from_op(data, (x, w) if b is None else (x, w, b), _bw, "linear")
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Last-axis layer normalization with affine parameters of shape (d,)."""
-    gamma, beta = _as_tensor(gamma), _as_tensor(beta)
-    x = _as_tensor(x)
+def affine_norm(x: Tensor, gamma: Tensor, beta: Tensor, over_tokens: bool = False,
+                eps: float = 1e-5) -> Tensor:
+    """Zero-mean unit-variance normalization of an (..., M, d) tensor
+    (population statistics, eps guarding a constant slice), then y * gamma
+    + beta with gamma and beta of shape (d,). Each token is normalized over
+    its d features or, with `over_tokens`, each feature column over the M
+    tokens, on a contiguous (..., d, M) copy. One node for the chain
+    [transpose ->] normalize [-> transpose] -> mul -> add; it makes the
+    chain's numpy calls in its order and layouts, so every bit is the chain's.
+    """
+    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
+    if x.ndim < 2 or x.shape[-2 if over_tokens else -1] < 1:
+        raise ShapeError(f"affine_norm needs a non-empty (..., M, d) input, got {x.shape}")
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
-        raise ShapeError(f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match last axis {d}")
-    return add(mul(normalize(x, eps), gamma), beta)
+        raise ShapeError(f"affine_norm: affine shapes {gamma.shape}/{beta.shape} do not match last axis {d}")
+    xs = np.ascontiguousarray(np.swapaxes(x.data, -1, -2)) if over_tokens else x.data
+    mu = xs.mean(axis=-1, keepdims=True)
+    var = ((xs - mu) ** 2).mean(axis=-1, keepdims=True)
+    sigma = np.sqrt(var + eps)
+    ys = (xs - mu) / sigma
+    y = np.ascontiguousarray(np.swapaxes(ys, -1, -2)) if over_tokens else ys
+    data = y * gamma.data + beta.data
+
+    def _bw(g):
+        if beta.requires_grad:
+            beta._accumulate(_unbroadcast(g, beta.shape))
+        if gamma.requires_grad:
+            gamma._accumulate(_unbroadcast(g * y, gamma.shape))
+        if x.requires_grad:
+            gy = g * gamma.data
+            gs = np.empty_like(ys)
+            np.copyto(gs, np.swapaxes(gy, -1, -2) if over_tokens else gy)
+            gm = gs.mean(axis=-1, keepdims=True)
+            gym = (gs * ys).mean(axis=-1, keepdims=True)
+            dx = (gs - gm - ys * gym) / sigma
+            x._accumulate(np.swapaxes(dx, -1, -2) if over_tokens else dx)
+
+    return Tensor._from_op(data, (x, gamma, beta), _bw, "affine_norm")
 
 
 # -- fused encoder ops --------------------------------------------------------
@@ -943,37 +942,60 @@ def huber(residual: Tensor, delta: float) -> Tensor:
 # -- convolution-style embeddings ----------------------------------------------
 
 
-def conv_patchify(x: Tensor, kernel: Tensor, bias: Tensor, patch: int) -> Tensor:
-    """Non-overlapping patch embedding of a (..., T, W, H) map.
+def patch_embed(x, kernels, biases, global_token: Tensor, pe: np.ndarray, patch: int) -> Tensor:
+    """Patch embedding of a constant (..., T, W, H) stack of T maps into
+    (..., T*N+1, d) tokens; leading axes are a batch.
 
-    Pads W and H up to the next multiple of `patch` with zeros, extracts
-    patch x patch blocks (row-major over the padded grid), and projects
-    each block to the kernel's output dimension. Kernel has shape
-    (d_out, T, patch, patch); the result is (..., d_out, N) with
-    N = ceil(W/patch) * ceil(H/patch). Leading axes are a batch.
+    Map t is zero-padded at the end of W and H to multiples of `patch` and
+    cut into N patch x patch blocks, row-major over the grid, each projected
+    by kernels[t] (d, 1, patch, patch) plus biases[t] (d,). The global token
+    (d,) comes first, then each map's N tokens; the (T*N+1, d) codes `pe`
+    are added. One node, with one product per map over every sample's rows.
+    It makes the numpy calls of the chain it replaces (split, then per map
+    pad, unfold, matmul, add and transposes, then concat and add), so every
+    bit is the chain's.
     """
-    x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
+    x, global_token = _as_tensor(x), _as_tensor(global_token)
+    kernels, biases = [_as_tensor(k) for k in kernels], [_as_tensor(b) for b in biases]
+    if x.requires_grad:
+        raise ContractError("patch_embed takes a constant input")
     if patch < 1:
         raise ShapeError(f"patch size must be >= 1, got {patch}")
-    if x.ndim < 3:
-        raise ShapeError(f"conv_patchify input must be (..., T, W, H), got {x.shape}")
-    lead, (t, w, h) = x.shape[:-3], x.shape[-3:]
-    if kernel.ndim != 4 or kernel.shape[1:] != (t, patch, patch):
-        raise ShapeError(f"conv_patchify kernel {kernel.shape} does not match input {x.shape}, patch {patch}")
-    d_out = kernel.shape[0]
-    if bias.shape != (d_out,):
-        raise ShapeError(f"conv_patchify bias shape {bias.shape} != ({d_out},)")
-    nw = -(-w // patch)
-    nh = -(-h // patch)
-    nl = len(lead)
-    padded = pad_end(x, (0,) * (nl + 1) + (nw * patch - w, nh * patch - h))
-    blocks = reshape(padded, lead + (t, nw, patch, nh, patch))
-    # (..., nw, nh, T, P, P) -> rows enumerate patches row-major over the grid
-    blocks = transpose(blocks, tuple(range(nl)) + tuple(nl + a for a in (1, 3, 0, 2, 4)))
-    patches = reshape(blocks, lead + (nw * nh, t * patch * patch))
-    weights = reshape(kernel, (d_out, t * patch * patch))
-    out = add(matmul(patches, transpose(weights)), bias)  # (..., N, d_out)
-    return transpose(out)  # (..., d_out, N)
+    if x.ndim < 3 or x.shape[-3] != len(kernels) or len(biases) != len(kernels):
+        raise ShapeError(f"patch_embed input must be (..., {len(kernels)}, W, H), got {x.shape}")
+    d = global_token.shape[-1]
+    if any(k.shape != (d, 1, patch, patch) for k in kernels) or any(b.shape != (d,) for b in biases + [global_token]):
+        raise ShapeError(f"patch_embed weights do not fit patch {patch} and width {d}")
+    lead, types, (w, h) = x.shape[:-3], x.shape[-3], x.shape[-2:]
+    nw, nh = -(-w // patch), -(-h // patch)
+    n, nl = nw * nh, len(lead)
+    if pe.shape != (types * n + 1, d):
+        raise ShapeError(f"patch_embed position codes {pe.shape} != {(types * n + 1, d)}")
+    padded = np.pad(x.data, [(0, 0)] * (nl + 1) + [(0, nw * patch - w), (0, nh * patch - h)])
+    # (types, ..., nw, nh, P, P): each map's patches as rows, sample by sample.
+    blocks = padded.reshape(lead + (types, nw, patch, nh, patch))
+    order = (nl,) + tuple(range(nl)) + tuple(nl + a for a in (1, 3, 2, 4))
+    patches = np.ascontiguousarray(blocks.transpose(order)).reshape(types, -1, patch * patch)
+    segs = [(..., slice(1 + t * n, 1 + (t + 1) * n), slice(None)) for t in range(types)]
+    data = np.empty(lead + (types * n + 1, d))
+    data[..., 0, :] = global_token.data
+    for t, (kernel, bias) in enumerate(zip(kernels, biases)):
+        wt = np.ascontiguousarray(kernel.data.reshape(d, -1).T)
+        np.add((patches[t] @ wt).reshape(lead + (n, d)), bias.data, out=data[segs[t]])
+    data += pe
+
+    def _bw(g):
+        if global_token.requires_grad:
+            global_token._accumulate(_unbroadcast(np.ascontiguousarray(g[..., :1, :]), global_token.shape))
+        for t, (kernel, bias) in enumerate(zip(kernels, biases)):
+            gt = np.ascontiguousarray(g[segs[t]])
+            if bias.requires_grad:
+                bias._accumulate(_unbroadcast(gt, bias.shape))
+            if kernel.requires_grad:
+                gw = np.matmul(patches[t].T, _rows(gt), out=np.empty((patch * patch, d)))
+                kernel._accumulate(gw.T.reshape(kernel.shape))
+
+    return Tensor._from_op(data, tuple(kernels) + tuple(biases) + (global_token,), _bw, "patch_embed")
 
 
 def conv1d_embed(a: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
@@ -989,4 +1011,4 @@ def conv1d_embed(a: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"conv1d_embed: kernel {kernel.shape} does not match input channels {a.shape[-2]}")
     if bias.shape != (kernel.shape[0],):
         raise ShapeError(f"conv1d_embed bias shape {bias.shape} != ({kernel.shape[0]},)")
-    return transpose(add(matmul(transpose(a), transpose(kernel)), bias))
+    return transpose(linear(transpose(a), transpose(kernel), bias))

@@ -21,6 +21,7 @@ import typing
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
+from . import metrics
 from .errors import ConfigError, FormatError
 
 STRATEGIES = ("CI", "CD")
@@ -196,7 +197,8 @@ class SplitSpec:
 _SECTIONS = {ModelConfig: "", TrainConfig: "", SplitSpec: "split_", SynthSpec: "synth_"}
 _BARE = frozenset({"seed", "width", "height", "train_subsample", "val_subsample", "test_subsample"})
 
-# Reporting keys that no dataclass owns: key -> (kind, default).
+# Reporting keys that no dataclass owns: key -> (kind, default). Their
+# ranges are checked by `metrics.check_report_keys`.
 _REPORT_KEYS = {
     "report_bin_edges": (list[float], [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]),
     "scatter_bin_width": (float, 0.1),
@@ -289,6 +291,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
         _apply(cfg, overrides, source="command line")
     for cls in _SECTIONS:
         _section(cls, cfg)
+    metrics.check_report_keys(cfg)
     return cfg
 
 

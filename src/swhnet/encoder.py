@@ -20,9 +20,11 @@ projection, the feedforward maps, and the normalization statistics:
     feedforward, per-channel normalization over the M tokens. Channel j
     of the output then depends on channel j of the input only, exactly.
 
-The attention and feedforward sublayers of a layer are each one fused
-autodiff op (`autodiff.sca_attention`, `autodiff.ffn`) that serves both
-strategies; the strategy only selects the weight shapes.
+The patch embedding of all types and channels, and each layer's
+attention, feedforward and norms, are each one fused autodiff op
+(`autodiff.patch_embed`, `sca_attention`, `ffn`, `affine_norm`) that
+serves both strategies; the strategy only selects weight shapes and the
+norm axis.
 """
 
 from __future__ import annotations
@@ -67,13 +69,11 @@ def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor, strategy: str, eps: flo
     CD normalizes each token over its 4 channel features; CI normalizes
     each channel column over its M tokens so no statistics are shared
     across channels. The affine parameters are per channel either way.
+    One fused op (`autodiff.affine_norm`) serves both.
     """
-    if strategy == "CD":
-        return ad.layer_norm(x, gamma, beta, eps)
-    if strategy == "CI":
-        normed = ad.transpose(ad.normalize(ad.transpose(x), eps))
-        return ad.add(ad.mul(normed, gamma), beta)
-    raise ConfigError(f"unknown strategy {strategy!r}")
+    if strategy not in ("CD", "CI"):
+        raise ConfigError(f"unknown strategy {strategy!r}")
+    return ad.affine_norm(x, gamma, beta, over_tokens=strategy == "CI", eps=eps)
 
 
 def add_norm(
@@ -110,7 +110,7 @@ class DdmEncoder:
             self.kernels.append(k)
             self.kernel_biases.append(b)
         self.global_token = bag.add("encoder.embed.global_token", rng.normal(0.0, 0.02, size=de))
-        self.pe = Tensor(positional_encoding(cfg.seq_len, de))
+        self.pe = positional_encoding(cfg.seq_len, de)
 
         self.layers = []
         dff4 = cfg.d_ff // 4
@@ -149,17 +149,10 @@ class DdmEncoder:
 
         Each DDM type gets its own patch kernel; the learnable global
         token occupies position 0 and position codes cover the full
-        sequence including it.
+        sequence including it. One fused op (`autodiff.patch_embed`).
         """
-        lead = ddms.shape[:-3]
-        per_type = ad.split(ddms, 3, axis=-3)
-        seqs = []
-        for t, (kernel, bias) in enumerate(zip(self.kernels, self.kernel_biases)):
-            emb = ad.conv_patchify(per_type[t], kernel, bias, self.cfg.patch_size)
-            seqs.append(ad.transpose(emb))  # (..., N, embed_dim)
-        glb = ad.add(self.global_token, np.zeros(lead + (1, self.cfg.embed_dim)))
-        tokens = ad.concat([glb] + seqs, axis=-2)
-        return ad.add(tokens, self.pe)
+        return ad.patch_embed(ddms, self.kernels, self.kernel_biases, self.global_token, self.pe,
+                              self.cfg.patch_size)
 
     def aggregate_channels(self, per_channel: list[Tensor]) -> Tensor:
         """Flatten four (..., 3N+1, embed_dim) sequences and stack them as columns.

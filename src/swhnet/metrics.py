@@ -29,6 +29,24 @@ MAPE_MIN_REF = 0.01
 METRIC_NAMES = ("rmse", "mae", "bias", "mape_percent", "cc")
 
 
+def _increasing(edges) -> bool:
+    """At least two edges, each strictly above the one before."""
+    return len(edges) >= 2 and all(lo < hi for lo, hi in zip(edges, edges[1:]))
+
+
+def check_report_keys(cfg: dict) -> None:
+    """Raise ConfigError naming the first reporting key of a resolved config
+    out of range, before a command writes anything: at least 2 strictly
+    increasing bin edges, a scatter bin width in (0, 8] (at least one bin
+    over the 0-8 m scatter range) and a positive bias cell."""
+    for key, ok, rule in (
+            ("report_bin_edges", _increasing(cfg["report_bin_edges"]), "hold at least 2 strictly increasing edges"),
+            ("scatter_bin_width", 0.0 < cfg["scatter_bin_width"] <= 8.0, "lie in (0, 8.0]"),
+            ("bias_cell_deg", cfg["bias_cell_deg"] > 0.0, "be > 0")):
+        if not ok:
+            raise ConfigError(f"config key {key!r} must {rule}, got {cfg[key]!r}")
+
+
 def _pair(pred, ref) -> tuple[np.ndarray, np.ndarray]:
     pred = np.asarray(pred, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)
@@ -172,7 +190,7 @@ def report(pairs_by_channel: dict[int, tuple[np.ndarray, np.ndarray]],
     bins = []
     if bin_edges is not None:
         edges = list(bin_edges)
-        if len(edges) < 2 or any(lo >= hi for lo, hi in zip(edges, edges[1:])):
+        if not _increasing(edges):
             raise ConfigError(f"bin edges must be strictly increasing, got {edges}")
         for lo, hi in zip(edges[:-1], edges[1:]):
             last = hi == edges[-1]

@@ -72,8 +72,8 @@ class FusionHead:
 
     def _mlp(self, x: Tensor) -> Tensor:
         for w, b in self.weights:
-            x = ad.relu(ad.add(ad.matmul(x, w), b))
-        return ad.add(ad.matmul(x, self.out_w), self.out_b)
+            x = ad.linear(x, w, b, relu=True)
+        return ad.linear(x, self.out_w, self.out_b)
 
     def forward(self, fused: Tensor) -> Tensor:
         """Map fused features (see `fuse`) to the (..., 4) per-channel predictions.

@@ -9,9 +9,14 @@ channel-by-channel embedding as the reference for the batched one,
 matcher must reproduce exactly, so it shares the scalar `haversine_km`,
 `PerParameterAdamW`, the optimizer as it ran before the parameters
 shared one buffer, which the one-pass `AdamW` must reproduce bit for bit,
-and `kept_hidden_ffn`, the fused feedforward as it ran when it kept the
+`kept_hidden_ffn`, the fused feedforward as it ran when it kept the
 float hidden array for backward, which `autodiff.ffn`'s recompute from a
-one-byte mask must reproduce bit for bit.
+one-byte mask must reproduce bit for bit, and the node chains that
+`autodiff.patch_embed`, `autodiff.linear` and `autodiff.affine_norm`
+replaced, as they ran before (`patch_embed_chain`, `linear_chain`,
+`affine_norm_chain`, built on `matmul_node` and the deleted nodes
+`relu_node`, `normalize_node`, `pad_end_node` and `conv_patchify_chain`),
+which each fused op must reproduce bit for bit.
 """
 
 import math
@@ -20,6 +25,7 @@ import numpy as np
 
 from swhnet import autodiff as ad
 from swhnet.autodiff import Tensor, _as_tensor, _check_dropout, _rows, _tiles
+from swhnet.autodiff import linear as _linear
 from swhnet.errors import ConfigError, ContractError, ShapeError
 from swhnet.pipeline import BUOY_MAX_KM, BUOY_MAX_S, haversine_km
 
@@ -358,3 +364,100 @@ def kept_hidden_ffn(x, w1, b1, w2, b2, p, train, rng=None):
                 t._accumulate(grad.reshape(t.shape))
 
     return Tensor._from_op(out.reshape(x.shape), (x, w1, b1, w2, b2), _bw, "ffn")
+
+
+# ---------------------------------------------------------------------------
+# node chains as they ran before the fused embedding, linear and norm ops
+# ---------------------------------------------------------------------------
+
+
+def matmul_node(a, b):
+    """a @ b as one node: `autodiff.linear` without a bias, bound when this
+    module loads, so the chains below stay chains when a test swaps them in
+    for `ad.linear`."""
+    return _linear(a, b)
+
+
+def relu_node(x):
+    """max(0, x) as an autodiff node of its own (the deleted `autodiff.relu`)."""
+    x = _as_tensor(x)
+    mask = x.data > 0.0
+
+    def _bw(g):
+        if x.requires_grad:
+            x._accumulate(g * mask)
+
+    return Tensor._from_op(np.where(mask, x.data, 0.0), (x,), _bw, "relu")
+
+
+def normalize_node(x, eps=1e-5):
+    """Zero-mean unit-variance along the last axis, population statistics
+    (the deleted `autodiff.normalize`)."""
+    x = _as_tensor(x)
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
+    sigma = np.sqrt(var + eps)
+    y = (x.data - mu) / sigma
+
+    def _bw(g):
+        if x.requires_grad:
+            gm = g.mean(axis=-1, keepdims=True)
+            gym = (g * y).mean(axis=-1, keepdims=True)
+            x._accumulate((g - gm - y * gym) / sigma)
+
+    return Tensor._from_op(y, (x,), _bw, "normalize")
+
+
+def pad_end_node(x, pads):
+    """Zero-pad `pads[i]` at the end of axis i (the deleted `autodiff.pad_end`)."""
+    x = _as_tensor(x)
+    data = np.pad(x.data, [(0, int(p)) for p in pads])
+    idx = tuple(slice(0, s) for s in x.shape)
+
+    def _bw(g):
+        if x.requires_grad:
+            x._accumulate(g[idx])
+
+    return Tensor._from_op(data, (x,), _bw, "pad_end")
+
+
+def conv_patchify_chain(x, kernel, bias, patch):
+    """Patch embedding of a (..., T, W, H) map with a (d, T, P, P) kernel into
+    (..., d, N), as nodes (the deleted `autodiff.conv_patchify`)."""
+    x, kernel = _as_tensor(x), _as_tensor(kernel)
+    lead, (t, w, h) = x.shape[:-3], x.shape[-3:]
+    d_out, nw, nh, nl = kernel.shape[0], -(-w // patch), -(-h // patch), len(lead)
+    padded = pad_end_node(x, (0,) * (nl + 1) + (nw * patch - w, nh * patch - h))
+    blocks = ad.reshape(padded, lead + (t, nw, patch, nh, patch))
+    blocks = ad.transpose(blocks, tuple(range(nl)) + tuple(nl + a for a in (1, 3, 0, 2, 4)))
+    patches = ad.reshape(blocks, lead + (nw * nh, t * patch * patch))
+    weights = ad.reshape(kernel, (d_out, t * patch * patch))
+    return ad.transpose(ad.add(matmul_node(patches, ad.transpose(weights)), bias))
+
+
+def patch_embed_chain(x, kernels, biases, global_token, pe, patch):
+    """`autodiff.patch_embed` as `DdmEncoder.embed_channel` ran it before:
+    split the types, patch embed each, prepend the global token, add `pe`."""
+    x = _as_tensor(x)
+    lead = x.shape[:-3]
+    per_type = ad.split(x, len(kernels), axis=-3)
+    seqs = [ad.transpose(conv_patchify_chain(per_type[t], k, b, patch))
+            for t, (k, b) in enumerate(zip(kernels, biases))]
+    glb = ad.add(global_token, np.zeros(lead + (1, _as_tensor(global_token).shape[0])))
+    return ad.add(ad.concat([glb] + seqs, axis=-2), Tensor(pe))
+
+
+def linear_chain(x, w, b, relu=False):
+    """`autodiff.linear` as matmul -> add [-> ReLU] nodes."""
+    out = ad.add(matmul_node(x, w), b)
+    return relu_node(out) if relu else out
+
+
+def affine_norm_chain(x, gamma, beta, over_tokens=False, eps=1e-5):
+    """`autodiff.affine_norm` as nodes: per token, normalize -> mul -> add;
+    over the tokens, transpose -> normalize -> transpose -> mul -> add."""
+    if over_tokens:
+        normed = ad.transpose(normalize_node(ad.transpose(x), eps))
+    else:
+        normed = normalize_node(x, eps)
+    return ad.add(ad.mul(normed, gamma), beta)

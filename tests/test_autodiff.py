@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from swhnet import autodiff as ad
 from swhnet.errors import ConfigError, ContractError, NonFiniteError, ShapeError
 
-from oracles import finite_difference_grad, max_rel_error, softmax_rows
+from oracles import (affine_norm_chain, finite_difference_grad, linear_chain, max_rel_error,
+                     patch_embed_chain, softmax_rows)
 
 
 def check_grads(build, arrays, step=1e-5, tol=1e-5, floor=1e-4):
@@ -37,20 +38,20 @@ def check_grads(build, arrays, step=1e-5, tol=1e-5, floor=1e-4):
 
 
 # ---------------------------------------------------------------------------
-# matmul
+# linear: matmul, with an optional bias and ReLU
 # ---------------------------------------------------------------------------
 
 
 def test_matmul_identity():
     eye = ad.Tensor(np.eye(2))
     m = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(ad.matmul(eye, m).data, [[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(ad.linear(eye, m).data, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_matmul_zero_annihilates():
     z = ad.Tensor(np.zeros((2, 3)))
     b = ad.Tensor(np.arange(15.0).reshape(3, 5))
-    out = ad.matmul(z, b)
+    out = ad.linear(z, b)
     assert out.shape == (2, 5)
     assert np.array_equal(out.data, np.zeros((2, 5)))
 
@@ -59,12 +60,27 @@ def test_matmul_gradcheck():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(4, 2))
-    check_grads(lambda ts: ad.tsum(ad.mul(ad.matmul(ts[0], ts[1]), ad.matmul(ts[0], ts[1]))), [a, b], tol=1e-6)
+    check_grads(lambda ts: ad.tsum(ad.mul(ad.linear(ts[0], ts[1]), ad.linear(ts[0], ts[1]))), [a, b], tol=1e-6)
 
 
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeError):
-        ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
+        ad.linear(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
+
+
+def test_linear_gradcheck():
+    rng = np.random.default_rng(14)
+    x, w, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5) + 0.3
+    probe = rng.normal(size=(2, 3, 5))
+    for relu in (False, True):
+        check_grads(lambda ts: ad.tsum(ad.mul(ad.linear(ts[0], ts[1], ts[2], relu), probe)), [x, w, b])
+
+
+def test_linear_rejects_mismatched_shapes():
+    with pytest.raises(ShapeError):
+        ad.linear(ad.Tensor(np.ones((2, 3))), np.ones((4, 5)), np.zeros(5))
+    with pytest.raises(ShapeError):
+        ad.linear(ad.Tensor(np.ones((2, 3))), np.ones((3, 5)), np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -107,32 +123,47 @@ def test_softmax_gradcheck():
 
 
 def test_layer_norm_constant_row_zeros():
+    """Per token (`affine_norm`'s layer norm), a constant row maps to beta."""
     x = ad.Tensor(np.full((2, 5), 3.25))
-    out = ad.layer_norm(x, np.ones(5), np.zeros(5))
+    out = ad.affine_norm(x, np.ones(5), np.zeros(5))
     assert np.allclose(out.data, 0.0, atol=1e-12)
+    over_tokens = ad.affine_norm(ad.Tensor(np.full((5, 2), 3.25)), np.ones(2), np.zeros(2), over_tokens=True)
+    assert np.allclose(over_tokens.data, 0.0, atol=1e-12)
 
 
 def test_layer_norm_two_point_row():
     # (x - mean)/std of [1, -1] is [1, -1] as eps -> 0.
-    out = ad.layer_norm(ad.Tensor([[1.0, -1.0]]), np.ones(2), np.zeros(2), eps=1e-15)
+    out = ad.affine_norm(ad.Tensor([[1.0, -1.0]]), np.ones(2), np.zeros(2), eps=1e-15)
     assert np.allclose(out.data, [[1.0, -1.0]], atol=1e-7)
+    column = ad.affine_norm(ad.Tensor([[1.0], [-1.0]]), np.ones(1), np.zeros(1), over_tokens=True, eps=1e-15)
+    assert np.allclose(column.data, [[1.0], [-1.0]], atol=1e-7)
 
 
 def test_layer_norm_zero_gamma_broadcasts_beta():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(4, 3))
     beta = np.array([1.0, 2.0, 3.0])
-    out = ad.layer_norm(ad.Tensor(x), np.zeros(3), beta)
-    assert np.allclose(out.data, np.broadcast_to(beta, (4, 3)))
+    for over_tokens in (False, True):
+        out = ad.affine_norm(ad.Tensor(x), np.zeros(3), beta, over_tokens=over_tokens)
+        assert np.allclose(out.data, np.broadcast_to(beta, (4, 3)))
 
 
 def test_layer_norm_gradcheck():
     rng = np.random.default_rng(11)
-    x = rng.normal(size=(3, 5))
+    x = rng.normal(size=(2, 3, 5))
     gamma = rng.normal(size=5)
     beta = rng.normal(size=5)
-    w = rng.normal(size=(3, 5))
-    check_grads(lambda ts: ad.tsum(ad.mul(ad.layer_norm(ts[0], ts[1], ts[2]), w)), [x, gamma, beta])
+    w = rng.normal(size=(2, 3, 5))
+    for over_tokens in (False, True):
+        check_grads(lambda ts: ad.tsum(ad.mul(ad.affine_norm(ts[0], ts[1], ts[2], over_tokens), w)),
+                    [x, gamma, beta])
+
+
+def test_affine_norm_rejects_mismatched_affine_shapes():
+    with pytest.raises(ShapeError):
+        ad.affine_norm(ad.Tensor(np.ones((3, 4))), np.ones(3), np.zeros(4))
+    with pytest.raises(ShapeError):
+        ad.affine_norm(ad.Tensor(np.ones(4)), np.ones(4), np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +275,12 @@ def test_shape_ops_gradcheck():
 
 
 def test_relu_sigmoid_gradcheck():
+    """ReLU through `linear(..., relu=True)`, the only ReLU left."""
     rng = np.random.default_rng(13)
     x = rng.normal(size=(3, 3)) + 0.2  # keep away from relu kink
-    check_grads(lambda ts: ad.tsum(ad.relu(ts[0])), [x])
+    eye, zero = np.eye(3), np.zeros(3)
+    assert np.array_equal(ad.linear(ad.Tensor(x), eye, zero, relu=True).data, np.maximum(x, 0.0))
+    check_grads(lambda ts: ad.tsum(ad.linear(ts[0], eye, zero, relu=True)), [x])
     check_grads(lambda ts: ad.tsum(ad.sigmoid(ts[0])), [x])
 
 
@@ -263,28 +297,37 @@ def test_broadcast_add_mul_grads():
 # ---------------------------------------------------------------------------
 
 
+def embed(x, kernels, biases, global_token=None, pe=None, patch=2):
+    """`ad.patch_embed` with a zero global token and zero codes by default."""
+    kernels = [ad.Tensor(k) for k in kernels]
+    d = kernels[0].shape[0]
+    t, w, h = np.shape(x)[-3:]
+    n = -(-w // patch) * -(-h // patch)
+    gt = ad.Tensor(np.zeros(d) if global_token is None else global_token)
+    pe = np.zeros((t * n + 1, d)) if pe is None else pe
+    return ad.patch_embed(ad.Tensor(x), kernels, [ad.Tensor(b) for b in biases], gt, pe, patch)
+
+
 def test_conv_patchify_summing_kernel():
-    x = ad.Tensor([[[1.0, 2.0], [3.0, 4.0]]])  # (1, 2, 2)
-    kernel = ad.Tensor(np.ones((1, 1, 2, 2)))
-    out = ad.conv_patchify(x, kernel, ad.Tensor([0.0]), patch=2)
-    assert out.shape == (1, 1)
-    assert out.data[0, 0] == 10.0
+    x = np.array([[[1.0, 2.0], [3.0, 4.0]]])  # (1, 2, 2)
+    out = embed(x, [np.ones((1, 1, 2, 2))], [np.zeros(1)])
+    assert out.shape == (2, 1)  # the global token, then one patch
+    assert out.data[0, 0] == 0.0 and out.data[1, 0] == 10.0
 
 
 def test_conv_patchify_auto_pad_n():
-    x = ad.Tensor(np.arange(9.0).reshape(1, 3, 3))
-    kernel = ad.Tensor(np.ones((2, 1, 2, 2)))
-    out = ad.conv_patchify(x, kernel, ad.Tensor(np.zeros(2)), patch=2)
-    # 3x3 padded to 4x4 -> ceil(3/2)^2 = 4 patches
-    assert out.shape == (2, 4)
+    x = np.arange(18.0).reshape(2, 3, 3)
+    out = embed(x, [np.ones((2, 1, 2, 2))] * 2, [np.zeros(2)] * 2)
+    # 3x3 padded to 4x4 -> ceil(3/2)^2 = 4 patches per map
+    assert out.shape == (9, 2)
 
 
 def test_conv_patchify_zero_input_zero_bias():
-    x = ad.Tensor(np.zeros((3, 4, 4)))
     rng = np.random.default_rng(0)
-    kernel = ad.Tensor(rng.normal(size=(5, 3, 2, 2)))
-    out = ad.conv_patchify(x, kernel, ad.Tensor(np.zeros(5)), patch=2)
-    assert np.array_equal(out.data, np.zeros((5, 4)))
+    kernels = [rng.normal(size=(5, 1, 2, 2)) for _ in range(3)]
+    gt, pe = rng.normal(size=5), rng.normal(size=(13, 5))
+    out = embed(np.zeros((3, 4, 4)), kernels, [np.zeros(5)] * 3, gt, pe)
+    assert np.array_equal(out.data, np.vstack([gt, np.zeros((12, 5))]) + pe)
 
 
 def _unfold_linear_oracle(x, kernel, bias, patch):
@@ -306,25 +349,114 @@ def _unfold_linear_oracle(x, kernel, bias, patch):
     return out
 
 
+def patch_embed_oracle(x, kernels, biases, global_token, pe, patch):
+    """The global token, then each map's unfold-loop tokens, plus `pe`."""
+    seqs = [_unfold_linear_oracle(x[t:t + 1], k, b, patch).T for t, (k, b) in enumerate(zip(kernels, biases))]
+    return np.vstack([global_token[None]] + seqs) + pe
+
+
+def patch_embed_case(rng, types, w, h, d, patch):
+    n = -(-w // patch) * -(-h // patch)
+    return ([rng.normal(size=(d, 1, patch, patch)) for _ in range(types)], [rng.normal(size=d) for _ in range(types)],
+            rng.normal(size=d), rng.normal(size=(types * n + 1, d)))
+
+
 def test_conv_patchify_matches_unfold_oracle():
     rng = np.random.default_rng(17)
     x = rng.normal(size=(3, 6, 4))
-    kernel = rng.normal(size=(5, 3, 2, 2))
-    bias = rng.normal(size=5)
-    out = ad.conv_patchify(ad.Tensor(x), ad.Tensor(kernel), ad.Tensor(bias), patch=2)
-    oracle = _unfold_linear_oracle(x, kernel, bias, 2)
-    assert out.shape == (5, 6)  # (6/2)*(4/2) patches when patch divides evenly
-    assert np.allclose(out.data, oracle, atol=1e-12)
+    kernels, biases, gt, pe = patch_embed_case(rng, 3, 6, 4, 5, 2)
+    out = embed(x, kernels, biases, gt, pe)
+    assert out.shape == (19, 5)  # 3 maps x (6/2)*(4/2) patches + the global token
+    assert np.allclose(out.data, patch_embed_oracle(x, kernels, biases, gt, pe, 2), atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(types=st.integers(1, 3), w=st.integers(1, 7), h=st.integers(1, 7), d=st.integers(1, 5),
+       patch=st.integers(1, 5), batch=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_patch_embed_matches_unfold_oracle(types, w, h, d, patch, batch, seed):
+    """Any map count, size, width and patch, including a patch that does not
+    divide W or H or exceeds them, and with or without a batch axis."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(batch, types, w, h) if batch else (types, w, h))
+    kernels, biases, gt, pe = patch_embed_case(rng, types, w, h, d, patch)
+    out = embed(x, kernels, biases, gt, pe, patch).data
+    for b, xb in enumerate(x if batch else [x]):
+        want = patch_embed_oracle(xb, kernels, biases, gt, pe, patch)
+        assert np.allclose(out[b] if batch else out, want, rtol=1e-12, atol=1e-12)
 
 
 def test_conv_patchify_gradcheck():
     rng = np.random.default_rng(19)
-    x = rng.normal(size=(2, 3, 3))
-    kernel = rng.normal(size=(2, 2, 2, 2))
-    bias = rng.normal(size=2)
-    check_grads(lambda ts: ad.tsum(ad.mul(ad.conv_patchify(ts[0], ts[1], ts[2], 2),
-                                          ad.conv_patchify(ts[0], ts[1], ts[2], 2))),
-                [x, kernel, bias])
+    x = rng.normal(size=(2, 2, 3, 3))
+    kernels, biases, gt, pe = patch_embed_case(rng, 2, 3, 3, 2, 2)
+
+    def build(ts):
+        out = ad.patch_embed(x, ts[0:2], ts[2:4], ts[4], pe, 2)
+        return ad.tsum(ad.mul(out, out))
+
+    check_grads(build, kernels + biases + [gt])
+
+
+def test_patch_embed_rejects_bad_inputs():
+    rng = np.random.default_rng(20)
+    kernels, biases, gt, pe = patch_embed_case(rng, 3, 4, 4, 2, 2)
+    with pytest.raises(ContractError):
+        ad.patch_embed(ad.Tensor(np.ones((3, 4, 4)), requires_grad=True), kernels, biases, gt, pe, 2)
+    with pytest.raises(ShapeError):
+        ad.patch_embed(np.ones((2, 4, 4)), kernels, biases, gt, pe, 2)
+    with pytest.raises(ShapeError):
+        ad.patch_embed(np.ones((3, 4, 4)), kernels, biases, gt, pe[1:], 2)
+    with pytest.raises(ShapeError):
+        ad.patch_embed(np.ones((3, 4, 4)), kernels, biases, gt, pe, 3)
+
+
+def fused_and_chain(fused, chain, inputs, probe_seed):
+    """Output and every input's gradient, as bytes, of `fused` and of
+    `chain` on the same inputs, each a tensor that requires grad."""
+    def run(op):
+        ts = [ad.Tensor(a, requires_grad=True) for a in inputs]
+        out = op(*ts)
+        probe = np.random.default_rng(probe_seed).normal(size=out.shape)
+        ad.tsum(ad.mul(out, probe)).backward()
+        return [out.data.tobytes()] + [t.grad.tobytes() for t in ts]
+    return run(fused), run(chain)
+
+
+@pytest.mark.parametrize("lead", [(), (1, 4), (3, 4)], ids=["one-map", "B1", "B3"])
+@pytest.mark.parametrize("w, h, d, patch", [(6, 6, 2, 3), (5, 4, 3, 2), (3, 5, 3, 4)],
+                         ids=["divides", "odd-d-pads", "patch-over-W"])
+def test_patch_embed_equals_its_chain_bit_for_bit(lead, w, h, d, patch):
+    rng = np.random.default_rng(61)
+    x = rng.normal(size=lead + (3, w, h))
+    kernels, biases, gt, pe = patch_embed_case(rng, 3, w, h, d, patch)
+
+    def as_op(embed_op):
+        return lambda *ts: embed_op(ad.Tensor(x), ts[0:3], ts[3:6], ts[6], pe, patch)
+
+    fused, chain = fused_and_chain(as_op(ad.patch_embed), as_op(patch_embed_chain),
+                                   kernels + biases + [gt], 62)
+    assert fused == chain
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (3, 4)], ids=["2-D", "B1", "B3"])
+@pytest.mark.parametrize("relu", [False, True], ids=["affine", "relu"])
+def test_linear_equals_matmul_add_relu_bit_for_bit(lead, relu):
+    rng = np.random.default_rng(63)
+    x, w, b = rng.normal(size=lead + (5, 7)), rng.normal(size=(7, 3)), rng.normal(size=3)
+    fused, chain = fused_and_chain(lambda *ts: ad.linear(*ts, relu), lambda *ts: linear_chain(*ts, relu),
+                                   [x, w, b], 64)
+    assert fused == chain
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (3,)], ids=["one", "B1", "B3"])
+@pytest.mark.parametrize("over_tokens", [False, True], ids=["CD", "CI"])
+@pytest.mark.parametrize("d", [4, 3])
+def test_affine_norm_equals_its_chain_bit_for_bit(lead, over_tokens, d):
+    rng = np.random.default_rng(65)
+    x, gamma, beta = rng.normal(size=lead + (7, d)), rng.normal(size=d), rng.normal(size=d)
+    fused, chain = fused_and_chain(lambda *ts: ad.affine_norm(*ts, over_tokens),
+                                   lambda *ts: affine_norm_chain(*ts, over_tokens), [x, gamma, beta], 66)
+    assert fused == chain
 
 
 def test_conv1d_identity_kernel():
@@ -606,10 +738,10 @@ def test_random_composite_gradcheck(seed):
     bt = rng.normal(size=4)
 
     def build(ts):
-        h = ad.matmul(ts[0], ts[1])            # (3, 3)
+        h = ad.linear(ts[0], ts[1])            # (3, 3)
         h = softmax_rows(h)
-        h = ad.matmul(h, ad.transpose(ts[1]))  # (3, 4)
-        h = ad.layer_norm(h, ts[2], ts[3])
+        h = ad.linear(h, ad.transpose(ts[1]))  # (3, 4)
+        h = ad.affine_norm(h, ts[2], ts[3])
         return ad.tmean(ad.mul(h, h))
 
     check_grads(build, [a, b, g, bt])
@@ -631,9 +763,14 @@ def per_sample_agrees(op, batch, *rest):
 def test_batched_ops_match_per_sample():
     rng = np.random.default_rng(51)
     w = rng.normal(size=(5, 3))
-    per_sample_agrees(ad.matmul, rng.normal(size=(3, 4, 5)), w)
-    kernel, bias = rng.normal(size=(2, 1, 2, 2)), rng.normal(size=2)
-    per_sample_agrees(lambda x: ad.conv_patchify(x, kernel, bias, 2), rng.normal(size=(3, 1, 3, 5)))
+    per_sample_agrees(ad.linear, rng.normal(size=(3, 4, 5)), w)
+    kernels, biases, gt, pe = patch_embed_case(rng, 2, 3, 5, 2, 2)
+    per_sample_agrees(lambda x: ad.patch_embed(x, kernels, biases, gt, pe, 2), rng.normal(size=(3, 2, 3, 5)))
+    lw, lb = rng.normal(size=(5, 2)), rng.normal(size=2)
+    per_sample_agrees(lambda x: ad.linear(x, lw, lb, relu=True), rng.normal(size=(3, 4, 5)))
+    for over_tokens in (False, True):
+        gamma, beta = rng.normal(size=4), rng.normal(size=4)
+        per_sample_agrees(lambda x: ad.affine_norm(x, gamma, beta, over_tokens), rng.normal(size=(3, 6, 4)))
     kernel1d, bias1d = rng.normal(size=(6, 4)), rng.normal(size=6)
     per_sample_agrees(lambda a: ad.conv1d_embed(a, kernel1d, bias1d), rng.normal(size=(3, 4, 7)))
     for wo_shape in ((4, 4), (4,)):

@@ -193,6 +193,57 @@ def test_pipeline_commands_era5_and_buoy(tmp_path, toy_config, l1_file, grid_fil
     assert len(loaded) > 0
 
 
+def write_predictions(path, n=200, seed=1):
+    """A predictions CSV of n samples, references and predictions inside 0-8 m."""
+    rng = np.random.default_rng(seed)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sample_index", "timestamp", "channel", "sp_lat", "sp_lon",
+                         "y_ref", "y_hat", "config_hash"])
+        for i in range(n):
+            for c in (1, 2, 3, 4):
+                ref = rng.uniform(0.5, 7.5)
+                writer.writerow([i, 0.0, c, 10.0, 40.0, ref, ref + rng.uniform(-0.4, 0.4), "h"])
+
+
+def test_evaluate_with_bin_edges_out_of_order_writes_nothing(tmp_path, toy_config):
+    data = tmp_path / "samples.jsonl"
+    main(["synth", "--config", toy_config, "--out", str(data)])
+    assert main(["train", "--config", toy_config, "--data", str(data),
+                 "--out-dir", str(tmp_path / "run")]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**TOY, "report_bin_edges": [3.0, 1.0]}))
+    eval_dir = tmp_path / "eval"
+    assert main(["evaluate", "--config", str(bad), "--data", str(data),
+                 "--checkpoint", str(tmp_path / "run" / "checkpoint.json"), "--out-dir", str(eval_dir)]) == 1
+    assert not eval_dir.exists()
+
+
+@pytest.mark.parametrize("key, value", [("scatter_bin_width", -1.0), ("scatter_bin_width", 20.0),
+                                        ("bias_cell_deg", 0.0), ("report_bin_edges", [1.0])])
+def test_report_with_a_reporting_key_out_of_range_writes_nothing(tmp_path, key, value, caplog):
+    preds = tmp_path / "preds.csv"
+    write_predictions(preds)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**TOY, key: value}))
+    out = tmp_path / "rep"
+    assert main(["report", "--config", str(bad), "--predictions", str(preds),
+                 "--out-dir", str(out), "--bins", "--scatter", "--bias-grid"]) == 1
+    assert repr(key) in caplog.text
+    assert not out.exists()
+
+
+def test_report_at_the_widest_scatter_bin_fills_its_histogram(tmp_path):
+    preds = tmp_path / "preds.csv"
+    write_predictions(preds)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TOY, "scatter_bin_width": 8.0}))
+    out = tmp_path / "rep"
+    assert main(["report", "--config", str(config), "--predictions", str(preds),
+                 "--out-dir", str(out), "--scatter"]) == 0
+    assert json.loads((out / "scatter_fit.json").read_text())["hist_total"] == 800
+
+
 def test_unknown_config_key_exits_one(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"learning_rate_typo": 1.0}))

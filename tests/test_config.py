@@ -46,6 +46,34 @@ def test_value_of_the_wrong_kind_names_its_key(key, value):
 
 
 @pytest.mark.parametrize("key, value", [
+    ("report_bin_edges", [3.0, 1.0]),
+    ("report_bin_edges", [0.0, 1.0, 1.0]),
+    ("report_bin_edges", [1.0]),
+    ("report_bin_edges", []),
+    ("scatter_bin_width", -1.0),
+    ("scatter_bin_width", 0.0),
+    ("scatter_bin_width", 8.5),
+    ("scatter_bin_width", 20),
+    ("scatter_bin_width", float("nan")),
+    ("bias_cell_deg", 0.0),
+    ("bias_cell_deg", -1.0),
+])
+def test_reporting_key_out_of_range_names_its_key(key, value):
+    with pytest.raises(ConfigError, match=repr(key)):
+        load_config(None, {key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("report_bin_edges", [0.0, 8.0]),
+    ("scatter_bin_width", 8.0),
+    ("scatter_bin_width", 0.01),
+    ("bias_cell_deg", 0.25),
+])
+def test_reporting_key_at_its_range_edge_is_taken(key, value):
+    assert load_config(None, {key: value})[key] == value
+
+
+@pytest.mark.parametrize("key, value", [
     ("lr", 1),
     ("scatter_bin_width", 0.5),
     ("n_layers", 2),

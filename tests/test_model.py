@@ -14,7 +14,8 @@ from swhnet.config import ModelConfig
 from swhnet.errors import ConfigError, ContractError, ShapeError
 from swhnet.model import WaveHeightModel, batch_loss, fuse, head_widths
 
-from oracles import finite_difference_grad, huber_value, max_rel_error
+from oracles import (affine_norm_chain, finite_difference_grad, huber_value, linear_chain, max_rel_error,
+                     patch_embed_chain)
 
 
 def toy_config(**kw):
@@ -517,14 +518,55 @@ def op_nodes(loss):
     return count
 
 
-def test_quick_start_training_graph_op_nodes():
-    """The README quick-start model under CI, one B = 2 training graph: the
-    four channels embedded in one call keep it at 101 op nodes (167 with
-    one embedding call per channel)."""
-    cfg = ModelConfig(width=6, height=6, patch_size=3, embed_dim=2, n_layers=1, d_ff=16,
-                      dropout_p=0.0, head_hidden=[16] * 9, strategy="CI")
+def training_graph_op_nodes(cfg):
+    """Op nodes of one B = 2 training graph of a model built from `cfg`."""
     model = WaveHeightModel(cfg)
     rng = np.random.default_rng(0)
-    preds = model.forward_batch(rng.normal(size=(2, 4, 3, 6, 6)), rng.normal(size=(2, 4, cfg.k_ap)),
-                                train=True, rng=rng)
-    assert op_nodes(batch_loss(preds, np.ones((2, 4)), 2.0)) <= 101
+    preds = model.forward_batch(rng.normal(size=(2, 4, 3, cfg.width, cfg.height)),
+                                rng.normal(size=(2, 4, cfg.k_ap)), train=True, rng=rng)
+    return op_nodes(batch_loss(preds, np.ones((2, 4)), 2.0))
+
+
+def test_quick_start_training_graph_op_nodes():
+    """The README quick-start model under CI, one B = 2 training graph: one
+    node each for the patch embedding, every head layer and every channel
+    norm keep it at 52 op nodes (101 with their node chains, 167 with one
+    embedding call per channel)."""
+    cfg = ModelConfig(width=6, height=6, patch_size=3, embed_dim=2, n_layers=1, d_ff=16,
+                      dropout_p=0.0, head_hidden=[16] * 9, strategy="CI")
+    assert training_graph_op_nodes(cfg) <= 52
+
+
+def test_paper_default_training_graph_op_nodes():
+    """The paper-default CD model, one B = 2 training graph: 84 op nodes
+    (152 with the embedding, linear and norm node chains)."""
+    assert training_graph_op_nodes(ModelConfig()) <= 84
+
+
+@pytest.mark.parametrize("strategy", ["CI", "CD"])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("width, height, patch, embed_dim", [(6, 6, 3, 2), (7, 5, 3, 3), (3, 5, 4, 3)],
+                         ids=["divides", "odd-dim-pads", "patch-over-W"])
+def test_fused_ops_reproduce_their_node_chains(monkeypatch, strategy, batch, width, height, patch, embed_dim):
+    """A training step and an eval forward of the whole model with the fused
+    embedding, linear and norm ops equal, bit for bit in the predictions and
+    in every parameter gradient, those with the node chains they replaced."""
+    cfg = ModelConfig(width=width, height=height, patch_size=patch, embed_dim=embed_dim, n_layers=2, d_ff=16,
+                      dropout_p=0.2, head_hidden=[8] * 9, strategy=strategy)
+    rng = np.random.default_rng(71)
+    ddms, aps = rng.normal(size=(batch, 4, 3, width, height)), rng.normal(size=(batch, 4, cfg.k_ap))
+    refs = rng.normal(size=(batch, 4)) + 2.0
+
+    def run():
+        model = WaveHeightModel(cfg)
+        preds = model.forward_batch(ddms, aps, train=True, rng=np.random.default_rng(72))
+        batch_loss(preds, refs, 2.0).backward()
+        with ad.no_grad():
+            evals = model.forward_batch(ddms, aps).data
+        return [preds.data.tobytes(), evals.tobytes()] + [p.grad.tobytes() for p in model.bag.values()]
+
+    fused = run()
+    monkeypatch.setattr(ad, "patch_embed", patch_embed_chain)
+    monkeypatch.setattr(ad, "linear", linear_chain)
+    monkeypatch.setattr(ad, "affine_norm", affine_norm_chain)
+    assert fused == run()
