@@ -1,23 +1,23 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Small tape-based autodiff engine providing exactly the operations the
-network needs: the Huber penalty, a pointwise convolution, an
-elementwise suite (add, mul, sigmoid, dropout, transpose, reshape,
-concat, split, stack), sum/mean reductions, and fused ops with
-hand-derived backward passes: `linear` (a matrix product with an
-optional bias and ReLU), `affine_norm` (per-token or per-channel
-normalization with its affine map), `patch_embed` (every DDM type's
-patch embedding with the global token and position codes),
-`sca_attention` (four d_k = 1 heads plus the output projection) and
-`ffn` (linear -> ReLU -> dropout -> linear, dense or per-channel
-blocks).
+network needs: add, dropout, the shape ops (transpose, reshape, concat,
+split, stack), and fused ops with hand-derived backward passes: `linear`
+(a matrix product with an optional bias and ReLU), `affine_norm`
+(per-token or per-channel normalization with its affine map),
+`patch_embed` (every DDM type's patch embedding with the global token
+and position codes), `sca_attention` (four d_k = 1 heads plus the output
+projection), `ffn` (linear -> ReLU -> dropout -> linear, dense or
+per-channel blocks), `ap_gate` (the auxiliary-parameter branch) and
+`huber` (the mean Huber penalty, a scalar loss).
 
 Design notes:
   * Everything is float64; gradients are checked against central finite
     differences at tight tolerances in the test suite.
   * Any forward op that produces NaN/Inf from finite inputs raises
     NonFiniteError immediately instead of propagating. A fused op checks
-    once per call, where overflow can arise, not every intermediate.
+    where overflow can arise, not every intermediate; the shape ops,
+    which only move finite values, do not check.
   * The fused ops keep only O(M) float arrays, and `ffn` a one-byte
     (M, d_ff) dropout mask, for backward and recompute the rest there,
     instead of a tape node per intermediate.
@@ -95,8 +95,10 @@ class Tensor:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def _from_op(data: np.ndarray, parents: tuple["Tensor", ...], backward, op: str) -> "Tensor":
-        _guard_finite(data, op)
+    def _from_op(data: np.ndarray, parents: tuple["Tensor", ...], backward, op: str,
+                 guard: bool = True) -> "Tensor":
+        if guard:  # off for ops that only move finite values
+            _guard_finite(data, op)
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
@@ -352,35 +354,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(data, (a, b), _bw, "add")
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        data = a.data * b.data
-    except ValueError as exc:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}") from exc
-
-    def _bw(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
-
-    return Tensor._from_op(data, (a, b), _bw, "mul")
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    # Stable two-branch evaluation avoids overflow for large |x|.
-    d = x.data
-    s = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-
-    def _bw(g):
-        if x.requires_grad:
-            x._accumulate(g * s * (1.0 - s))
-
-    return Tensor._from_op(s, (x,), _bw, "sigmoid")
-
-
 def _check_dropout(p: float, train: bool, rng) -> bool:
     """Validate dropout arguments; True when masks are to be drawn."""
     if not 0.0 <= p < 1.0:
@@ -478,7 +451,7 @@ def transpose(x: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
         if x.requires_grad:
             x._accumulate(np.transpose(g, inv))
 
-    return Tensor._from_op(np.ascontiguousarray(data), (x,), _bw, "transpose")
+    return Tensor._from_op(np.ascontiguousarray(data), (x,), _bw, "transpose", guard=False)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -492,7 +465,7 @@ def reshape(x: Tensor, shape) -> Tensor:
         if x.requires_grad:
             x._accumulate(g.reshape(x.shape))
 
-    return Tensor._from_op(np.ascontiguousarray(data), (x,), _bw, "reshape")
+    return Tensor._from_op(np.ascontiguousarray(data), (x,), _bw, "reshape", guard=False)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -515,7 +488,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
                 idx[axis] = slice(int(lo), int(hi))
                 p._accumulate(g[tuple(idx)])
 
-    return Tensor._from_op(data, tuple(parts), _bw, "concat")
+    return Tensor._from_op(data, tuple(parts), _bw, "concat", guard=False)
 
 
 def split(x: Tensor, parts: int, axis: int = 0) -> list[Tensor]:
@@ -540,7 +513,7 @@ def split(x: Tensor, parts: int, axis: int = 0) -> list[Tensor]:
                     x._new_grad().fill(0.0)
                 x.grad[idx] += g
 
-        out.append(Tensor._from_op(np.ascontiguousarray(x.data[idx]), (x,), _bw, "split"))
+        out.append(Tensor._from_op(np.ascontiguousarray(x.data[idx]), (x,), _bw, "split", guard=False))
     return out
 
 
@@ -558,32 +531,7 @@ def stack(tensors, axis: int = 0) -> Tensor:
             if p.requires_grad:
                 p._accumulate(np.take(g, k, axis=axis))
 
-    return Tensor._from_op(data, tuple(parts), _bw, "stack")
-
-
-# -- reductions -----------------------------------------------------------------
-
-
-def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    x = _as_tensor(x)
-    data = x.data.sum(axis=axis, keepdims=keepdims)
-
-    def _bw(g):
-        if not x.requires_grad:
-            return
-        if axis is None:
-            x._accumulate(np.broadcast_to(g.reshape(() if not keepdims else g.shape), x.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            x._accumulate(np.broadcast_to(gg, x.shape).copy())
-
-    return Tensor._from_op(np.asarray(data, dtype=np.float64), (x,), _bw, "sum")
-
-
-def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    x = _as_tensor(x)
-    n = x.size if axis is None else x.shape[axis]
-    return mul(tsum(x, axis=axis, keepdims=keepdims), 1.0 / n)
+    return Tensor._from_op(data, tuple(parts), _bw, "stack", guard=False)
 
 
 # -- linear algebra ---------------------------------------------------------------
@@ -621,18 +569,26 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) ->
     def _bw(g):
         if relu:
             g = g * (data > 0.0)
-        if b is not None and b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
-        if x.requires_grad:
-            x._accumulate(_mm(g, w.data.T))
-        if w.requires_grad:
-            at, gr = _rows(x.data).T, _rows(g)
-            if w.grad is None:  # written in place: no (k, m) temporary
-                np.matmul(at, gr, out=w._new_grad())
-            else:
-                w.grad += at @ gr
+        gx = _linear_bw(g, x.data, w, b, x.requires_grad)
+        if gx is not None:
+            x._accumulate(gx)
 
     return Tensor._from_op(data, (x, w) if b is None else (x, w, b), _bw, "linear")
+
+
+def _linear_bw(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor | None, x_grad: bool = True):
+    """Backward of x @ w.data (+ b.data) for an (..., n, k) array x: adds
+    b's and w's gradients (w's first one written in place, no (k, m)
+    temporary) and returns x's gradient, or None unless `x_grad`."""
+    if b is not None and b.requires_grad:
+        b._accumulate(_unbroadcast(g, b.shape))
+    if w.requires_grad:
+        at, gr = _rows(x).T, _rows(g)
+        if w.grad is None:
+            np.matmul(at, gr, out=w._new_grad())
+        else:
+            w.grad += at @ gr
+    return _mm(g, w.data.T) if x_grad else None
 
 
 def affine_norm(x: Tensor, gamma: Tensor, beta: Tensor, over_tokens: bool = False,
@@ -920,23 +876,23 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
 
 
 def huber(residual: Tensor, delta: float) -> Tensor:
-    """Elementwise Huber penalty of a residual tensor.
-
-    0.5 e^2 inside |e| <= delta, linear delta*|e| - 0.5 delta^2 outside.
-    """
+    """Mean Huber penalty of a residual tensor's n entries, a 0-d node: 0.5
+    e^2 inside |e| <= delta, delta*|e| - 0.5 delta^2 outside, summed, then
+    scaled by 1/n."""
     if delta <= 0:
         raise ConfigError(f"huber delta must be positive, got {delta}")
     residual = _as_tensor(residual)
     e = residual.data
+    inv_n = 1.0 / e.size
     inside = np.abs(e) <= delta
-    data = np.where(inside, 0.5 * e * e, delta * np.abs(e) - 0.5 * delta * delta)
+    penalty = np.where(inside, 0.5 * e * e, delta * np.abs(e) - 0.5 * delta * delta)
     deriv = np.where(inside, e, delta * np.sign(e))
 
     def _bw(g):
         if residual.requires_grad:
-            residual._accumulate(g * deriv)
+            residual._accumulate(g * inv_n * deriv)
 
-    return Tensor._from_op(data, (residual,), _bw, "huber")
+    return Tensor._from_op(np.asarray(penalty.sum() * inv_n), (residual,), _bw, "huber")
 
 
 # -- convolution-style embeddings ----------------------------------------------
@@ -998,17 +954,102 @@ def patch_embed(x, kernels, biases, global_token: Tensor, pe: np.ndarray, patch:
     return Tensor._from_op(data, tuple(kernels) + tuple(biases) + (global_token,), _bw, "patch_embed")
 
 
-def conv1d_embed(a: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """Pointwise 1-D convolution: per-position linear map of the channel vector.
+# -- auxiliary-parameter branch -------------------------------------------------
 
-    a is (..., C_in, L), kernel is (C_out, C_in), bias is (C_out,); returns
-    (..., C_out, L). Leading axes are a batch.
+
+def _sigmoid(d: np.ndarray) -> np.ndarray:
+    """Elementwise logistic function; the two-branch form cannot overflow."""
+    return np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x (..., n, k) @ w (k, m) + b (m,), checked for overflow as `ap_gate`."""
+    out = _mm(x, w)
+    out += b
+    return _guard_finite(out, "ap_gate")
+
+
+def ap_gate(a: Tensor, kernel: Tensor, bias: Tensor, p1: Tensor, b1: Tensor, p2: Tensor, b2: Tensor,
+            p3: Tensor, b3: Tensor, p4: Tensor, b4: Tensor) -> Tensor:
+    """The auxiliary-parameter branch A * W_s * W_c of an (..., 4, K) input
+    A as one node; leading axes are a batch.
+
+    Each position's channel vector is embedded to eight values, split into
+    maps A1 and A2. W_s = sigmoid((A1 p1 + b1) p2 + b2) row by row; W_c is
+    the sigmoid of A2's columns projected by p3, b3, p4, b4. An (8, 4)
+    kernel means CD: a dense embedding and (4, H), (H, 4) projections. An
+    (8,) kernel means CI: channel c is embedded by kernel[c], kernel[4 + c]
+    and their biases, and its values pass through their own 1 -> H -> 1 map,
+    rows c of p3, b3, p4 (4, H) and b4[c]: channels stay isolated exactly.
+    It makes the numpy calls of the node chain it replaced in their order
+    and layouts, so every bit is the chain's, with `linear`'s backward for
+    the products. The embedding and each pre-sigmoid product are checked.
     """
-    a, kernel, bias = _as_tensor(a), _as_tensor(kernel), _as_tensor(bias)
-    if a.ndim < 2 or kernel.ndim != 2:
-        raise ShapeError(f"conv1d_embed requires (..., C_in, L) input and 2-D kernel, got {a.shape}/{kernel.shape}")
-    if kernel.shape[1] != a.shape[-2]:
-        raise ShapeError(f"conv1d_embed: kernel {kernel.shape} does not match input channels {a.shape[-2]}")
-    if bias.shape != (kernel.shape[0],):
-        raise ShapeError(f"conv1d_embed bias shape {bias.shape} != ({kernel.shape[0]},)")
-    return transpose(linear(transpose(a), transpose(kernel), bias))
+    ts = tuple(_as_tensor(t) for t in (a, kernel, bias, p1, b1, p2, b2, p3, b3, p4, b4))
+    a, kernel, bias, p1, b1, p2, b2, p3, b3, p4, b4 = ts
+    dense, k, up, hid = kernel.shape == (8, 4), a.shape[-1], p1.shape[-1], p3.shape[-1]
+    want = [(8, 4) if dense else (8,), (8,), (k, up), (up,), (up, k), (k,),
+            (4, hid), (hid,) if dense else (4, hid), (hid, 4) if dense else (4, hid), (4,)]
+    if a.ndim < 2 or a.shape[-2] != 4 or [t.shape for t in ts[1:]] != want:
+        raise ShapeError(f"ap_gate: weights {[t.shape for t in ts[1:]]} do not fit input {a.shape}")
+    x = a.data
+    if dense:
+        # The chain's transposed kernel (4, 8), a leaf so `_linear_bw` can take it.
+        kt = Tensor(np.ascontiguousarray(kernel.data.T), kernel.requires_grad)
+        xt = np.ascontiguousarray(np.swapaxes(x, -1, -2))  # (..., K, 4)
+        emb = _affine(xt, kt.data, bias.data)  # (..., K, 8)
+        a1 = np.ascontiguousarray(np.swapaxes(emb[..., :4], -1, -2))
+        t = np.ascontiguousarray(emb[..., 4:])  # A2 transposed: (..., K, 4)
+    else:
+        a1 = _guard_finite(x * kernel.data[:4, None] + bias.data[:4, None], "ap_gate")
+        a2 = _guard_finite(x * kernel.data[4:, None] + bias.data[4:, None], "ap_gate")
+        t = np.ascontiguousarray(np.swapaxes(a2, -1, -2))
+    h1 = _affine(a1, p1.data, b1.data)
+    s1 = _sigmoid(_affine(h1, p2.data, b2.data))
+    if dense:
+        hc = _affine(t, p3.data, b3.data)
+        s2 = _sigmoid(_affine(hc, p4.data, b4.data))
+    else:
+        hc = _guard_finite(t[..., None] * p3.data + b3.data, "ap_gate")  # (..., K, 4, H)
+        s2 = _sigmoid(_guard_finite((hc * p4.data).sum(axis=-1) + b4.data, "ap_gate"))
+    wc = np.ascontiguousarray(np.swapaxes(s2, -1, -2))
+    m1 = x * s1
+
+    def _bw(g):
+        gm1 = g * wc
+        ga1 = _linear_bw(_linear_bw(gm1 * x * s1 * (1.0 - s1), h1, p2, b2), a1, p1, b1)
+        gz2 = np.ascontiguousarray(np.swapaxes(g * m1, -1, -2)) * s2 * (1.0 - s2)
+        if dense:
+            gt = _linear_bw(_linear_bw(gz2, hc, p4, b4), t, p3, b3)
+        else:
+            gsum = np.broadcast_to(gz2[..., None], hc.shape).copy()
+            ghc = gsum * p4.data
+            for w, gw in ((b4, gz2), (p4, gsum * hc), (b3, ghc), (p3, ghc * t[..., None])):
+                if w.requires_grad:
+                    w._accumulate(_unbroadcast(gw, w.shape))
+            gt = _unbroadcast(ghc * p3.data, hc.shape[:-1] + (1,)).reshape(t.shape)
+        gx = gm1 * s1
+        if dense:
+            gl = np.zeros(t.shape[:-1] + (8,))  # zeros, then add: keeps the split's signs of zero
+            gl[..., :4] += np.swapaxes(ga1, -1, -2)
+            gl[..., 4:] += gt
+            gxt = _linear_bw(gl, xt, kt, bias, a.requires_grad)
+            if kt.grad is not None:
+                kernel._accumulate(kt.grad.T)
+                kt.grad = None
+            if gxt is not None:
+                gx += np.swapaxes(gxt, -1, -2)
+        else:
+            ga2 = np.ascontiguousarray(np.swapaxes(gt, -1, -2))
+            for w, g1, g2 in ((kernel, ga1 * x, ga2 * x), (bias, ga1, ga2)):
+                if w.requires_grad:
+                    if w.grad is None:  # zeros, then add: keeps the split's signs of zero
+                        w._new_grad().fill(0.0)
+                    w.grad[:4] += _unbroadcast(g1, (4, 1)).reshape(4)
+                    w.grad[4:] += _unbroadcast(g2, (4, 1)).reshape(4)
+            gx += ga1 * kernel.data[:4, None]
+            gx += ga2 * kernel.data[4:, None]
+        if a.requires_grad:
+            a._accumulate(gx)
+
+    return Tensor._from_op(m1 * wc, ts, _bw, "ap_gate")

@@ -277,14 +277,25 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _read_predictions(path: str):
+def _read_predictions(path: str) -> list[tuple]:
+    """(channel, y_hat, y_ref, sp_lat, sp_lon) rows of a predictions CSV; a
+    channel outside 1-4 or a value not a finite number is a FormatError at its line."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not set(PREDICTION_FIELDS) <= set(reader.fieldnames):
             raise FormatError(f"predictions CSV must have columns {PREDICTION_FIELDS}")
         for row in reader:
-            rows.append(row)
+            try:
+                channel = int(row["channel"])
+                values = tuple(float(row[k]) for k in ("y_hat", "y_ref", "sp_lat", "sp_lon"))
+            except (TypeError, ValueError) as exc:
+                raise FormatError(f"{path} line {reader.line_num}: {exc}") from exc
+            if channel not in (1, 2, 3, 4):
+                raise FormatError(f"{path} line {reader.line_num}: channel {channel} is not 1-4")
+            if not np.isfinite(values).all():
+                raise FormatError(f"{path} line {reader.line_num}: non-finite value in {values}")
+            rows.append((channel,) + values)
     if not rows:
         raise ContractError(f"no prediction rows in {path}")
     return rows
@@ -293,17 +304,8 @@ def _read_predictions(path: str):
 def cmd_report(args) -> int:
     cfg, h = _resolve_config(args)
     rows = _read_predictions(args.predictions)
-    by_channel = {c: ([], []) for c in (1, 2, 3, 4)}
-    lats, lons, preds_flat, refs_flat = [], [], [], []
-    for row in rows:
-        c = int(row["channel"])
-        by_channel[c][0].append(float(row["y_hat"]))
-        by_channel[c][1].append(float(row["y_ref"]))
-        lats.append(float(row["sp_lat"]))
-        lons.append(float(row["sp_lon"]))
-        preds_flat.append(float(row["y_hat"]))
-        refs_flat.append(float(row["y_ref"]))
-    pairs = {c: (np.array(p), np.array(r)) for c, (p, r) in by_channel.items()}
+    channels, preds_flat, refs_flat, lats, lons = (np.array(col) for col in zip(*rows))
+    pairs = {c: (preds_flat[channels == c], refs_flat[channels == c]) for c in (1, 2, 3, 4)}
     os.makedirs(args.out_dir, exist_ok=True)
     rep = report(pairs, bin_edges=cfg["report_bin_edges"], config_hash=h)
     rep.write_json(os.path.join(args.out_dir, "metrics.json"))
@@ -311,12 +313,10 @@ def cmd_report(args) -> int:
     if args.bins:
         rep.write_binned_csv(os.path.join(args.out_dir, "metrics_binned.csv"))
     if args.scatter:
-        export_scatter(np.array(preds_flat), np.array(refs_flat),
-                       os.path.join(args.out_dir, "scatter"),
+        export_scatter(preds_flat, refs_flat, os.path.join(args.out_dir, "scatter"),
                        bin_width=cfg["scatter_bin_width"], config_hash=h)
     if args.bias_grid:
-        export_bias_grid(np.array(lats), np.array(lons), np.array(preds_flat),
-                         np.array(refs_flat), os.path.join(args.out_dir, "bias_grid.csv"),
+        export_bias_grid(lats, lons, preds_flat, refs_flat, os.path.join(args.out_dir, "bias_grid.csv"),
                          cell_deg=cfg["bias_cell_deg"], config_hash=h)
     log.info("report written to %s", args.out_dir)
     return 0

@@ -103,7 +103,7 @@ def batch_loss(preds: Tensor | list[Tensor], refs: np.ndarray, delta: float) -> 
     stacked = preds if isinstance(preds, Tensor) else ad.stack(preds, axis=0)
     if stacked.shape != refs.shape:
         raise ShapeError(f"predictions {stacked.shape} do not match references {refs.shape}")
-    return ad.tmean(ad.huber(ad.add(stacked, -refs), delta))
+    return ad.huber(ad.add(stacked, -refs), delta)
 
 
 # ---------------------------------------------------------------------------

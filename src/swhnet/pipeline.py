@@ -631,12 +631,15 @@ def read_era5_grid(path: str) -> Era5Grid:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        return Era5Grid(times=doc["times"], lats=doc["lats"], lons=doc["lons"],
-                        swh=doc["swh"], mask=np.asarray(doc["mask"], dtype=bool))
+        arrays = {k: np.asarray(doc[k], dtype=bool if k == "mask" else np.float64)
+                  for k in ("times", "lats", "lons", "swh", "mask")}
     except json.JSONDecodeError as exc:
         raise FormatError(f"grid file {path} is not valid JSON: {exc}") from exc
     except (KeyError, TypeError) as exc:
         raise FormatError(f"grid file {path} is missing fields: {exc}") from exc
+    except ValueError as exc:
+        raise FormatError(f"grid file {path} holds a non-numeric or ragged array: {exc}") from exc
+    return Era5Grid(**arrays)
 
 
 def read_buoys(path: str) -> list[BuoyRecord]:

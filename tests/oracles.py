@@ -12,11 +12,15 @@ shared one buffer, which the one-pass `AdamW` must reproduce bit for bit,
 `kept_hidden_ffn`, the fused feedforward as it ran when it kept the
 float hidden array for backward, which `autodiff.ffn`'s recompute from a
 one-byte mask must reproduce bit for bit, and the node chains that
-`autodiff.patch_embed`, `autodiff.linear` and `autodiff.affine_norm`
-replaced, as they ran before (`patch_embed_chain`, `linear_chain`,
-`affine_norm_chain`, built on `matmul_node` and the deleted nodes
-`relu_node`, `normalize_node`, `pad_end_node` and `conv_patchify_chain`),
-which each fused op must reproduce bit for bit.
+`autodiff.patch_embed`, `autodiff.linear`, `autodiff.affine_norm`,
+`autodiff.ap_gate` and `autodiff.huber` replaced, as they ran before
+(`patch_embed_chain`, `linear_chain`, `affine_norm_chain`,
+`ap_gate_chain`, `huber_mean_chain`, built on `matmul_node` and the
+deleted nodes `relu_node`, `normalize_node`, `pad_end_node`,
+`conv_patchify_chain`, `mul_node`, `sigmoid_node`, `tsum_node`,
+`tmean_chain`, `huber_node` and `conv1d_embed_chain`), which each fused
+op must reproduce bit for bit. `probe_sum` is the scalar test loss
+sum(x * probe) as one node.
 """
 
 import math
@@ -24,7 +28,7 @@ import math
 import numpy as np
 
 from swhnet import autodiff as ad
-from swhnet.autodiff import Tensor, _as_tensor, _check_dropout, _rows, _tiles
+from swhnet.autodiff import Tensor, _as_tensor, _check_dropout, _rows, _tiles, _unbroadcast
 from swhnet.autodiff import linear as _linear
 from swhnet.errors import ConfigError, ContractError, ShapeError
 from swhnet.pipeline import BUOY_MAX_KM, BUOY_MAX_S, haversine_km
@@ -460,4 +464,118 @@ def affine_norm_chain(x, gamma, beta, over_tokens=False, eps=1e-5):
         normed = ad.transpose(normalize_node(ad.transpose(x), eps))
     else:
         normed = normalize_node(x, eps)
-    return ad.add(ad.mul(normed, gamma), beta)
+    return ad.add(mul_node(normed, gamma), beta)
+
+
+# ---------------------------------------------------------------------------
+# node chains as they ran before the fused AP branch and loss
+# ---------------------------------------------------------------------------
+
+
+def mul_node(a, b):
+    """a * b with broadcasting as a node of its own (the deleted `autodiff.mul`)."""
+    a, b = _as_tensor(a), _as_tensor(b)
+
+    def _bw(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * a.data, b.shape))
+
+    return Tensor._from_op(a.data * b.data, (a, b), _bw, "mul")
+
+
+def sigmoid_node(x):
+    """The logistic function as a node of its own (the deleted `autodiff.sigmoid`)."""
+    x = _as_tensor(x)
+    d = x.data
+    s = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+
+    def _bw(g):
+        if x.requires_grad:
+            x._accumulate(g * s * (1.0 - s))
+
+    return Tensor._from_op(s, (x,), _bw, "sigmoid")
+
+
+def tsum_node(x, axis=None):
+    """Sum over one axis or all of them (the deleted `autodiff.tsum`)."""
+    x = _as_tensor(x)
+    data = x.data.sum(axis=axis)
+
+    def _bw(g):
+        if x.requires_grad:
+            x._accumulate(np.broadcast_to(g.reshape(()) if axis is None else np.expand_dims(g, axis),
+                                          x.shape).copy())
+
+    return Tensor._from_op(np.asarray(data, dtype=np.float64), (x,), _bw, "sum")
+
+
+def tmean_chain(x):
+    """Mean of every entry as sum -> scale nodes (the deleted `autodiff.tmean`)."""
+    x = _as_tensor(x)
+    return mul_node(tsum_node(x), 1.0 / x.size)
+
+
+def probe_sum(x, probe):
+    """sum(x * probe) for a constant `probe`, as one scalar node: the test
+    loss whose gradient with respect to x is `probe`."""
+    x, probe = _as_tensor(x), np.asarray(probe, dtype=np.float64)
+
+    def _bw(g):
+        if x.requires_grad:
+            x._accumulate(g * np.broadcast_to(probe, x.shape))
+
+    return Tensor._from_op(np.asarray((x.data * probe).sum()), (x,), _bw, "probe_sum")
+
+
+def huber_node(residual, delta):
+    """The elementwise Huber penalty as a node (`autodiff.huber` before it
+    took the mean)."""
+    if delta <= 0:
+        raise ConfigError(f"huber delta must be positive, got {delta}")
+    residual = _as_tensor(residual)
+    e = residual.data
+    inside = np.abs(e) <= delta
+    data = np.where(inside, 0.5 * e * e, delta * np.abs(e) - 0.5 * delta * delta)
+    deriv = np.where(inside, e, delta * np.sign(e))
+
+    def _bw(g):
+        if residual.requires_grad:
+            residual._accumulate(g * deriv)
+
+    return Tensor._from_op(data, (residual,), _bw, "huber")
+
+
+def huber_mean_chain(residual, delta):
+    """`autodiff.huber` as the loss ran it before: huber -> sum -> scale nodes."""
+    return tmean_chain(huber_node(residual, delta))
+
+
+def conv1d_embed_chain(a, kernel, bias):
+    """Pointwise embedding (..., C_in, L) -> (..., C_out, L) by a (C_out, C_in)
+    kernel, as transpose -> linear -> transpose (the deleted `autodiff.conv1d_embed`)."""
+    return ad.transpose(ad.linear(ad.transpose(a), ad.transpose(kernel), bias))
+
+
+def ap_gate_chain(a, kernel, bias, p1, b1, p2, b2, p3, b3, p4, b4):
+    """`autodiff.ap_gate` as `ApGateBranch` ran it before, node by node:
+    embedding, split, spatial gate, channel gate, triple product."""
+    a = _as_tensor(a)
+    if _as_tensor(kernel).shape == (8, 4):
+        a1, a2 = ad.split(conv1d_embed_chain(a, kernel, bias), 2, axis=-2)
+    else:
+        w1, w2 = ad.split(kernel, 2, axis=0)
+        e1, e2 = ad.split(bias, 2, axis=0)
+        a1 = ad.add(mul_node(a, ad.reshape(w1, (4, 1))), ad.reshape(e1, (4, 1)))
+        a2 = ad.add(mul_node(a, ad.reshape(w2, (4, 1))), ad.reshape(e2, (4, 1)))
+    w_spatial = sigmoid_node(ad.linear(ad.linear(a1, p1, b1), p2, b2))
+    t = ad.transpose(a2)
+    if _as_tensor(b3).ndim == 1:
+        z = ad.linear(ad.linear(t, p3, b3), p4, b4)
+    else:
+        col = ad.reshape(t, t.shape + (1,))
+        hidden = ad.add(mul_node(col, p3), b3)
+        z = ad.add(tsum_node(mul_node(hidden, p4), axis=-1), b4)
+    w_channel = ad.transpose(sigmoid_node(z))
+    return mul_node(mul_node(a, w_spatial), w_channel)

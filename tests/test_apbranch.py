@@ -1,4 +1,8 @@
-"""Tests for the auxiliary-parameter gating branch."""
+"""Tests for the auxiliary-parameter gating branch.
+
+The branch is one `autodiff.ap_gate` node; each gate is read off its
+output by zeroing the other gate's weights (see `gate`).
+"""
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from swhnet.apbranch import ApGateBranch
 from swhnet.config import ModelConfig
 from swhnet.errors import ShapeError
 
-from oracles import (channel_gate_oracle_cd, finite_difference_grad, max_rel_error,
+from oracles import (channel_gate_oracle_cd, finite_difference_grad, max_rel_error, probe_sum,
                      spatial_gate_oracle)
 
 
@@ -20,109 +24,149 @@ def build_branch(strategy="CD", seed=0, use_wind=False):
     return ApGateBranch(cfg, bag, np.random.default_rng(seed)), bag, cfg
 
 
+SPATIAL = ("p1", "b1", "p2", "b2")
+CHANNEL = ("p3", "b3", "p4", "b4")
+
+
+def gate(branch, a, which):
+    """The spatial or the channel gate on input `a`, read off `forward` with
+    the other gate's weights zeroed: that gate is then sigmoid(0) = 0.5
+    everywhere, so forward(a) = 0.5 * a * gate."""
+    other = [getattr(branch, name) for name in (CHANNEL if which == "spatial" else SPATIAL)]
+    saved = [t.data.copy() for t in other]
+    for t in other:
+        t.data[...] = 0.0
+    try:
+        return branch.forward(Tensor(a)).data / (0.5 * a)
+    finally:
+        for t, v in zip(other, saved):
+            t.data[...] = v
+
+
+def identity_embedding(branch):
+    """A CD embedding that passes the input unchanged to both gates."""
+    branch.embed_kernel.data[...] = np.vstack([np.eye(4), np.eye(4)])
+    branch.embed_bias.data[...] = 0.0
+
+
+def selector_gates(branch):
+    """Gate weights under which each gate is the sigmoid of its embedded map."""
+    k = branch.cfg.k_ap
+    for name in SPATIAL + CHANNEL:
+        getattr(branch, name).data[...] = 0.0
+    branch.p1.data[...] = np.eye(k, 4 * k)
+    branch.p2.data[...] = np.eye(4 * k, k)
+    branch.p3.data[:, :4] = np.eye(4)
+    branch.p4.data[:4] = np.eye(4)
+
+
+def sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 def test_embed_identity_like_kernel():
     branch, _, cfg = build_branch()
-    kernel = np.vstack([np.eye(4), np.eye(4)])
-    branch.embed_kernel.data[...] = kernel
-    branch.embed_bias.data[...] = 0.0
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=(4, cfg.k_ap))
-    a1, a2 = branch.ap_embed(Tensor(a))
-    assert np.array_equal(a1.data, a) and np.array_equal(a2.data, a)
+    identity_embedding(branch)
+    selector_gates(branch)
+    a = np.random.default_rng(1).normal(size=(4, cfg.k_ap))
+    assert np.allclose(branch.forward(Tensor(a)).data, a * sigmoid(a) * sigmoid(a), rtol=0.0, atol=1e-15)
 
 
 def test_embed_zero_kernel_zero_bias():
     branch, _, cfg = build_branch()
     branch.embed_kernel.data[...] = 0.0
     branch.embed_bias.data[...] = 0.0
-    a1, a2 = branch.ap_embed(Tensor(np.ones((4, cfg.k_ap))))
-    assert np.array_equal(a1.data, np.zeros((4, cfg.k_ap)))
-    assert np.array_equal(a2.data, np.zeros((4, cfg.k_ap)))
+    selector_gates(branch)
+    a = np.random.default_rng(3).normal(size=(4, cfg.k_ap))
+    assert np.array_equal(branch.forward(Tensor(a)).data, 0.25 * a)
 
 
 def test_embed_matches_pointwise_loop():
     branch, _, cfg = build_branch(seed=3)
+    selector_gates(branch)
     rng = np.random.default_rng(2)
     a = rng.normal(size=(4, cfg.k_ap))
-    a1, a2 = branch.ap_embed(Tensor(a))
     kernel, bias = branch.embed_kernel.data, branch.embed_bias.data
     oracle = np.zeros((8, cfg.k_ap))
     for pos in range(cfg.k_ap):
         for co in range(8):
             oracle[co, pos] = sum(kernel[co, ci] * a[ci, pos] for ci in range(4)) + bias[co]
-    assert np.allclose(a1.data, oracle[:4], atol=1e-14)
-    assert np.allclose(a2.data, oracle[4:], atol=1e-14)
+    out = branch.forward(Tensor(a)).data
+    assert np.allclose(out, a * sigmoid(oracle[:4]) * sigmoid(oracle[4:]), rtol=0.0, atol=1e-14)
 
 
 def test_spatial_gate_zero_weights_half():
     branch, _, cfg = build_branch()
-    for t in (branch.p1, branch.b1, branch.p2, branch.b2):
-        t.data[...] = 0.0
-    gates = branch.spatial_gate(Tensor(np.random.default_rng(0).normal(size=(4, cfg.k_ap))))
-    assert np.allclose(gates.data, 0.5, atol=1e-15)
+    for name in SPATIAL:
+        getattr(branch, name).data[...] = 0.0
+    gates = gate(branch, np.random.default_rng(0).normal(size=(4, cfg.k_ap)), "spatial")
+    assert np.allclose(gates, 0.5, atol=1e-15)
 
 
 def test_spatial_gate_large_bias_saturates():
     branch, _, cfg = build_branch()
-    a1 = Tensor(np.zeros((4, cfg.k_ap)))
+    branch.embed_kernel.data[...] = 0.0  # the spatial gate then sees A1 = 0
+    branch.embed_bias.data[...] = 0.0
+    a = np.random.default_rng(4).normal(size=(4, cfg.k_ap))
     lows = []
     for bias in (0.0, 2.0, 8.0, 30.0):
         branch.b2.data[...] = bias
-        lows.append(branch.spatial_gate(a1).data.min())
+        lows.append(gate(branch, a, "spatial").min())
     assert all(b > a for a, b in zip(lows, lows[1:]))  # monotone toward 1
     assert lows[-1] > 1.0 - 1e-12
 
 
 def test_spatial_gate_matches_oracle():
     branch, _, cfg = build_branch(seed=5)
-    rng = np.random.default_rng(4)
-    a1 = rng.normal(size=(4, cfg.k_ap))
-    out = branch.spatial_gate(Tensor(a1))
+    identity_embedding(branch)
+    a1 = np.random.default_rng(4).normal(size=(4, cfg.k_ap))
     oracle = spatial_gate_oracle(a1, branch.p1.data, branch.b1.data, branch.p2.data, branch.b2.data)
-    assert np.max(np.abs(out.data - oracle)) < 1e-12
+    assert np.max(np.abs(gate(branch, a1, "spatial") - oracle)) < 1e-12
 
 
 def test_channel_gate_zero_weights_half():
     branch, _, cfg = build_branch()
-    for t in (branch.p3, branch.b3, branch.p4, branch.b4):
-        t.data[...] = 0.0
-    gates = branch.channel_gate(Tensor(np.random.default_rng(0).normal(size=(4, cfg.k_ap))))
-    assert np.allclose(gates.data, 0.5, atol=1e-15)
+    for name in CHANNEL:
+        getattr(branch, name).data[...] = 0.0
+    gates = gate(branch, np.random.default_rng(0).normal(size=(4, cfg.k_ap)), "channel")
+    assert np.allclose(gates, 0.5, atol=1e-15)
 
 
 def test_channel_gate_matches_oracle():
     branch, _, cfg = build_branch(seed=7)
-    rng = np.random.default_rng(6)
-    a2 = rng.normal(size=(4, cfg.k_ap))
-    out = branch.channel_gate(Tensor(a2))
+    identity_embedding(branch)
+    a2 = np.random.default_rng(6).normal(size=(4, cfg.k_ap))
     oracle = channel_gate_oracle_cd(a2, branch.p3.data, branch.b3.data, branch.p4.data, branch.b4.data)
-    assert np.max(np.abs(out.data - oracle)) < 1e-12
+    assert np.max(np.abs(gate(branch, a2, "channel") - oracle)) < 1e-12
 
 
 def test_channel_gate_is_transposed_spatial_structure():
     # Applying the channel projections row-wise to the transposed input
     # reproduces the transposed channel gate: the two blocks are mirror images.
     branch, _, cfg = build_branch(seed=9)
-    rng = np.random.default_rng(8)
-    a2 = rng.normal(size=(4, cfg.k_ap))
-    gate = branch.channel_gate(Tensor(a2)).data
+    identity_embedding(branch)
+    a2 = np.random.default_rng(8).normal(size=(4, cfg.k_ap))
     t = a2.T  # (K_ap, 4)
-    rowwise = 1.0 / (1.0 + np.exp(-((t @ branch.p3.data + branch.b3.data) @ branch.p4.data + branch.b4.data)))
-    assert np.allclose(gate, rowwise.T, atol=1e-14)
+    rowwise = sigmoid((t @ branch.p3.data + branch.b3.data) @ branch.p4.data + branch.b4.data)
+    assert np.allclose(gate(branch, a2, "channel"), rowwise.T, atol=1e-14)
 
 
 def test_apply_gates_half_half_quarters():
     branch, _, cfg = build_branch()
-    rng = np.random.default_rng(10)
-    a = rng.normal(size=(4, cfg.k_ap))
-    half = Tensor(np.full((4, cfg.k_ap), 0.5))
-    out = ApGateBranch.apply_gates(Tensor(a), half, half)
-    assert np.allclose(out.data, 0.25 * a, atol=1e-15)
+    for name in SPATIAL + CHANNEL:
+        getattr(branch, name).data[...] = 0.0
+    a = np.random.default_rng(10).normal(size=(4, cfg.k_ap))
+    assert np.allclose(branch.forward(Tensor(a)).data, 0.25 * a, atol=1e-15)
 
 
 def test_apply_gates_shape_mismatch():
+    branch, _, _ = build_branch()
     with pytest.raises(ShapeError):
-        ApGateBranch.apply_gates(Tensor(np.ones((4, 9))), Tensor(np.ones((4, 8))), Tensor(np.ones((4, 9))))
+        branch.forward(Tensor(np.ones((4, 8))))
+    weights = [branch.embed_kernel, branch.embed_bias, branch.p1, branch.b1, branch.p2, branch.b2,
+               branch.p3, branch.b3, branch.p4, branch.b4]
+    with pytest.raises(ShapeError):
+        ad.ap_gate(Tensor(np.ones((4, 8))), *weights)
 
 
 def test_gates_strictly_inside_unit_interval():
@@ -130,10 +174,8 @@ def test_gates_strictly_inside_unit_interval():
     rng = np.random.default_rng(12)
     for _ in range(20):
         a = rng.normal(size=(4, cfg.k_ap)) * 3
-        a1, a2 = branch.ap_embed(Tensor(a))
-        g1 = branch.spatial_gate(a1).data
-        g2 = branch.channel_gate(a2).data
-        for g in (g1, g2):
+        for which in ("spatial", "channel"):
+            g = gate(branch, a, which)
             assert g.min() > 0.0 and g.max() < 1.0
 
 
@@ -186,7 +228,7 @@ def test_branch_gradcheck(strategy):
     probe = rng.normal(size=(4, cfg.k_ap))
 
     def loss_tensor(inp):
-        return ad.tsum(ad.mul(branch.forward(inp), probe))
+        return probe_sum(branch.forward(inp), probe)
 
     inp = Tensor(a, requires_grad=True)
     loss = loss_tensor(inp)

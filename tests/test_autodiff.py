@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from swhnet import autodiff as ad
 from swhnet.errors import ConfigError, ContractError, NonFiniteError, ShapeError
 
-from oracles import (affine_norm_chain, finite_difference_grad, linear_chain, max_rel_error,
-                     patch_embed_chain, softmax_rows)
+from oracles import (affine_norm_chain, ap_gate_chain, finite_difference_grad, linear_chain, max_rel_error,
+                     mul_node, patch_embed_chain, probe_sum, softmax_rows, tmean_chain, tsum_node)
 
 
 def check_grads(build, arrays, step=1e-5, tol=1e-5, floor=1e-4):
@@ -60,7 +60,7 @@ def test_matmul_gradcheck():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(4, 2))
-    check_grads(lambda ts: ad.tsum(ad.mul(ad.linear(ts[0], ts[1]), ad.linear(ts[0], ts[1]))), [a, b], tol=1e-6)
+    check_grads(lambda ts: tsum_node(mul_node(ad.linear(ts[0], ts[1]), ad.linear(ts[0], ts[1]))), [a, b], tol=1e-6)
 
 
 def test_matmul_shape_mismatch():
@@ -73,7 +73,7 @@ def test_linear_gradcheck():
     x, w, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5) + 0.3
     probe = rng.normal(size=(2, 3, 5))
     for relu in (False, True):
-        check_grads(lambda ts: ad.tsum(ad.mul(ad.linear(ts[0], ts[1], ts[2], relu), probe)), [x, w, b])
+        check_grads(lambda ts: probe_sum(ad.linear(ts[0], ts[1], ts[2], relu), probe), [x, w, b])
 
 
 def test_linear_rejects_mismatched_shapes():
@@ -114,7 +114,7 @@ def test_softmax_gradcheck():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(3, 4))
     w = rng.normal(size=(3, 4))
-    check_grads(lambda ts: ad.tsum(ad.mul(softmax_rows(ts[0]), w)), [x])
+    check_grads(lambda ts: probe_sum(softmax_rows(ts[0]), w), [x])
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +155,7 @@ def test_layer_norm_gradcheck():
     beta = rng.normal(size=5)
     w = rng.normal(size=(2, 3, 5))
     for over_tokens in (False, True):
-        check_grads(lambda ts: ad.tsum(ad.mul(ad.affine_norm(ts[0], ts[1], ts[2], over_tokens), w)),
+        check_grads(lambda ts: probe_sum(ad.affine_norm(ts[0], ts[1], ts[2], over_tokens), w),
                     [x, gamma, beta])
 
 
@@ -172,13 +172,23 @@ def test_affine_norm_rejects_mismatched_affine_shapes():
 
 
 def test_sigmoid_at_zero():
-    assert ad.sigmoid(ad.Tensor([0.0])).data[0] == 0.5
+    """Zero weights make both of ap_gate's gates sigmoid(0) = 0.5 exactly."""
+    a = np.random.default_rng(24).normal(size=(4, 9))
+    for strategy in ("CI", "CD"):
+        weights = [np.zeros_like(w) for w in ap_gate_case(strategy)]
+        assert np.array_equal(ad.ap_gate(a, *weights).data, a * 0.25)
 
 
 def test_sigmoid_extreme_values_finite():
-    out = ad.sigmoid(ad.Tensor([-1000.0, 1000.0]))
-    assert np.all(np.isfinite(out.data))
-    assert out.data[0] < 1e-300 and out.data[1] == 1.0
+    """Spatial gate biases of -1000 and 1000 saturate the gate at 0 and 1."""
+    a = np.random.default_rng(25).normal(size=(4, 9)) + 3.0
+    for strategy in ("CI", "CD"):
+        weights = [np.zeros_like(w) for w in ap_gate_case(strategy)]
+        weights[5][:] = [-1000.0, 1000.0] * 4 + [1000.0]  # b2, one per position
+        out = ad.ap_gate(a, *weights).data
+        assert np.all(np.isfinite(out))
+        assert np.abs(out[:, 0]).max() < 1e-300
+        assert np.array_equal(out[:, 1], a[:, 1] * 0.5)
 
 
 def test_dropout_p_zero_is_identity():
@@ -213,7 +223,7 @@ def test_dropout_gradcheck_fixed_mask():
     x = rng.normal(size=(4, 4))
 
     def build(ts):
-        return ad.tsum(ad.dropout(ts[0], 0.5, train=True, rng=np.random.default_rng(99)))
+        return tsum_node(ad.dropout(ts[0], 0.5, train=True, rng=np.random.default_rng(99)))
 
     check_grads(build, [x])
 
@@ -233,8 +243,8 @@ def test_gradients_of_a_shared_add_do_not_alias(a_last):
     a = ad.Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
     b = ad.Tensor(np.array([4.0, 5.0, 6.0]), requires_grad=True)
     c, d = np.array([0.5, -1.0, 2.0]), np.array([3.0, 0.25, -0.5])
-    via_sum = ad.tsum(ad.mul(ad.add(a, b), c))
-    direct = ad.tsum(ad.mul(a, d))
+    via_sum = probe_sum(ad.add(a, b), c)
+    direct = probe_sum(a, d)
     ad.add(direct, via_sum).backward() if a_last else ad.add(via_sum, direct).backward()
     assert np.array_equal(a.grad, c + d)
     assert np.array_equal(b.grad, c)
@@ -269,7 +279,7 @@ def test_shape_ops_gradcheck():
         cat = ad.concat([ts[0], ts[1]], axis=0)
         parts = ad.split(cat, 2, axis=1)
         stk = ad.stack(parts, axis=0)
-        return ad.tsum(ad.mul(stk, stk))
+        return tsum_node(mul_node(stk, stk))
 
     check_grads(build, [a, b])
 
@@ -280,8 +290,13 @@ def test_relu_sigmoid_gradcheck():
     x = rng.normal(size=(3, 3)) + 0.2  # keep away from relu kink
     eye, zero = np.eye(3), np.zeros(3)
     assert np.array_equal(ad.linear(ad.Tensor(x), eye, zero, relu=True).data, np.maximum(x, 0.0))
-    check_grads(lambda ts: ad.tsum(ad.linear(ts[0], eye, zero, relu=True)), [x])
-    check_grads(lambda ts: ad.tsum(ad.sigmoid(ts[0])), [x])
+    check_grads(lambda ts: tsum_node(ad.linear(ts[0], eye, zero, relu=True)), [x])
+    # The sigmoid through ap_gate: selector weights make its spatial gate
+    # sigmoid(x), its channel gate sigmoid(x) too.
+    a = np.resize(x, (4, 9))
+    weights = ap_gate_selectors("CD", 9)
+    assert np.allclose(ad.ap_gate(a, *weights).data, a * sigmoid_np(a) ** 2, rtol=0.0, atol=1e-15)
+    check_grads(lambda ts: tsum_node(ad.ap_gate(ts[0], *weights)), [a])
 
 
 def test_broadcast_add_mul_grads():
@@ -289,7 +304,7 @@ def test_broadcast_add_mul_grads():
     x = rng.normal(size=(4, 3))
     bias = rng.normal(size=(3,))
     scale = rng.normal(size=(3,))
-    check_grads(lambda ts: ad.tsum(ad.mul(ad.add(ts[0], ts[1]), ts[2])), [x, bias, scale])
+    check_grads(lambda ts: tsum_node(mul_node(ad.add(ts[0], ts[1]), ts[2])), [x, bias, scale])
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +407,7 @@ def test_conv_patchify_gradcheck():
 
     def build(ts):
         out = ad.patch_embed(x, ts[0:2], ts[2:4], ts[4], pe, 2)
-        return ad.tsum(ad.mul(out, out))
+        return tsum_node(mul_node(out, out))
 
     check_grads(build, kernels + biases + [gt])
 
@@ -417,7 +432,7 @@ def fused_and_chain(fused, chain, inputs, probe_seed):
         ts = [ad.Tensor(a, requires_grad=True) for a in inputs]
         out = op(*ts)
         probe = np.random.default_rng(probe_seed).normal(size=out.shape)
-        ad.tsum(ad.mul(out, probe)).backward()
+        probe_sum(out, probe).backward()
         return [out.data.tobytes()] + [t.grad.tobytes() for t in ts]
     return run(fused), run(chain)
 
@@ -459,29 +474,107 @@ def test_affine_norm_equals_its_chain_bit_for_bit(lead, over_tokens, d):
     assert fused == chain
 
 
+# ---------------------------------------------------------------------------
+# ap_gate: the auxiliary-parameter branch
+# ---------------------------------------------------------------------------
+
+
+def ap_gate_case(strategy, k=9, seed=0):
+    """Random ap_gate weights (kernel, bias, p1, b1, p2, b2, p3, b3, p4, b4)."""
+    rng = np.random.default_rng(seed)
+    if strategy == "CD":
+        shapes = [(8, 4), (8,), (k, 4 * k), (4 * k,), (4 * k, k), (k,), (4, 16), (16,), (16, 4), (4,)]
+    else:
+        shapes = [(8,), (8,), (k, 4 * k), (4 * k,), (4 * k, k), (k,), (4, 4), (4, 4), (4, 4), (4,)]
+    return [rng.normal(scale=0.5, size=s) for s in shapes]
+
+
+def ap_gate_selectors(strategy, k, kernel=None, bias=None):
+    """ap_gate weights under which the spatial gate is sigmoid(A1) and the
+    channel gate sigmoid(A2), A1 and A2 the embedding's halves: identity
+    projections and zero biases. The embedding defaults to A1 = A2 = A."""
+    up = 4 * k
+    p1, p2 = np.eye(k, up), np.eye(up, k)
+    if strategy == "CD":
+        kernel = np.vstack([np.eye(4), np.eye(4)]) if kernel is None else kernel
+        p3, b3, p4 = np.eye(4), np.zeros(4), np.eye(4)
+    else:
+        kernel = np.ones(8) if kernel is None else kernel
+        p3, b3, p4 = np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4))
+        p3[:, 0] = p4[:, 0] = 1.0  # each channel's 1 -> 4 -> 1 map through its first unit
+    bias = np.zeros(8) if bias is None else bias
+    return [kernel, bias, p1, np.zeros(up), p2, np.zeros(k), p3, b3, p4, np.zeros(4)]
+
+
+def sigmoid_np(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 def test_conv1d_identity_kernel():
-    a = ad.Tensor(np.arange(6.0).reshape(2, 3))
-    out = ad.conv1d_embed(a, ad.Tensor(np.eye(2)), ad.Tensor(np.zeros(2)))
-    assert np.array_equal(out.data, a.data)
+    """An identity-like embedding passes A itself to both gates."""
+    a = np.random.default_rng(26).normal(size=(4, 9))
+    for strategy in ("CI", "CD"):
+        out = ad.ap_gate(a, *ap_gate_selectors(strategy, 9)).data
+        assert np.allclose(out, a * sigmoid_np(a) ** 2, rtol=0.0, atol=1e-15)
 
 
 def test_conv1d_zero_kernel_constant_bias():
-    a = ad.Tensor(np.arange(6.0).reshape(2, 3))
-    out = ad.conv1d_embed(a, ad.Tensor(np.zeros((4, 2))), ad.Tensor([1.0, 2.0, 3.0, 4.0]))
-    assert np.allclose(out.data, np.array([[1.0], [2.0], [3.0], [4.0]]) * np.ones((4, 3)))
+    """A zero embedding kernel leaves each channel's gates at sigmoid of its biases."""
+    a = np.random.default_rng(27).normal(size=(4, 9))
+    bias = np.arange(8.0) / 4.0 - 1.0
+    for strategy, kernel in (("CI", np.zeros(8)), ("CD", np.zeros((8, 4)))):
+        out = ad.ap_gate(a, *ap_gate_selectors(strategy, 9, kernel, bias)).data
+        want = a * (sigmoid_np(bias[:4]) * sigmoid_np(bias[4:]))[:, None]
+        assert np.allclose(out, want, rtol=0.0, atol=1e-15)
 
 
 def test_conv1d_matches_pointwise_loop():
+    """The embedding against a per-position loop: dense over the channel
+    vector (CD), one scale per channel (CI)."""
     rng = np.random.default_rng(23)
-    a = rng.normal(size=(2, 3))
-    kernel = rng.normal(size=(4, 2))
-    bias = rng.normal(size=4)
-    out = ad.conv1d_embed(ad.Tensor(a), ad.Tensor(kernel), ad.Tensor(bias))
-    oracle = np.zeros((4, 3))
-    for pos in range(3):
-        for co in range(4):
-            oracle[co, pos] = sum(kernel[co, ci] * a[ci, pos] for ci in range(2)) + bias[co]
-    assert np.allclose(out.data, oracle, atol=1e-14)
+    a = rng.normal(size=(4, 9))
+    bias = rng.normal(size=8)
+    for strategy, kernel in (("CI", rng.normal(size=8)), ("CD", rng.normal(size=(8, 4)))):
+        emb = np.zeros((8, 9))
+        for pos in range(9):
+            for co in range(8):
+                if strategy == "CD":
+                    emb[co, pos] = sum(kernel[co, ci] * a[ci, pos] for ci in range(4)) + bias[co]
+                else:
+                    emb[co, pos] = kernel[co] * a[co % 4, pos] + bias[co]
+        out = ad.ap_gate(a, *ap_gate_selectors(strategy, 9, kernel, bias)).data
+        assert np.allclose(out, a * sigmoid_np(emb[:4]) * sigmoid_np(emb[4:]), rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["one", "B2"])
+@pytest.mark.parametrize("strategy", ["CI", "CD"])
+def test_ap_gate_gradcheck(strategy, lead):
+    rng = np.random.default_rng(28)
+    a = rng.normal(size=lead + (4, 9))
+    probe = rng.normal(size=lead + (4, 9))
+    check_grads(lambda ts: probe_sum(ad.ap_gate(*ts), probe), [a] + ap_gate_case(strategy, seed=29))
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (3,)], ids=["one", "B1", "B3"])
+@pytest.mark.parametrize("strategy", ["CI", "CD"])
+def test_ap_gate_equals_its_chain_bit_for_bit(lead, strategy):
+    rng = np.random.default_rng(67)
+    a = rng.normal(size=lead + (4, 10)) * 2.0
+    fused, chain = fused_and_chain(ad.ap_gate, ap_gate_chain, [a] + ap_gate_case(strategy, k=10, seed=68), 69)
+    assert fused == chain
+
+
+def test_ap_gate_rejects_bad_shapes():
+    weights = ap_gate_case("CD")
+    with pytest.raises(ShapeError):
+        ad.ap_gate(np.ones((3, 9)), *weights)
+    with pytest.raises(ShapeError):
+        ad.ap_gate(np.ones((4, 8)), *weights)
+    with pytest.raises(ShapeError):
+        ad.ap_gate(np.ones((4, 9)), np.ones((8, 3)), *weights[1:])
+    ci = ap_gate_case("CI")
+    with pytest.raises(ShapeError):
+        ad.ap_gate(np.ones((4, 9)), *ci[:6], *weights[6:])
 
 
 # ---------------------------------------------------------------------------
@@ -491,13 +584,13 @@ def test_conv1d_matches_pointwise_loop():
 
 def test_backward_sum_gives_ones():
     w = ad.Tensor(np.zeros((2, 3)), requires_grad=True)
-    ad.tsum(w).backward()
+    tsum_node(w).backward()
     assert np.array_equal(w.grad, np.ones((2, 3)))
 
 
 def test_backward_square_analytic():
     w = ad.Tensor([1.0, 2.0], requires_grad=True)
-    ad.tsum(ad.mul(w, w)).backward()
+    tsum_node(mul_node(w, w)).backward()
     assert np.allclose(w.grad, [2.0, 4.0])
 
 
@@ -509,28 +602,87 @@ def test_backward_requires_scalar():
 
 def test_backward_accumulates_without_zeroing():
     w = ad.Tensor([1.0, 2.0], requires_grad=True)
-    ad.tsum(w).backward()
-    ad.tsum(w).backward()
+    tsum_node(w).backward()
+    tsum_node(w).backward()
     assert np.allclose(w.grad, [2.0, 2.0])
 
 
 def test_nonfinite_forward_raises():
-    # sigmoid guards exp overflow internally, so force an inf via multiply
     with np.errstate(over="ignore"):
         with pytest.raises(NonFiniteError):
-            ad.mul(ad.Tensor([1e308]), ad.Tensor([1e308]))
+            ad.add(ad.Tensor([1e308]), ad.Tensor([1e308]))
     with pytest.raises(NonFiniteError):
         ad.Tensor([float("nan")])
 
 
+def ap_gate_overflow(where):
+    """ap_gate inputs whose embedding, spatial pre-sigmoid product or CI
+    channel product overflows; the gated output itself cannot."""
+    if where == "embedding":
+        return [np.full((4, 9), 1e308)] + ap_gate_selectors("CD", 9, kernel=np.ones((8, 4)))
+    if where == "spatial":
+        weights = ap_gate_selectors("CD", 9)
+        weights[2] = np.full((9, 36), 1e308)
+        return [np.ones((4, 9))] + weights
+    weights = ap_gate_selectors("CI", 9)
+    weights[6] = np.full((4, 4), 1e308)
+    return [np.full((4, 9), 2.0)] + weights
+
+
+OVERFLOWS = {
+    "add": lambda: ad.add(ad.Tensor([1e308]), ad.Tensor([1e308])),
+    "dropout": lambda: ad.dropout(ad.Tensor(np.full(64, 1e308)), 0.5, True, np.random.default_rng(0)),
+    "linear": lambda: ad.linear(ad.Tensor([[1e308, 1e308]]), np.ones((2, 1))),
+    "affine_norm": lambda: ad.affine_norm(ad.Tensor([[0.0, 1.0]]), np.full(2, 1e308), np.full(2, 1e308)),
+    "sca_attention": lambda: ad.sca_attention(ad.Tensor(np.full((2, 4), 10.0)), np.full(4, 0.1), np.full(4, 0.1),
+                                              np.ones(4), np.full(4, 1e308)),
+    "ffn": lambda: ad.ffn(ad.Tensor(np.ones((2, 4))), np.ones((4, 3)), np.zeros(3), np.full((3, 4), 1e308),
+                          np.zeros(4), 0.0, False),
+    "huber": lambda: ad.huber(ad.Tensor([1e200, 1e200]), 1e300),
+    "patch_embed": lambda: ad.patch_embed(np.ones((1, 2, 2)), [np.full((1, 1, 2, 2), 1e308)], [np.zeros(1)],
+                                          np.zeros(1), np.zeros((2, 1)), 2),
+    "ap_gate-embedding": lambda: ad.ap_gate(*ap_gate_overflow("embedding")),
+    "ap_gate-spatial": lambda: ad.ap_gate(*ap_gate_overflow("spatial")),
+    "ap_gate-channel": lambda: ad.ap_gate(*ap_gate_overflow("channel")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+def test_every_computing_op_raises_when_its_output_overflows(case):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match=case.split("-")[0]):
+            OVERFLOWS[case]()
+
+
+def test_shape_ops_skip_the_finite_check(monkeypatch):
+    """reshape, transpose, split, concat and stack only move finite values,
+    so they do not check them; an op that computes does."""
+    checked = []
+
+    def guard(data, op):
+        checked.append(op)
+        return data
+
+    x = ad.Tensor(np.ones((2, 4)), requires_grad=True)
+    monkeypatch.setattr(ad, "_guard_finite", guard)
+    parts = ad.split(ad.transpose(ad.reshape(x, (4, 2))), 2, axis=0)
+    ad.stack([ad.concat(parts, axis=1)] * 2)
+    assert checked == []
+    ad.add(x, x)
+    assert checked == ["add"]
+
+
 def test_huber_values_and_gradcheck():
-    out = ad.huber(ad.Tensor([0.0, 1.0, -1.0, 3.0, -3.0, 2.0]), delta=2.0)
-    assert np.allclose(out.data, [0.0, 0.5, 0.5, 4.0, 4.0, 2.0])
+    values = [0.0, 1.0, -1.0, 3.0, -3.0, 2.0]
+    for e, want in zip(values, [0.0, 0.5, 0.5, 4.0, 4.0, 2.0]):
+        assert ad.huber(ad.Tensor([e]), delta=2.0).item() == want
+    out = ad.huber(ad.Tensor(values), delta=2.0)
+    assert out.shape == () and out.item() == pytest.approx(11.0 / 6.0, abs=1e-15)
     with pytest.raises(ConfigError):
         ad.huber(ad.Tensor([1.0]), delta=0.0)
     rng = np.random.default_rng(29)
-    e = rng.normal(size=7) * 3.0
-    check_grads(lambda ts: ad.tsum(ad.huber(ts[0], 2.0)), [e])
+    e = rng.normal(size=(2, 7)) * 3.0
+    check_grads(lambda ts: ad.huber(ts[0], 2.0), [e])
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +716,7 @@ def test_sca_attention_matches_oracle_and_gradcheck(m, wo_shape):
     oracle = attention_oracle(tokens, {"wq": wq, "wk": wk, "wv": wv, "wo": wo}, strategy)
     assert np.max(np.abs(out.data - oracle)) < 1e-10
     probe = np.random.default_rng(100 + m).normal(size=(m, 4))
-    check_grads(lambda ts: ad.tsum(ad.mul(ad.sca_attention(*ts), probe)), arrays)
+    check_grads(lambda ts: probe_sum(ad.sca_attention(*ts), probe), arrays)
 
 
 @pytest.mark.parametrize("batch", [1, 3])
@@ -583,7 +735,7 @@ def test_sca_attention_block_size_changes_no_bit(monkeypatch, m, wo_shape, batch
         monkeypatch.setattr(ad, "TILE_BYTES", tile_bytes)
         ts = [ad.Tensor(a, requires_grad=True) for a in (tokens, wq, wk, wv, wo)]
         out = ad.sca_attention(*ts)
-        ad.tsum(ad.mul(out, probe)).backward()
+        probe_sum(out, probe).backward()
         return [out.data] + [t.grad for t in ts]
 
     all_rows = run(8 * m * m * 4 * batch)
@@ -615,8 +767,7 @@ def test_ffn_gradcheck(strategy, train):
     arrays = ffn_case(strategy, 5, seed=31)
     probe = np.random.default_rng(32).normal(size=(5, 4))
     # A fresh generator per evaluation keeps the dropout masks fixed.
-    check_grads(lambda ts: ad.tsum(ad.mul(
-        ad.ffn(*ts, 0.3, train, np.random.default_rng(33)), probe)), arrays)
+    check_grads(lambda ts: probe_sum(ad.ffn(*ts, 0.3, train, np.random.default_rng(33)), probe), arrays)
 
 
 @pytest.mark.parametrize("strategy", ["CI", "CD"])
@@ -654,7 +805,7 @@ def test_ffn_tile_size_keeps_values_gradients_and_masks(monkeypatch, strategy, t
         monkeypatch.setattr(ad, "TILE_BYTES", tile_bytes)
         ts = [ad.Tensor(a, requires_grad=True) for a in (x, w1, b1, w2, b2)]
         out = ad.ffn(*ts, 0.4, train, gens())
-        ad.tsum(ad.mul(out, probe)).backward()
+        probe_sum(out, probe).backward()
         return [out.data] + [t.grad for t in ts]
 
     whole = run(row_bytes * 5 * 3)
@@ -677,8 +828,8 @@ def test_ffn_gradcheck_one_row_tiles(monkeypatch, strategy):
     _, *weights = ffn_case(strategy, 3, seed=41)
     batch = np.random.default_rng(42).normal(size=(2, 3, 4))
     probe = np.random.default_rng(43).normal(size=(2, 3, 4))
-    check_grads(lambda ts: ad.tsum(ad.mul(ad.ffn(*ts, 0.3, True, [np.random.default_rng(44 + b) for b in range(2)]),
-                                          probe)), [batch] + weights)
+    check_grads(lambda ts: probe_sum(ad.ffn(*ts, 0.3, True, [np.random.default_rng(44 + b) for b in range(2)]),
+                                     probe), [batch] + weights)
 
 
 @pytest.mark.parametrize("strategy", ["CI", "CD"])
@@ -709,7 +860,7 @@ def test_ffn_recompute_matches_kept_hidden_bit_for_bit(monkeypatch, strategy, p,
             gens = [np.random.default_rng(91 + b) for b in range(batch)]
         ts = [ad.Tensor(a, requires_grad=True) for a in [x] + weights]
         out = op(*ts, p, True, gens)
-        ad.tsum(ad.mul(out, probe)).backward()
+        probe_sum(out, probe).backward()
         return [out.data] + [t.grad for t in ts]
 
     for got, want in zip(run(ad.ffn), run(kept_hidden_ffn)):
@@ -742,7 +893,7 @@ def test_random_composite_gradcheck(seed):
         h = softmax_rows(h)
         h = ad.linear(h, ad.transpose(ts[1]))  # (3, 4)
         h = ad.affine_norm(h, ts[2], ts[3])
-        return ad.tmean(ad.mul(h, h))
+        return tmean_chain(mul_node(h, h))
 
     check_grads(build, [a, b, g, bt])
 
@@ -771,8 +922,9 @@ def test_batched_ops_match_per_sample():
     for over_tokens in (False, True):
         gamma, beta = rng.normal(size=4), rng.normal(size=4)
         per_sample_agrees(lambda x: ad.affine_norm(x, gamma, beta, over_tokens), rng.normal(size=(3, 6, 4)))
-    kernel1d, bias1d = rng.normal(size=(6, 4)), rng.normal(size=6)
-    per_sample_agrees(lambda a: ad.conv1d_embed(a, kernel1d, bias1d), rng.normal(size=(3, 4, 7)))
+    for strategy in ("CI", "CD"):
+        weights = ap_gate_case(strategy, k=7, seed=52)
+        per_sample_agrees(lambda a: ad.ap_gate(a, *weights), rng.normal(size=(3, 4, 7)))
     for wo_shape in ((4, 4), (4,)):
         _, wq, wk, wv, wo = attention_case(6, wo_shape, seed=52)
         per_sample_agrees(lambda t: ad.sca_attention(t, wq, wk, wv, wo), rng.uniform(-1, 1, size=(3, 6, 4)))
@@ -798,10 +950,10 @@ def test_batched_fused_ops_gradcheck():
     tokens, wq, wk, wv, wo = attention_case(4, (4, 4), seed=57)
     batch = rng.uniform(-1, 1, size=(2, 4, 4))
     probe = rng.normal(size=(2, 4, 4))
-    check_grads(lambda ts: ad.tsum(ad.mul(ad.sca_attention(*ts), probe)), [batch, wq, wk, wv, wo])
+    check_grads(lambda ts: probe_sum(ad.sca_attention(*ts), probe), [batch, wq, wk, wv, wo])
     x, *weights = ffn_case("CI", 4, seed=58)
-    check_grads(lambda ts: ad.tsum(ad.mul(ad.ffn(*ts, 0.3, True, [np.random.default_rng(59 + b) for b in range(2)]),
-                                          probe)), [rng.normal(size=(2, 4, 4))] + weights)
+    check_grads(lambda ts: probe_sum(ad.ffn(*ts, 0.3, True, [np.random.default_rng(59 + b) for b in range(2)]),
+                                     probe), [rng.normal(size=(2, 4, 4))] + weights)
 
 
 def test_transpose_default_swaps_last_two_axes_and_len():

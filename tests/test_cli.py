@@ -244,6 +244,85 @@ def test_report_at_the_widest_scatter_bin_fills_its_histogram(tmp_path):
     assert json.loads((out / "scatter_fit.json").read_text())["hist_total"] == 800
 
 
+def damage_prediction(path, line, column, value):
+    """Set `column` of the row on (1-based) `line` of a predictions CSV."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[line - 1][rows[0].index(column)] = value
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+@pytest.mark.parametrize("column, value", [("channel", "5"), ("channel", "0"), ("channel", "one"),
+                                           ("y_hat", "abc"), ("y_hat", "nan"), ("y_ref", ""), ("y_ref", "inf"),
+                                           ("sp_lat", "north"), ("sp_lon", "1,5")])
+def test_report_on_a_malformed_prediction_row_exits_two(tmp_path, toy_config, caplog, column, value):
+    preds = tmp_path / "preds.csv"
+    write_predictions(preds, n=3)
+    damage_prediction(preds, 7, column, value)
+    out = tmp_path / "rep"
+    assert main(["report", "--config", toy_config, "--predictions", str(preds),
+                 "--out-dir", str(out), "--bins", "--scatter", "--bias-grid"]) == 2
+    assert f"{preds} line 7" in caplog.text
+    assert not out.exists()
+
+
+def damage_grid(doc, field, kind):
+    """Make one entry of a grid document's `field` a word or, for a ragged
+    array, a list of the wrong length."""
+    if field == "swh":
+        doc["swh"][0][1] = "x" if kind == "non-numeric" else doc["swh"][0][1][:-1]
+    else:
+        doc[field][1] = "x" if kind == "non-numeric" else [doc[field][1], doc[field][1]]
+
+
+@pytest.mark.parametrize("field, kind", [("swh", "non-numeric"), ("swh", "ragged"),
+                                         ("lats", "non-numeric"), ("lons", "ragged")])
+def test_match_era5_on_a_non_numeric_or_ragged_grid_exits_two(tmp_path, toy_config, l1_file, grid_file,
+                                                              caplog, field, kind):
+    groups = tmp_path / "groups.jsonl"
+    assert main(["preprocess", "--config", toy_config, "--input", l1_file, "--out", str(groups)]) == 0
+    with open(grid_file) as fh:
+        doc = json.load(fh)
+    damage_grid(doc, field, kind)
+    with open(grid_file, "w") as fh:
+        json.dump(doc, fh)
+    out = tmp_path / "samples.jsonl"
+    assert main(["match-era5", "--config", toy_config, "--input", str(groups),
+                 "--grid", grid_file, "--out", str(out)]) == 2
+    assert f"grid file {grid_file} holds a non-numeric or ragged array" in caplog.text
+    assert not out.exists()
+
+
+def test_match_era5_on_a_grid_with_uneven_spacing_exits_one(tmp_path, toy_config, l1_file, grid_file, caplog):
+    """A numeric grid whose axis breaks the grid's contract is a config
+    error (exit 1), not a format error."""
+    groups = tmp_path / "groups.jsonl"
+    assert main(["preprocess", "--config", toy_config, "--input", l1_file, "--out", str(groups)]) == 0
+    with open(grid_file) as fh:
+        doc = json.load(fh)
+    doc["lats"][-1] += 0.25
+    with open(grid_file, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["match-era5", "--config", toy_config, "--input", str(groups),
+                 "--grid", grid_file, "--out", str(tmp_path / "samples.jsonl")]) == 1
+    assert "grid lats axis spacing must be exactly 0.5" in caplog.text
+
+
+def test_match_era5_on_a_grid_that_is_not_json_names_the_json_error(tmp_path, toy_config, l1_file, grid_file,
+                                                                    caplog):
+    groups = tmp_path / "groups.jsonl"
+    assert main(["preprocess", "--config", toy_config, "--input", l1_file, "--out", str(groups)]) == 0
+    with open(grid_file, "r+") as fh:
+        text = fh.read()
+        fh.seek(0)
+        fh.write(text[:len(text) // 2])
+        fh.truncate()
+    assert main(["match-era5", "--config", toy_config, "--input", str(groups),
+                 "--grid", grid_file, "--out", str(tmp_path / "samples.jsonl")]) == 2
+    assert f"grid file {grid_file} is not valid JSON" in caplog.text
+
+
 def test_unknown_config_key_exits_one(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"learning_rate_typo": 1.0}))

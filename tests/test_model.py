@@ -14,8 +14,8 @@ from swhnet.config import ModelConfig
 from swhnet.errors import ConfigError, ContractError, ShapeError
 from swhnet.model import WaveHeightModel, batch_loss, fuse, head_widths
 
-from oracles import (affine_norm_chain, finite_difference_grad, huber_value, linear_chain, max_rel_error,
-                     patch_embed_chain)
+from oracles import (affine_norm_chain, ap_gate_chain, finite_difference_grad, huber_mean_chain, huber_value,
+                     linear_chain, max_rel_error, patch_embed_chain)
 
 
 def toy_config(**kw):
@@ -529,18 +529,18 @@ def training_graph_op_nodes(cfg):
 
 def test_quick_start_training_graph_op_nodes():
     """The README quick-start model under CI, one B = 2 training graph: one
-    node each for the patch embedding, every head layer and every channel
-    norm keep it at 52 op nodes (101 with their node chains, 167 with one
-    embedding call per channel)."""
+    node each for the patch embedding, every head layer, every channel
+    norm, the AP branch and the loss keep it at 25 op nodes (101 with their
+    node chains, 167 with one embedding call per channel as well)."""
     cfg = ModelConfig(width=6, height=6, patch_size=3, embed_dim=2, n_layers=1, d_ff=16,
                       dropout_p=0.0, head_hidden=[16] * 9, strategy="CI")
-    assert training_graph_op_nodes(cfg) <= 52
+    assert training_graph_op_nodes(cfg) <= 25
 
 
 def test_paper_default_training_graph_op_nodes():
-    """The paper-default CD model, one B = 2 training graph: 84 op nodes
-    (152 with the embedding, linear and norm node chains)."""
-    assert training_graph_op_nodes(ModelConfig()) <= 84
+    """The paper-default CD model, one B = 2 training graph: 68 op nodes
+    (152 with the embedding, linear, norm, AP branch and loss node chains)."""
+    assert training_graph_op_nodes(ModelConfig()) <= 68
 
 
 @pytest.mark.parametrize("strategy", ["CI", "CD"])
@@ -549,8 +549,9 @@ def test_paper_default_training_graph_op_nodes():
                          ids=["divides", "odd-dim-pads", "patch-over-W"])
 def test_fused_ops_reproduce_their_node_chains(monkeypatch, strategy, batch, width, height, patch, embed_dim):
     """A training step and an eval forward of the whole model with the fused
-    embedding, linear and norm ops equal, bit for bit in the predictions and
-    in every parameter gradient, those with the node chains they replaced."""
+    embedding, linear, norm, AP branch and loss ops equal, bit for bit in
+    the loss, the predictions and every parameter gradient, those with the
+    node chains they replaced."""
     cfg = ModelConfig(width=width, height=height, patch_size=patch, embed_dim=embed_dim, n_layers=2, d_ff=16,
                       dropout_p=0.2, head_hidden=[8] * 9, strategy=strategy)
     rng = np.random.default_rng(71)
@@ -560,13 +561,17 @@ def test_fused_ops_reproduce_their_node_chains(monkeypatch, strategy, batch, wid
     def run():
         model = WaveHeightModel(cfg)
         preds = model.forward_batch(ddms, aps, train=True, rng=np.random.default_rng(72))
-        batch_loss(preds, refs, 2.0).backward()
+        loss = batch_loss(preds, refs, 2.0)
+        loss.backward()
         with ad.no_grad():
             evals = model.forward_batch(ddms, aps).data
-        return [preds.data.tobytes(), evals.tobytes()] + [p.grad.tobytes() for p in model.bag.values()]
+        return [np.asarray(loss.data).tobytes(), preds.data.tobytes(), evals.tobytes()] \
+            + [p.grad.tobytes() for p in model.bag.values()]
 
     fused = run()
     monkeypatch.setattr(ad, "patch_embed", patch_embed_chain)
     monkeypatch.setattr(ad, "linear", linear_chain)
     monkeypatch.setattr(ad, "affine_norm", affine_norm_chain)
+    monkeypatch.setattr(ad, "ap_gate", ap_gate_chain)
+    monkeypatch.setattr(ad, "huber", huber_mean_chain)
     assert fused == run()
