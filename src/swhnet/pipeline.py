@@ -4,10 +4,13 @@ and the canonical sample file format.
 
 Stages are pure functions over record lists and every stage reports a
 rejection tally, so kept + rejected always reconciles with the input
-count. The sample and group files swhnet writes are `container` files
-that carry their manifest in the header; the inputs (L1 records, the
-reanalysis grid, buoys) are JSON and CSV. Identical inputs and seeds reproduce
-byte-identical outputs.
+count. Quality control parses and screens each L1 interchange record in
+one pass (`screen_l1_record`); a kept `L1Record` carries only the fields
+that alignment, matching and the group file use. The sample and group
+files swhnet writes are `container` files that carry their manifest in
+the header, and their readers reject a float array holding NaN or inf;
+the inputs (L1 records, the reanalysis grid, buoys) are JSON and CSV.
+Identical inputs and seeds reproduce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -64,22 +67,16 @@ def normalize_lon(lon: float) -> float:
 
 @dataclass
 class L1Record:
+    """A record that passed quality control, with the fields alignment,
+    matching and the group file use."""
+
     timestamp: float
     channel: int
     sp_lat: float
     sp_lon: float
     ddms: np.ndarray               # (3, W, H) ordered brcs, eff_scatter, power_analog
     aps: dict[str, float]          # the six base auxiliary parameters
-    range_tx_sp_m: float
-    range_sp_rx_m: float
-    quality_flags: int
-    tracker_attitude_status: int
-    roll_deg: float
-    yaw_deg: float
-    pitch_deg: float
-    distance_to_land_km: float
-    solar_contamination: bool
-    rcg: float | None = None       # attached by quality control
+    rcg: float                     # range-corrected gain
 
 
 @dataclass
@@ -164,10 +161,18 @@ class FourChannelSample:
 
 
 def compute_rcg(sp_rx_gain: float, range_tx_sp_m: float, range_sp_rx_m: float) -> float:
-    """Range-corrected gain: gain * 1e27 / (R_tx_sp^2 * R_sp_rx^2), ranges in meters."""
+    """Range-corrected gain: gain * 1e27 / (R_tx_sp^2 * R_sp_rx^2), ranges in
+    meters. Raises ContractError unless the ranges are positive and the gain
+    comes out finite."""
     if range_tx_sp_m <= 0 or range_sp_rx_m <= 0:
         raise ContractError(f"ranges must be positive, got {range_tx_sp_m}, {range_sp_rx_m}")
-    return sp_rx_gain * RCG_SCALE / (range_tx_sp_m ** 2 * range_sp_rx_m ** 2)
+    try:
+        rcg = sp_rx_gain * RCG_SCALE / (range_tx_sp_m ** 2 * range_sp_rx_m ** 2)
+    except (OverflowError, ZeroDivisionError):  # a square out of float range
+        rcg = math.inf
+    if not math.isfinite(rcg):
+        raise ContractError(f"gain {sp_rx_gain} at ranges {range_tx_sp_m}, {range_sp_rx_m} has no finite rcg")
+    return rcg
 
 
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -184,93 +189,83 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def parse_l1_record(doc: dict) -> L1Record:
-    """Build an L1Record from one interchange-format JSON object."""
+def screen_l1_record(doc: dict) -> L1Record | str:
+    """Parse one interchange-format JSON object and apply the nine QC_RULES
+    in order: the kept record, or the name of the first rule it violates.
+
+    Raises FormatError for a record that does not parse (a missing key, a
+    non-numeric value, a flag of the wrong JSON type, a channel outside
+    1..4, a finite sp_lat outside [-90, 90]) and ContractError from
+    compute_rcg, for a record that reaches it with no finite gain.
+    """
     try:
         ddms = np.array([doc["ddms"][name] for name in DDM_TYPES], dtype=np.float64)
         if ddms.ndim != 3:
             raise FormatError(f"ddms must be three 2-D maps, got shape {ddms.shape}")
         aps = {k: float(doc["aps"][k]) for k in BASE_AP_FIELDS}
-        flags = doc["flags"]
-        channel = int(doc["channel"])
-        lat = float(doc["sp_lat"])
-        if channel not in (1, 2, 3, 4):
-            raise FormatError(f"channel must be 1..4, got {channel}")
-        if math.isfinite(lat) and not -90.0 <= lat <= 90.0:  # non-finite is QC's nan_inf
-            raise FormatError(f"sp_lat out of range: {lat}")
-        return L1Record(
-            timestamp=float(doc["timestamp"]),
-            channel=channel,
-            sp_lat=lat,
-            sp_lon=normalize_lon(float(doc["sp_lon"])),
-            ddms=ddms,
-            aps=aps,
-            range_tx_sp_m=float(doc["geometry"]["range_tx_sp_m"]),
-            range_sp_rx_m=float(doc["geometry"]["range_sp_rx_m"]),
-            quality_flags=int(flags["quality_flags"]),
-            tracker_attitude_status=int(flags["tracker_attitude_status"]),
-            roll_deg=float(flags["roll_deg"]),
-            yaw_deg=float(flags["yaw_deg"]),
-            pitch_deg=float(flags["pitch_deg"]),
-            distance_to_land_km=float(flags["distance_to_land_km"]),
-            solar_contamination=bool(flags["solar_contamination"]),
-        )
+        flags, geometry = doc["flags"], doc["geometry"]
+        timestamp, lat = float(doc["timestamp"]), float(doc["sp_lat"])
+        lon = normalize_lon(float(doc["sp_lon"]))
+        ranges = (float(geometry["range_tx_sp_m"]), float(geometry["range_sp_rx_m"]))
+        roll, yaw, pitch, land_km = (float(flags[k]) for k in (
+            "roll_deg", "yaw_deg", "pitch_deg", "distance_to_land_km"))
+        channel, solar = doc["channel"], flags["solar_contamination"]
+        quality_flags, tracker_status = flags["quality_flags"], flags["tracker_attitude_status"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed L1 record: {exc}") from exc
+    # JSON integers and booleans parse to exactly int and bool (a bool is no int here).
+    if type(solar) is not bool or not all(type(v) is int for v in (channel, quality_flags, tracker_status)):
+        raise FormatError("channel, quality_flags and tracker_attitude_status must be JSON integers "
+                          f"and solar_contamination a JSON bool, got {channel!r}, {quality_flags!r}, "
+                          f"{tracker_status!r}, {solar!r}")
+    if channel not in (1, 2, 3, 4):
+        raise FormatError(f"channel must be 1..4, got {channel}")
+    if math.isfinite(lat) and not -90.0 <= lat <= 90.0:  # non-finite is the nan_inf rule's
+        raise FormatError(f"sp_lat out of range: {lat}")
 
-
-def _qc_violation(rec: L1Record) -> str | None:
-    """First violated rule name, or None if the record passes. Attaches rcg."""
-    numeric = np.concatenate([
-        rec.ddms.reshape(-1),
-        np.array([rec.aps[k] for k in BASE_AP_FIELDS]),
-        np.array([rec.sp_lat, rec.sp_lon, rec.range_tx_sp_m, rec.range_sp_rx_m,
-                  rec.roll_deg, rec.yaw_deg, rec.pitch_deg, rec.distance_to_land_km]),
-    ])
-    if not (np.all(np.isfinite(numeric)) and math.isfinite(rec.timestamp)):
+    numeric = np.concatenate([ddms.reshape(-1), np.array(
+        [*aps.values(), lat, lon, *ranges, roll, yaw, pitch, land_km])])
+    if not (np.all(np.isfinite(numeric)) and math.isfinite(timestamp)):
         return "nan_inf"
     if np.any(numeric <= FILL_VALUE_THRESHOLD):
         return "fill_value"
-    if any(rec.aps[k] < 0.0 for k in ("ddm_nbrcs", "ddm_les", "ddm_snr", "sp_rx_gain")):
+    if any(aps[k] < 0.0 for k in ("ddm_nbrcs", "ddm_les", "ddm_snr", "sp_rx_gain")):
         return "negative_ap"
-    rec.rcg = compute_rcg(rec.aps["sp_rx_gain"], rec.range_tx_sp_m, rec.range_sp_rx_m)
-    if rec.rcg < RCG_MIN:
+    rcg = compute_rcg(aps["sp_rx_gain"], *ranges)
+    if rcg < RCG_MIN:
         return "low_rcg"
-    if rec.solar_contamination:
+    if solar:
         return "solar_contamination"
-    if rec.tracker_attitude_status != TRACKER_STATUS_OK:
+    if tracker_status != TRACKER_STATUS_OK:
         return "tracker_attitude"
-    if abs(rec.roll_deg) > ROLL_MAX_DEG or abs(rec.yaw_deg) > YAW_MAX_DEG or abs(rec.pitch_deg) > PITCH_MAX_DEG:
+    if abs(roll) > ROLL_MAX_DEG or abs(yaw) > YAW_MAX_DEG or abs(pitch) > PITCH_MAX_DEG:
         return "attitude_limits"
-    if rec.distance_to_land_km < LAND_DISTANCE_MIN_KM:
+    if land_km < LAND_DISTANCE_MIN_KM:
         return "near_land"
-    if rec.quality_flags & QUALITY_FLAG_MASK:
+    if quality_flags & QUALITY_FLAG_MASK:
         return "quality_flags"
-    return None
+    return L1Record(timestamp, channel, lat, lon, ddms, aps, rcg)
 
 
-def quality_control(records) -> tuple[list[L1Record], dict[str, int]]:
-    """Apply the nine screening rules in order; tally rejections per rule.
-
-    Accepts L1Record instances or raw interchange dicts; records that
-    cannot be parsed are tallied under "malformed" rather than raising.
-    """
+def quality_control(docs) -> tuple[list[L1Record], dict[str, int]]:
+    """Screen interchange dicts with screen_l1_record and tally the
+    rejections per rule; records that cannot be parsed are tallied under
+    "malformed" rather than raising."""
     tally = {rule: 0 for rule in QC_RULES}
     tally["malformed"] = 0
     kept: list[L1Record] = []
     n_input = 0
-    for item in records:
+    for doc in docs:
         n_input += 1
         try:
-            rec = item if isinstance(item, L1Record) else parse_l1_record(item)
-            rule = _qc_violation(rec)
+            screened = screen_l1_record(doc)
         except (FormatError, ContractError):
             tally["malformed"] += 1
             continue
-        if rule is None:
-            kept.append(rec)
+        if isinstance(screened, str):
+            tally[screened] += 1
         else:
-            tally[rule] += 1
+            kept.append(screened)
     tally["input"] = n_input
     tally["kept"] = len(kept)
     return kept, tally
@@ -573,10 +568,13 @@ def per_channel(items: list, n: int, *fields: str) -> dict[str, np.ndarray]:
 
 def _read_container(path: str, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
     """`container.read` of a sample or group file at SCHEMA_VERSION whose
-    header holds a manifest."""
+    header holds a manifest and whose float arrays hold only finite values."""
     header, arrays = container.read(path, kind, SCHEMA_VERSION)
     if not isinstance(header.get("manifest"), dict):
         raise FormatError(f"{path}: {kind} header has no manifest")
+    for name, arr in arrays.items():
+        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+            raise FormatError(f"{path}: {kind} array {name!r} holds a non-finite value")
     return header, arrays
 
 
@@ -614,7 +612,7 @@ def read_samples(path: str) -> tuple[list[FourChannelSample], dict]:
 
 
 def read_l1_records(path: str) -> list[dict]:
-    """Raw interchange dicts; parsing/validation happens in quality_control."""
+    """Raw interchange dicts; quality_control parses and screens them."""
     docs = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -682,20 +680,15 @@ def write_groups(path: str, groups: list[list[L1Record]], tally: dict) -> None:
 
 
 def read_groups(path: str) -> list[list[L1Record]]:
-    """Groups written by write_groups: records are post-screening, so the
-    screening-only fields (geometry, flags) are not persisted and are
-    restored as pass-through placeholders."""
+    """The groups of a file written by write_groups. Their records passed
+    quality control, so the file holds only the fields a kept L1Record has."""
     _, a = _read_container(path, "groups")
     try:
         ts, ch, lat, lon, aps, rcg = (a[k].tolist() for k in (
             "timestamp", "channel", "sp_lat", "sp_lon", "aps", "rcg"))
-        groups = [[L1Record(
-            timestamp=ts[i][c], channel=ch[i][c], sp_lat=lat[i][c], sp_lon=lon[i][c],
-            ddms=a["ddms"][i, c], aps={k: aps[i][c][j] for j, k in enumerate(BASE_AP_FIELDS)},
-            range_tx_sp_m=1.0, range_sp_rx_m=1.0, quality_flags=0, tracker_attitude_status=TRACKER_STATUS_OK,
-            roll_deg=0.0, yaw_deg=0.0, pitch_deg=0.0, distance_to_land_km=np.inf,
-            solar_contamination=False, rcg=rcg[i][c]) for c in range(4)]
-            for i in range(len(ts))]
+        groups = [[L1Record(ts[i][c], ch[i][c], lat[i][c], lon[i][c], a["ddms"][i, c],
+                            dict(zip(BASE_AP_FIELDS, aps[i][c])), rcg[i][c]) for c in range(4)]
+                  for i in range(len(ts))]
     except (KeyError, IndexError, TypeError) as exc:
         raise FormatError(f"{path}: malformed group arrays: {exc}") from exc
     return groups

@@ -1,4 +1,6 @@
-"""Byte-level damage to container files, for the tests of their error paths."""
+"""Damage to container files, for the tests of their error paths."""
+
+from swhnet import container
 
 
 def record_shape(raw: bytes, shape: tuple, new: tuple) -> bytes:
@@ -9,3 +11,12 @@ def record_shape(raw: bytes, shape: tuple, new: tuple) -> bytes:
     out = raw.replace(old + b" " * (len(repl) - len(old)), repl, 1)
     assert len(out) == len(raw) and out != raw
     return out
+
+
+def set_last_value(path, kind: str, version: int, name: str, value: float) -> None:
+    """Rewrite the container file at `path` with the last element of its
+    array `name` set to `value`, every other array and the header kept."""
+    header, arrays = container.read(str(path), kind, version)
+    arrays[name].reshape(-1)[-1] = value
+    meta = {k: v for k, v in header.items() if k not in ("kind", "format_version", "arrays")}
+    container.write(str(path), kind, version, meta, arrays)

@@ -20,18 +20,26 @@ deleted nodes `relu_node`, `normalize_node`, `pad_end_node`,
 `conv_patchify_chain`, `mul_node`, `sigmoid_node`, `tsum_node`,
 `tmean_chain`, `huber_node` and `conv1d_embed_chain`), which each fused
 op must reproduce bit for bit. `probe_sum` is the scalar test loss
-sum(x * probe) as one node.
+sum(x * probe) as one node. `parse_l1_record` and `_qc_violation` are
+the L1 parse and screen as they ran before `pipeline.screen_l1_record`
+merged them, on the full parsed record (`ParsedL1Record`), which the
+one-pass screen must agree with rule for rule and bit for bit.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from swhnet import autodiff as ad
 from swhnet.autodiff import Tensor, _as_tensor, _check_dropout, _rows, _tiles, _unbroadcast
 from swhnet.autodiff import linear as _linear
-from swhnet.errors import ConfigError, ContractError, ShapeError
-from swhnet.pipeline import BUOY_MAX_KM, BUOY_MAX_S, haversine_km
+from swhnet.config import DDM_TYPES
+from swhnet.errors import ConfigError, ContractError, FormatError, ShapeError
+from swhnet.pipeline import (BASE_AP_FIELDS, BUOY_MAX_KM, BUOY_MAX_S, FILL_VALUE_THRESHOLD,
+                             LAND_DISTANCE_MIN_KM, PITCH_MAX_DEG, QUALITY_FLAG_MASK, RCG_MIN,
+                             ROLL_MAX_DEG, TRACKER_STATUS_OK, YAW_MAX_DEG, compute_rcg,
+                             haversine_km, normalize_lon)
 
 
 def norm_oracle(x, gamma, beta, strategy, eps=1e-5):
@@ -238,6 +246,91 @@ def match_buoy_record_oracle(rec, buoys):
         if best is None or key < best[0]:
             best = (key, buoy)
     return None if best is None else best[1]
+
+
+@dataclass
+class ParsedL1Record:
+    timestamp: float
+    channel: int
+    sp_lat: float
+    sp_lon: float
+    ddms: np.ndarray               # (3, W, H) ordered brcs, eff_scatter, power_analog
+    aps: dict[str, float]          # the six base auxiliary parameters
+    range_tx_sp_m: float
+    range_sp_rx_m: float
+    quality_flags: int
+    tracker_attitude_status: int
+    roll_deg: float
+    yaw_deg: float
+    pitch_deg: float
+    distance_to_land_km: float
+    solar_contamination: bool
+    rcg: float | None = None       # attached by quality control
+
+
+def parse_l1_record(doc: dict) -> ParsedL1Record:
+    """Build a ParsedL1Record from one interchange-format JSON object."""
+    try:
+        ddms = np.array([doc["ddms"][name] for name in DDM_TYPES], dtype=np.float64)
+        if ddms.ndim != 3:
+            raise FormatError(f"ddms must be three 2-D maps, got shape {ddms.shape}")
+        aps = {k: float(doc["aps"][k]) for k in BASE_AP_FIELDS}
+        flags = doc["flags"]
+        channel = int(doc["channel"])
+        lat = float(doc["sp_lat"])
+        if channel not in (1, 2, 3, 4):
+            raise FormatError(f"channel must be 1..4, got {channel}")
+        if math.isfinite(lat) and not -90.0 <= lat <= 90.0:  # non-finite is QC's nan_inf
+            raise FormatError(f"sp_lat out of range: {lat}")
+        return ParsedL1Record(
+            timestamp=float(doc["timestamp"]),
+            channel=channel,
+            sp_lat=lat,
+            sp_lon=normalize_lon(float(doc["sp_lon"])),
+            ddms=ddms,
+            aps=aps,
+            range_tx_sp_m=float(doc["geometry"]["range_tx_sp_m"]),
+            range_sp_rx_m=float(doc["geometry"]["range_sp_rx_m"]),
+            quality_flags=int(flags["quality_flags"]),
+            tracker_attitude_status=int(flags["tracker_attitude_status"]),
+            roll_deg=float(flags["roll_deg"]),
+            yaw_deg=float(flags["yaw_deg"]),
+            pitch_deg=float(flags["pitch_deg"]),
+            distance_to_land_km=float(flags["distance_to_land_km"]),
+            solar_contamination=bool(flags["solar_contamination"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed L1 record: {exc}") from exc
+
+
+def _qc_violation(rec: ParsedL1Record) -> str | None:
+    """First violated rule name, or None if the record passes. Attaches rcg."""
+    numeric = np.concatenate([
+        rec.ddms.reshape(-1),
+        np.array([rec.aps[k] for k in BASE_AP_FIELDS]),
+        np.array([rec.sp_lat, rec.sp_lon, rec.range_tx_sp_m, rec.range_sp_rx_m,
+                  rec.roll_deg, rec.yaw_deg, rec.pitch_deg, rec.distance_to_land_km]),
+    ])
+    if not (np.all(np.isfinite(numeric)) and math.isfinite(rec.timestamp)):
+        return "nan_inf"
+    if np.any(numeric <= FILL_VALUE_THRESHOLD):
+        return "fill_value"
+    if any(rec.aps[k] < 0.0 for k in ("ddm_nbrcs", "ddm_les", "ddm_snr", "sp_rx_gain")):
+        return "negative_ap"
+    rec.rcg = compute_rcg(rec.aps["sp_rx_gain"], rec.range_tx_sp_m, rec.range_sp_rx_m)
+    if rec.rcg < RCG_MIN:
+        return "low_rcg"
+    if rec.solar_contamination:
+        return "solar_contamination"
+    if rec.tracker_attitude_status != TRACKER_STATUS_OK:
+        return "tracker_attitude"
+    if abs(rec.roll_deg) > ROLL_MAX_DEG or abs(rec.yaw_deg) > YAW_MAX_DEG or abs(rec.pitch_deg) > PITCH_MAX_DEG:
+        return "attitude_limits"
+    if rec.distance_to_land_km < LAND_DISTANCE_MIN_KM:
+        return "near_land"
+    if rec.quality_flags & QUALITY_FLAG_MASK:
+        return "quality_flags"
+    return None
 
 
 class PerParameterAdamW:

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from damage import record_shape
+from damage import record_shape, set_last_value
 from swhnet import container
 from swhnet.checkpoint import FORMAT_VERSION, save_checkpoint
 from swhnet.cli import main
@@ -321,6 +321,49 @@ def test_match_era5_on_a_grid_that_is_not_json_names_the_json_error(tmp_path, to
     assert main(["match-era5", "--config", toy_config, "--input", str(groups),
                  "--grid", grid_file, "--out", str(tmp_path / "samples.jsonl")]) == 2
     assert f"grid file {grid_file} is not valid JSON" in caplog.text
+
+
+def trained_on_a_sample_file_with_a_nan(tmp_path, toy_config):
+    """A checkpoint trained on synthetic samples, and those samples' file
+    with its last `swh_ref` then set to NaN."""
+    data = tmp_path / "samples.jsonl"
+    assert main(["synth", "--config", toy_config, "--out", str(data)]) == 0
+    assert main(["train", "--config", toy_config, "--data", str(data), "--out-dir", str(tmp_path / "run")]) == 0
+    set_last_value(data, "samples", SCHEMA_VERSION, "swh_ref", np.nan)
+    return data, tmp_path / "run" / "checkpoint.json"
+
+
+def test_evaluate_on_a_sample_file_with_a_nan_exits_two(tmp_path, toy_config, caplog):
+    data, ckpt = trained_on_a_sample_file_with_a_nan(tmp_path, toy_config)
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--config", toy_config, "--data", str(data), "--checkpoint", str(ckpt),
+                 "--out-dir", str(out)]) == 2
+    assert f"{data}: samples array 'swh_ref' holds a non-finite value" in caplog.text
+    assert not out.exists()
+
+
+def test_train_on_a_sample_file_with_a_nan_exits_two(tmp_path, toy_config, caplog):
+    data, _ = trained_on_a_sample_file_with_a_nan(tmp_path, toy_config)
+    out = tmp_path / "run2"
+    assert main(["train", "--config", toy_config, "--data", str(data), "--out-dir", str(out)]) == 2
+    assert f"{data}: samples array 'swh_ref' holds a non-finite value" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["match-era5", "match-buoy"])
+def test_match_on_a_group_file_with_a_non_finite_position_exits_two(tmp_path, toy_config, l1_file, grid_file,
+                                                                    caplog, command):
+    groups = tmp_path / "groups.jsonl"
+    assert main(["preprocess", "--config", toy_config, "--input", l1_file, "--out", str(groups)]) == 0
+    set_last_value(groups, "groups", SCHEMA_VERSION, "sp_lat", np.nan)
+    set_last_value(groups, "groups", SCHEMA_VERSION, "sp_lon", np.inf)
+    buoys = tmp_path / "buoys.csv"
+    buoys.write_text("station_id,lat,lon,iso_time,swh_m\n41001,10.0,40.0,2019-09-01T00:00:00,1.5\n")
+    reference = ["--grid", grid_file] if command == "match-era5" else ["--buoys", str(buoys)]
+    out = tmp_path / "samples.jsonl"
+    assert main([command, "--config", toy_config, "--input", str(groups), *reference, "--out", str(out)]) == 2
+    assert f"{groups}: groups array 'sp_lat' holds a non-finite value" in caplog.text
+    assert not out.exists()
 
 
 def test_unknown_config_key_exits_one(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for quality control, channel alignment, collocation, capping,
 splitting, and the canonical file formats."""
 
+import copy
 import json
 import math
 
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from damage import record_shape
+from damage import record_shape, set_last_value
+import oracles
 from oracles import match_buoy_record_oracle
 from swhnet import cli, container, pipeline
 from swhnet.config import SplitSpec
@@ -19,9 +21,9 @@ from swhnet.pipeline import (BUOY_MAX_S, BuoyRecord, ChannelObs, Era5Grid, FourC
                              compute_ap_stats, compute_rcg, haversine_km,
                              interpolate_swh, match_buoy_groups,
                              match_buoy_record, match_era5_groups,
-                             normalize_lon, parse_l1_record, parse_time,
+                             normalize_lon, parse_time,
                              quality_control, read_buoys, read_groups,
-                             read_samples, split_dataset, standardize_ap,
+                             read_samples, screen_l1_record, split_dataset, standardize_ap,
                              write_groups, write_samples, _InterpError)
 
 W, H = 3, 4
@@ -82,6 +84,19 @@ def test_rcg_matches_formula_on_random_inputs():
 def test_rcg_nonpositive_range():
     with pytest.raises(ContractError):
         compute_rcg(1.0, 0.0, 1e5)
+
+
+@pytest.mark.parametrize("gain, r_tx, r_rx", [(10.0, 1e-200, 6.5e5), (10.0, 1e200, 6.5e5),
+                                             (10.0, 1e-75, 1e-75), (1e300, 2.2e7, 6.5e5)])
+def test_rcg_without_a_finite_value_is_malformed(gain, r_tx, r_rx):
+    # A square that underflows to zero or overflows, or a quotient that
+    # overflows, has no finite gain: the record is malformed, neither a
+    # traceback nor an infinite rcg in the group file.
+    with pytest.raises(ContractError, match="no finite rcg"):
+        compute_rcg(gain, r_tx, r_rx)
+    doc = record_doc(aps={"sp_rx_gain": gain}, geometry={"range_tx_sp_m": r_tx, "range_sp_rx_m": r_rx})
+    kept, tally = quality_control([doc])
+    assert not kept and tally["malformed"] == 1
 
 
 def test_haversine_zero_and_antipodal():
@@ -162,12 +177,119 @@ def test_qc_flag_bits_above_28_ignored():
     assert not kept and tally["quality_flags"] == 1
 
 
+def record_fields(rec):
+    """The fields of a kept record, the floats as their bytes."""
+    floats = [rec.timestamp, rec.sp_lat, rec.sp_lon, *rec.aps.values(), rec.rcg]
+    return rec.channel, list(rec.aps), np.array(floats).tobytes(), rec.ddms.tobytes()
+
+
 def test_qc_idempotent():
+    # Screening reads its dicts and builds new records: screening the same
+    # dicts again gives the same records and tallies.
     records = [record_doc(channel=c) for c in (1, 2, 3)] + [record_doc(**VIOLATIONS["negative_ap"])]
-    kept1, _ = quality_control(records)
-    kept2, tally2 = quality_control(kept1)
-    assert [id(r) for r in kept1] == [id(r) for r in kept2]
-    assert tally2["kept"] == tally2["input"]
+    before = copy.deepcopy(records)
+    kept1, tally1 = quality_control(records)
+    kept2, tally2 = quality_control(records)
+    assert records == before
+    assert tally1 == tally2 and tally1["kept"] == 3 and tally1["negative_ap"] == 1
+    assert [record_fields(r) for r in kept1] == [record_fields(r) for r in kept2]
+
+
+SPECIAL = (math.nan, math.inf, -math.inf, -9999.0, -9000.0, -8999.999, 0.0, -0.0)
+
+
+def floats_near(lo, hi, *edges):
+    """A float in [lo, hi]; an edge of a rule, its negation or the float
+    either side of it; or a NaN, inf, fill, zero or negative zero."""
+    around = [x for e in edges for x in (e, -e, np.nextafter(e, -math.inf), np.nextafter(e, math.inf))]
+    return st.one_of(st.sampled_from(around), st.sampled_from(SPECIAL), st.floats(lo, hi))
+
+
+# (key path, values) for every field of an L1 record; the ranges stay far
+# from the float overflow and underflow of the gain computation.
+# RCG_EDGE_GAIN is the gain whose rcg is RCG_MIN at record_doc's ranges.
+RCG_EDGE_GAIN = pipeline.RCG_MIN * (2.2e7 * 6.5e5) ** 2 / pipeline.RCG_SCALE
+L1_FIELDS = (
+    [(("timestamp",), floats_near(-1e10, 1e10, 0.0)),
+     (("sp_lat",), floats_near(-100.0, 100.0, 90.0)),
+     (("sp_lon",), floats_near(-400.0, 400.0, 180.0)),
+     (("channel",), st.integers(0, 5)),
+     (("geometry", "range_tx_sp_m"), floats_near(1e3, 1e9, 2.2e7)),
+     (("geometry", "range_sp_rx_m"), floats_near(1e3, 1e8, 6.5e5)),
+     (("flags", "quality_flags"), st.sampled_from([0, 1, -1, 1 << 27, 1 << 28, (1 << 28) - 1, 1 << 60])),
+     (("flags", "tracker_attitude_status"), st.integers(-1, 2)),
+     (("flags", "solar_contamination"), st.booleans()),
+     (("flags", "roll_deg"), floats_near(-90.0, 90.0, 30.0)),
+     (("flags", "yaw_deg"), floats_near(-90.0, 90.0, 5.0)),
+     (("flags", "pitch_deg"), floats_near(-90.0, 90.0, 10.0)),
+     (("flags", "distance_to_land_km"), floats_near(-100.0, 1e4, 25.0))]
+    + [(("aps", k), floats_near(-50.0, 50.0, 0.0, RCG_EDGE_GAIN)) for k in pipeline.BASE_AP_FIELDS]
+    + [(("ddms", name, i, j), floats_near(-1e4, 1e4, 9000.0))
+       for name in ("brcs", "eff_scatter", "power_analog") for i, j in ((0, 0), (W - 1, H - 1))]
+)
+
+
+def _holder(doc, path):
+    """The dict or list in `doc` that holds the last key of `path`."""
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def l1_docs(draw):
+    """A well-typed L1 record with a few fields moved, perhaps one key missing."""
+    doc = record_doc()
+    for path, values in draw(st.lists(st.sampled_from(L1_FIELDS), max_size=3)):
+        _holder(doc, path)[path[-1]] = draw(values)
+    if draw(st.integers(0, 7)) == 0:
+        path = draw(st.sampled_from([p[:2] for p, _ in L1_FIELDS]))
+        del _holder(doc, path)[path[-1]]
+    return doc
+
+
+def screened_or_malformed(screen, doc):
+    try:
+        return screen(doc)
+    except (FormatError, ContractError):
+        return "malformed"
+
+
+def screen_oracle(doc):
+    rec = oracles.parse_l1_record(doc)
+    return oracles._qc_violation(rec) or rec
+
+
+def assert_screens_agree(doc):
+    want = screened_or_malformed(screen_oracle, doc)
+    got = screened_or_malformed(screen_l1_record, doc)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert record_fields(got) == record_fields(want)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(l1_docs())
+def test_screen_agrees_with_the_two_pass_parse_and_screen(doc):
+    assert_screens_agree(doc)
+
+
+def _at_edge(key, value):
+    section = next((k for k in ("aps", "geometry", "flags") if key in record_doc()[k]), None)
+    return record_doc(**{section: {key: value}}) if section else record_doc(**{key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    (key, v) for key, edge, outward in [
+        ("sp_lat", 90.0, math.inf), ("sp_lat", -90.0, -math.inf), ("sp_rx_gain", RCG_EDGE_GAIN, 0.0),
+        ("roll_deg", 30.0, math.inf), ("yaw_deg", -5.0, -math.inf), ("pitch_deg", 10.0, math.inf),
+        ("distance_to_land_km", 25.0, 0.0), ("gps_eirp", -9000.0, -math.inf), ("timestamp", -9000.0, -math.inf),
+        ("range_sp_rx_m", 0.0, -math.inf)]
+    for v in (edge, np.nextafter(edge, outward))] + [
+    ("quality_flags", 1 << 27), ("quality_flags", 1 << 28), ("tracker_attitude_status", 2), ("channel", 5)])
+def test_screen_agrees_with_the_two_pass_parse_and_screen_at_each_rule_edge(key, value):
+    assert_screens_agree(_at_edge(key, value))
 
 
 @pytest.mark.parametrize("ts", [math.inf, -math.inf, math.nan])
@@ -202,8 +324,24 @@ def test_qc_keeps_a_pre_1970_timestamp():
 
 
 def test_parse_normalizes_longitude():
-    rec = parse_l1_record(record_doc(sp_lon=250.0))
+    rec = screen_l1_record(record_doc(sp_lon=250.0))
     assert rec.sp_lon == pytest.approx(-110.0)
+
+
+@pytest.mark.parametrize("key, value", [("channel", 1.5), ("channel", 1.0), ("channel", "1"), ("channel", True),
+                                        ("quality_flags", 2.5), ("quality_flags", "0"), ("quality_flags", True),
+                                        ("quality_flags", 0.0), ("tracker_attitude_status", 1.9),
+                                        ("tracker_attitude_status", 1.0), ("tracker_attitude_status", True),
+                                        ("tracker_attitude_status", None), ("solar_contamination", "false"),
+                                        ("solar_contamination", 0), ("solar_contamination", 1),
+                                        ("solar_contamination", None)])
+def test_qc_tallies_a_flag_of_the_wrong_json_type_as_malformed(key, value):
+    doc = record_doc(**{key: value}) if key == "channel" else record_doc(flags={key: value})
+    kept, tally = quality_control([json.loads(json.dumps(doc))])
+    assert not kept and tally["malformed"] == 1 and tally["kept"] == 0
+    assert sum(tally[rule] for rule in pipeline.QC_RULES) == 0
+    with pytest.raises(FormatError, match="JSON"):
+        screen_l1_record(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +477,10 @@ def test_match_era5_groups_tally():
     grid = affine_grid(const=2.0, masked=[(2, 2)])
     t = float(grid.times[1])
     good = make_records(t, [1, 2, 3, 4])
-    outside = [parse_l1_record(record_doc(timestamp=t, channel=c, sp_lat=-70.0)) for c in (1, 2, 3, 4)]
-    for r in outside:
-        r.rcg = 10.0
-    masked = [parse_l1_record(record_doc(timestamp=t, channel=c,
-                                         sp_lat=grid.lats[2] + 0.1, sp_lon=grid.lons[2] + 0.1))
+    outside = [screen_l1_record(record_doc(timestamp=t, channel=c, sp_lat=-70.0)) for c in (1, 2, 3, 4)]
+    masked = [screen_l1_record(record_doc(timestamp=t, channel=c,
+                                          sp_lat=grid.lats[2] + 0.1, sp_lon=grid.lons[2] + 0.1))
               for c in (1, 2, 3, 4)]
-    for r in masked:
-        r.rcg = 10.0
     samples, tally = match_era5_groups([good, outside, masked], grid)
     assert tally == {"outside_grid": 1, "masked_node": 1, "matched": 1}
     assert samples[0].source == "era5"
@@ -790,6 +924,18 @@ def _sample_and_group_files(tmp_path):
     write_samples(str(samples), [sample_with_refs([1, 1, 1, 1], ts=1.0)], {"config_hash": "h"})
     write_groups(str(groups), [make_records(100.0 + i, [1, 2, 3, 4]) for i in range(2)], {"qc": {}})
     return (samples, read_samples), (groups, read_groups)
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf])
+@pytest.mark.parametrize("kind, name", [("samples", n) for n in ("timestamp", "sp_lat", "sp_lon", "ddms", "aps",
+                                                                 "swh_ref", "wind_speed")]
+                         + [("groups", n) for n in ("timestamp", "sp_lat", "sp_lon", "ddms", "rcg", "aps")])
+def test_sample_and_group_files_with_a_non_finite_value_rejected(tmp_path, kind, name, value):
+    files = dict(zip(("samples", "groups"), _sample_and_group_files(tmp_path)))
+    path, read = files[kind]
+    set_last_value(path, kind, pipeline.SCHEMA_VERSION, name, value)
+    with pytest.raises(FormatError, match=rf"{kind}\.jsonl: {kind} array '{name}' holds a non-finite value"):
+        read(str(path))
 
 
 def test_version_2_sample_and_group_files_rejected(tmp_path):
