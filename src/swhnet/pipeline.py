@@ -8,9 +8,10 @@ count. Quality control parses and screens each L1 interchange record in
 one pass (`screen_l1_record`); a kept `L1Record` carries only the fields
 that alignment, matching and the group file use. The sample and group
 files swhnet writes are `container` files that carry their manifest in
-the header, and their readers reject a float array holding NaN or inf;
-the inputs (L1 records, the reanalysis grid, buoys) are JSON and CSV.
-Identical inputs and seeds reproduce byte-identical outputs.
+the header, and their writers refuse and their readers reject a float
+array holding NaN or inf; the inputs (L1 records, the reanalysis grid,
+buoys) are JSON and CSV. Identical inputs and seeds reproduce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -110,6 +111,11 @@ class Era5Grid:
             raise ConfigError(f"grid swh shape {self.swh.shape} does not match axes")
         if self.mask.shape != (self.lats.size, self.lons.size):
             raise ConfigError(f"grid mask shape {self.mask.shape} does not match axes")
+        for t, layer in enumerate(self.swh):  # one hour at a time keeps the temporaries small
+            bad = np.argwhere(~(np.isfinite(layer) | self.mask))
+            if bad.size:
+                raise FormatError(f"grid swh is not finite at the unmasked node with (time, lat, lon) "
+                                  f"index {(t, *bad[0].tolist())}")
 
 
 @dataclass
@@ -189,29 +195,40 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _number(mapping: dict, key: str) -> float:
+    """mapping[key], which must be a JSON number (an int or a float, never a
+    bool), as a float."""
+    value = mapping[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def screen_l1_record(doc: dict) -> L1Record | str:
     """Parse one interchange-format JSON object and apply the nine QC_RULES
     in order: the kept record, or the name of the first rule it violates.
+    The rules read sp_lon as recorded; a kept record has it wrapped into
+    [-180, 180).
 
     Raises FormatError for a record that does not parse (a missing key, a
-    non-numeric value, a flag of the wrong JSON type, a channel outside
-    1..4, a finite sp_lat outside [-90, 90]) and ContractError from
-    compute_rcg, for a record that reaches it with no finite gain.
+    scalar that is not a JSON number, a flag of the wrong JSON type, a
+    channel outside 1..4, a finite sp_lat outside [-90, 90]) and
+    ContractError from compute_rcg, for a record that reaches it with no
+    finite gain.
     """
     try:
         ddms = np.array([doc["ddms"][name] for name in DDM_TYPES], dtype=np.float64)
         if ddms.ndim != 3:
             raise FormatError(f"ddms must be three 2-D maps, got shape {ddms.shape}")
-        aps = {k: float(doc["aps"][k]) for k in BASE_AP_FIELDS}
+        aps = {k: _number(doc["aps"], k) for k in BASE_AP_FIELDS}
         flags, geometry = doc["flags"], doc["geometry"]
-        timestamp, lat = float(doc["timestamp"]), float(doc["sp_lat"])
-        lon = normalize_lon(float(doc["sp_lon"]))
-        ranges = (float(geometry["range_tx_sp_m"]), float(geometry["range_sp_rx_m"]))
-        roll, yaw, pitch, land_km = (float(flags[k]) for k in (
+        timestamp, lat, lon = (_number(doc, k) for k in ("timestamp", "sp_lat", "sp_lon"))
+        ranges = (_number(geometry, "range_tx_sp_m"), _number(geometry, "range_sp_rx_m"))
+        roll, yaw, pitch, land_km = (_number(flags, k) for k in (
             "roll_deg", "yaw_deg", "pitch_deg", "distance_to_land_km"))
         channel, solar = doc["channel"], flags["solar_contamination"]
         quality_flags, tracker_status = flags["quality_flags"], flags["tracker_attitude_status"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed L1 record: {exc}") from exc
     # JSON integers and booleans parse to exactly int and bool (a bool is no int here).
     if type(solar) is not bool or not all(type(v) is int for v in (channel, quality_flags, tracker_status)):
@@ -244,7 +261,7 @@ def screen_l1_record(doc: dict) -> L1Record | str:
         return "near_land"
     if quality_flags & QUALITY_FLAG_MASK:
         return "quality_flags"
-    return L1Record(timestamp, channel, lat, lon, ddms, aps, rcg)
+    return L1Record(timestamp, channel, lat, normalize_lon(lon), ddms, aps, rcg)
 
 
 def quality_control(docs) -> tuple[list[L1Record], dict[str, int]]:
@@ -578,6 +595,16 @@ def _read_container(path: str, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
     return header, arrays
 
 
+def _write_container(path: str, kind: str, header: dict, arrays: dict[str, np.ndarray]) -> None:
+    """`container.write` of a sample or group file at SCHEMA_VERSION. Raises
+    ContractError, and writes nothing, if a float array holds NaN or inf:
+    _read_container would reject the file."""
+    for name, arr in arrays.items():
+        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+            raise ContractError(f"{path}: {kind} array {name!r} holds a non-finite value; not written")
+    container.write(path, kind, SCHEMA_VERSION, header, arrays)
+
+
 def write_samples(path: str, samples: list[FourChannelSample], manifest: dict) -> None:
     """A `container` file with one (n_samples, 4, ...) array per channel
     field and `manifest` in its header. A channel without wind speed has
@@ -585,7 +612,7 @@ def write_samples(path: str, samples: list[FourChannelSample], manifest: dict) -
     chans = [ch for s in samples for ch in s.channels]
     n = len(samples)
     sources = sorted({s.source for s in samples})
-    container.write(path, "samples", SCHEMA_VERSION, {"sources": sources, "manifest": manifest}, {
+    _write_container(path, "samples", {"sources": sources, "manifest": manifest}, {
         "timestamp": np.array([s.timestamp for s in samples], dtype=np.float64),
         "source": np.array([sources.index(s.source) for s in samples], dtype=np.int64),
         **per_channel(chans, n, "sp_lat", "sp_lon", "ddms", "aps", "swh_ref"),
@@ -671,7 +698,7 @@ def write_groups(path: str, groups: list[list[L1Record]], tally: dict) -> None:
     record field and the QC and alignment `tally` in its header's manifest."""
     recs = [r for group in groups for r in group]
     n = len(groups)
-    container.write(path, "groups", SCHEMA_VERSION, {"manifest": {"tally": tally}}, {
+    _write_container(path, "groups", {"manifest": {"tally": tally}}, {
         **per_channel(recs, n, "timestamp", "sp_lat", "sp_lon", "ddms", "rcg"),
         "channel": np.array([r.channel for r in recs], dtype=np.int64).reshape(n, 4),
         "aps": np.array([[r.aps[k] for k in BASE_AP_FIELDS] for r in recs],

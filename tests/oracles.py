@@ -24,6 +24,9 @@ sum(x * probe) as one node. `parse_l1_record` and `_qc_violation` are
 the L1 parse and screen as they ran before `pipeline.screen_l1_record`
 merged them, on the full parsed record (`ParsedL1Record`), which the
 one-pass screen must agree with rule for rule and bit for bit.
+`generate`, with `_draw_swh` and `_ddm_maps`, is the synthetic generator
+as it ran before `synth.generate` drew its stream in bulk, one channel
+at a time, which the bulk generator must reproduce bit for bit.
 """
 
 import math
@@ -34,12 +37,14 @@ import numpy as np
 from swhnet import autodiff as ad
 from swhnet.autodiff import Tensor, _as_tensor, _check_dropout, _rows, _tiles, _unbroadcast
 from swhnet.autodiff import linear as _linear
-from swhnet.config import DDM_TYPES
+from swhnet.config import DDM_TYPES, SynthSpec, parse_time
 from swhnet.errors import ConfigError, ContractError, FormatError, ShapeError
 from swhnet.pipeline import (BASE_AP_FIELDS, BUOY_MAX_KM, BUOY_MAX_S, FILL_VALUE_THRESHOLD,
                              LAND_DISTANCE_MIN_KM, PITCH_MAX_DEG, QUALITY_FLAG_MASK, RCG_MIN,
-                             ROLL_MAX_DEG, TRACKER_STATUS_OK, YAW_MAX_DEG, compute_rcg,
-                             haversine_km, normalize_lon)
+                             ROLL_MAX_DEG, TRACKER_STATUS_OK, YAW_MAX_DEG, ChannelObs,
+                             FourChannelSample, compute_rcg, haversine_km, normalize_lon)
+from swhnet.synth import (LES_DECAY, LES_SCALE, LOGNORMAL_MEDIAN, LOGNORMAL_SIGMA, SNR_BASE,
+                          SNR_SCALE, nbrcs_from_swh)
 
 
 def norm_oracle(x, gamma, beta, strategy, eps=1e-5):
@@ -672,3 +677,70 @@ def ap_gate_chain(a, kernel, bias, p1, b1, p2, b2, p3, b3, p4, b4):
         z = ad.add(tsum_node(mul_node(hidden, p4), axis=-1), b4)
     w_channel = ad.transpose(sigmoid_node(z))
     return mul_node(mul_node(a, w_spatial), w_channel)
+
+
+# ---------------------------------------------------------------------------
+# the synthetic generator as it ran before the bulk draws
+# ---------------------------------------------------------------------------
+
+
+def _draw_swh(rng: np.random.Generator) -> float:
+    return float(np.exp(rng.normal(np.log(LOGNORMAL_MEDIAN), LOGNORMAL_SIGMA)))
+
+
+def _ddm_maps(rng, swh, w, h, noise_sd):
+    """Three peaked maps whose amplitude and width track SWH."""
+    peak = 1.0 + 5.0 / (0.6 + swh)
+    sigma = 0.8 + 0.3 * swh
+    ci, cj = (w - 1) / 2.0, (h - 1) / 2.0
+    ii, jj = np.meshgrid(np.arange(w), np.arange(h), indexing="ij")
+    blob = np.exp(-((ii - ci) ** 2 + (jj - cj) ** 2) / (2.0 * sigma ** 2))
+    scales = (1.0, 0.8, 1.2)
+    maps = np.stack([peak * s * blob for s in scales])
+    maps += noise_sd * 0.05 * rng.normal(size=maps.shape)
+    return maps
+
+
+def generate(spec: SynthSpec) -> list[FourChannelSample]:
+    rng = np.random.default_rng(spec.seed)
+    t0, t1 = parse_time(spec.time_start), parse_time(spec.time_end)
+    timestamps = np.sort(rng.uniform(t0, t1, size=spec.n_samples))
+    samples = []
+    for ts in timestamps:
+        base = _draw_swh(rng)
+        channels = []
+        for chn in range(1, 5):
+            indep = _draw_swh(rng)
+            swh = spec.channel_corr * base + (1.0 - spec.channel_corr) * indep
+            swh += spec.noise_sd * rng.normal()
+            swh = float(np.clip(swh, spec.swh_lo, spec.swh_hi))
+            lat = rng.uniform(-38.0, 38.0)
+            lon = rng.uniform(-180.0, 180.0)
+            gain = rng.uniform(6.0, 14.0)
+            r_tx = 2.2e7 * (1.0 + 0.05 * rng.uniform(-1, 1))
+            r_rx = 6.5e5 * (1.0 + 0.10 * rng.uniform(-1, 1))
+            if spec.planted_signal:
+                ddms = _ddm_maps(rng, swh, spec.width, spec.height, spec.noise_sd)
+                nbrcs = float(nbrcs_from_swh(swh) + spec.noise_sd * 2.0 * rng.normal())
+                les = float(LES_SCALE * np.exp(-swh / LES_DECAY) + spec.noise_sd * 0.5 * rng.normal())
+                snr = float(SNR_BASE + SNR_SCALE / (1.0 + swh) + spec.noise_sd * rng.normal())
+            else:
+                ddms = rng.uniform(0.0, 1.0, size=(3, spec.width, spec.height))
+                nbrcs = rng.uniform(2.0, 20.0)
+                les = rng.uniform(0.5, 4.0)
+                snr = rng.uniform(1.0, 12.0)
+            aps = np.array([
+                nbrcs, les, snr,
+                26.0 + 1.5 * rng.normal(),     # gps_eirp
+                gain,                          # sp_rx_gain
+                rng.uniform(5.0, 60.0),        # sp_inc_angle
+                lat, lon,
+                compute_rcg(gain, r_tx, r_rx),
+            ])
+            wind = None
+            if spec.include_wind:
+                wind = float(1.5 + 2.2 * swh + spec.noise_sd * 2.0 * rng.normal())
+            channels.append(ChannelObs(channel=chn, sp_lat=lat, sp_lon=lon,
+                                       ddms=ddms, aps=aps, swh_ref=swh, wind_speed=wind))
+        samples.append(FourChannelSample(timestamp=float(ts), source="synth", channels=channels))
+    return samples

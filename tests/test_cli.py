@@ -323,6 +323,41 @@ def test_match_era5_on_a_grid_that_is_not_json_names_the_json_error(tmp_path, to
     assert f"grid file {grid_file} is not valid JSON" in caplog.text
 
 
+def grid_with_swh(grid_file, value, masked):
+    """Rewrite the grid file with `value` at SWH node (3, 4, 5), and that
+    node's cell land-masked if `masked`."""
+    with open(grid_file) as fh:
+        doc = json.load(fh)
+    doc["swh"][3][4][5] = value
+    doc["mask"][4][5] = int(masked)
+    with open(grid_file, "w") as fh:
+        json.dump(doc, fh)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_match_era5_on_a_grid_with_a_non_finite_swh_at_a_sea_node_exits_two(tmp_path, toy_config, l1_file,
+                                                                            grid_file, caplog, value):
+    groups = tmp_path / "groups.jsonl"
+    assert main(["preprocess", "--config", toy_config, "--input", l1_file, "--out", str(groups)]) == 0
+    grid_with_swh(grid_file, value, masked=False)
+    out = tmp_path / "samples.jsonl"
+    assert main(["match-era5", "--config", toy_config, "--input", str(groups),
+                 "--grid", grid_file, "--out", str(out)]) == 2
+    assert "grid swh is not finite at the unmasked node with (time, lat, lon) index (3, 4, 5)" in caplog.text
+    assert not out.exists()
+
+
+def test_match_era5_on_a_grid_with_a_nan_swh_on_land_matches(tmp_path, toy_config, l1_file, grid_file):
+    # A land-masked node is never interpolated, so its value may be anything.
+    groups = tmp_path / "groups.jsonl"
+    assert main(["preprocess", "--config", toy_config, "--input", l1_file, "--out", str(groups)]) == 0
+    grid_with_swh(grid_file, float("nan"), masked=True)
+    out = tmp_path / "samples.jsonl"
+    assert main(["match-era5", "--config", toy_config, "--input", str(groups),
+                 "--grid", grid_file, "--out", str(out)]) == 0
+    assert read_samples(str(out))[1]["qc_tally"]["match"]["matched"] == 12
+
+
 def trained_on_a_sample_file_with_a_nan(tmp_path, toy_config):
     """A checkpoint trained on synthetic samples, and those samples' file
     with its last `swh_ref` then set to NaN."""

@@ -263,6 +263,12 @@ def screen_oracle(doc):
 def assert_screens_agree(doc):
     want = screened_or_malformed(screen_oracle, doc)
     got = screened_or_malformed(screen_l1_record, doc)
+    if (want != "nan_inf" and screened_or_malformed(oracles.parse_l1_record, doc) != "malformed"
+            and doc["sp_lon"] <= pipeline.FILL_VALUE_THRESHOLD):
+        # The two-pass screen wraps sp_lon into [-180, 180) before its fill
+        # rule, so it keeps a -9999 fill; the one-pass screen applies the
+        # rule to sp_lon as recorded.
+        want = "fill_value"
     if isinstance(want, str):
         assert got == want
     else:
@@ -342,6 +348,45 @@ def test_qc_tallies_a_flag_of_the_wrong_json_type_as_malformed(key, value):
     assert sum(tally[rule] for rule in pipeline.QC_RULES) == 0
     with pytest.raises(FormatError, match="JSON"):
         screen_l1_record(doc)
+
+
+@pytest.mark.parametrize("lon, kept_at", [(-9999.0, None), (-9000.0, None), (-1e300, None),
+                                         (np.nextafter(-9000.0, 0.0), 0.0), (-8820.0, -180.0)])
+def test_qc_applies_the_fill_rule_to_the_recorded_longitude(lon, kept_at):
+    # Wrapped first, -9999 would be kept at longitude 81.
+    kept, tally = quality_control([record_doc(sp_lon=lon)])
+    if kept_at is None:
+        assert not kept and tally["fill_value"] == 1
+    else:
+        assert tally["kept"] == 1 and kept[0].sp_lon == pytest.approx(kept_at, abs=1e-9)
+
+
+NUMBER_FIELDS = ([("timestamp",), ("sp_lat",), ("sp_lon",)]
+                 + [("aps", k) for k in pipeline.BASE_AP_FIELDS]
+                 + [("geometry", k) for k in ("range_tx_sp_m", "range_sp_rx_m")]
+                 + [("flags", k) for k in ("roll_deg", "yaw_deg", "pitch_deg", "distance_to_land_km")])
+
+
+@pytest.mark.parametrize("value", ["10", True, False, None, [1.0], 10 ** 400],
+                         ids=["string", "true", "false", "null", "list", "huge_int"])
+@pytest.mark.parametrize("path", NUMBER_FIELDS)
+def test_qc_tallies_a_number_of_the_wrong_json_type_as_malformed(path, value):
+    # 10 ** 400 is a JSON integer with no float value.
+    doc = json.loads(json.dumps(record_doc()))
+    _holder(doc, path)[path[-1]] = value
+    kept, tally = quality_control([doc])
+    assert not kept and tally["malformed"] == 1 and tally["kept"] == 0
+    assert sum(tally[rule] for rule in pipeline.QC_RULES) == 0
+
+
+@pytest.mark.parametrize("path", NUMBER_FIELDS)
+def test_qc_reads_a_json_integer_as_a_number(path):
+    as_int, as_float = json.loads(json.dumps(record_doc())), record_doc()
+    value = int(_holder(as_float, path)[path[-1]])
+    _holder(as_int, path)[path[-1]], _holder(as_float, path)[path[-1]] = value, float(value)
+    kept, tally = quality_control([as_int])
+    assert tally["kept"] == 1
+    assert record_fields(kept[0]) == record_fields(screen_l1_record(as_float))
 
 
 # ---------------------------------------------------------------------------
@@ -936,6 +981,28 @@ def test_sample_and_group_files_with_a_non_finite_value_rejected(tmp_path, kind,
     set_last_value(path, kind, pipeline.SCHEMA_VERSION, name, value)
     with pytest.raises(FormatError, match=rf"{kind}\.jsonl: {kind} array '{name}' holds a non-finite value"):
         read(str(path))
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf])
+@pytest.mark.parametrize("kind, name", [("samples", n) for n in ("timestamp", "sp_lat", "sp_lon", "ddms", "aps",
+                                                                 "swh_ref", "wind_speed")]
+                         + [("groups", n) for n in ("timestamp", "sp_lat", "sp_lon", "ddms", "rcg", "aps")])
+def test_sample_and_group_writers_refuse_a_non_finite_value(tmp_path, kind, name, value):
+    samples, groups = [sample_with_refs([1, 1, 1, 1], ts=1.0)], [make_records(100.0, [1, 2, 3, 4])]
+    if kind == "samples":
+        item, write, items = (samples[0] if name == "timestamp" else samples[0].channels[-1]), write_samples, samples
+    else:
+        item, write, items = groups[0][-1], write_groups, groups
+    field = getattr(item, name)
+    if isinstance(field, np.ndarray):
+        field.flat[-1] = value
+    elif isinstance(field, dict):
+        field[list(field)[-1]] = value
+    else:
+        setattr(item, name, value)
+    with pytest.raises(ContractError, match=f"{kind} array '{name}' holds a non-finite value; not written"):
+        write(str(tmp_path / "out.jsonl"), items, {})
+    assert not list(tmp_path.iterdir())
 
 
 def test_version_2_sample_and_group_files_rejected(tmp_path):
