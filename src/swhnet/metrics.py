@@ -1,6 +1,6 @@
 """Evaluation metrics (RMSE, MAE, Bias, MAPE, CC), per-channel/averaged/
-binned reporting, the per-sample channel-spread percentile, and the plot
-data exports (density scatter and gridded bias map).
+binned reporting, and the plot data exports (density scatter and gridded
+bias map).
 
 Conventions:
   * Bias is signed prediction minus reference.
@@ -209,21 +209,6 @@ def report(pairs_by_channel: dict[int, tuple[np.ndarray, np.ndarray]],
     n_total = int(sum(per_channel[c]["n"] for c in (1, 2, 3, 4)))
     return MetricsReport(config_hash=config_hash, n=n_total,
                          per_channel=per_channel, average=average, bins=bins)
-
-
-def channel_sd_percentile(refs: np.ndarray, q: float) -> float:
-    """q-quantile of the per-sample population SD of the four references.
-
-    The SD uses the n=4 divisor; the quantile interpolates linearly
-    between order statistics.
-    """
-    if not 0.0 < q <= 1.0:
-        raise ContractError(f"quantile must lie in (0, 1], got {q}")
-    refs = np.asarray(refs, dtype=np.float64)
-    if refs.ndim != 2 or refs.shape[1] != 4 or refs.shape[0] == 0:
-        raise ContractError(f"need an (n, 4) reference block, got {refs.shape}")
-    sds = refs.std(axis=1)  # population SD (ddof=0)
-    return float(np.quantile(sds, q, method="linear"))
 
 
 # ---------------------------------------------------------------------------

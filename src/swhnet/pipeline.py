@@ -2,11 +2,13 @@
 collocation (reanalysis grid and buoys), SWH capping, temporal splitting,
 and the canonical sample file format.
 
-Stages are pure functions over record lists and every stage reports a
-rejection tally, so kept + rejected always reconciles with the input
-count. Quality control parses and screens each L1 interchange record in
-one pass (`screen_l1_record`); a kept `L1Record` carries only the fields
-that alignment, matching and the group file use. The sample and group
+Every stage is a pure function that reports a rejection tally, so kept +
+rejected always reconciles with the input count. Quality control parses
+and screens each L1 interchange record in one pass (`screen_l1_record`);
+a kept `L1Record` carries only the fields that alignment, matching and
+the group file use. Each reference matcher looks up the records of all
+its groups at once, in arrays (`interpolate_swh`, `_match_buoys`), and
+one builder makes each kept group's sample. The sample and group
 files swhnet writes are `container` files that carry their manifest in
 the header, and their writers refuse and their readers reject a float
 array holding NaN or inf; the inputs (L1 records, the reanalysis grid,
@@ -323,76 +325,79 @@ def align_channels(records: list[L1Record]) -> tuple[list[list[L1Record]], dict[
 # ---------------------------------------------------------------------------
 
 
-class _InterpError(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+def _bracket(axis: np.ndarray, values, longitude: bool = False):
+    """For each value: the indices (i, j) of the axis points around it, its
+    fractional offset from axis[i] towards axis[j], and whether it lies
+    beyond the axis. A longitude axis that closes the circle wraps a value
+    beyond it into [axis[0], axis[0] + 360) and brackets a value past its
+    last point with its first, so no longitude lies beyond it."""
+    values = np.asarray(values, dtype=np.float64)
+    outside = (values < axis[0]) | (values > axis[-1])
+    if longitude and abs(axis[-1] - axis[0] + 0.5 - 360.0) < 1e-6:
+        values = np.where(outside, axis[0] + (values - axis[0]) % 360.0, values)
+        outside = np.zeros_like(outside)
+    idx = np.clip(np.searchsorted(axis, values, side="right") - 1, 0, axis.size - 2)
+    past = values > axis[-1]   # a wrapped longitude between the last point and the first
+    return (np.where(past, axis.size - 1, idx), np.where(past, 0, idx + 1),
+            np.where(past, (values - axis[-1]) / (axis[0] + 360.0 - axis[-1]),
+                     (values - axis[idx]) / (axis[idx + 1] - axis[idx])), outside)
 
 
-def _bracket(axis: np.ndarray, value: float, longitude: bool = False) -> tuple[int, int, float]:
-    """Indices (i, j) of the axis points around value and its fractional
-    offset from axis[i] towards axis[j]. A longitude axis that closes the
-    circle wraps value into [axis[0], axis[0] + 360) and brackets a value
-    past its last point with its first."""
-    if value < axis[0] or value > axis[-1]:
-        if not (longitude and abs(axis[-1] - axis[0] + 0.5 - 360.0) < 1e-6):
-            raise _InterpError("outside_grid")
-        value = axis[0] + (value - axis[0]) % 360.0
-        if value > axis[-1]:
-            return axis.size - 1, 0, (value - axis[-1]) / (axis[0] + 360.0 - axis[-1])
-    idx = int(np.searchsorted(axis, value, side="right") - 1)
-    idx = min(idx, axis.size - 2)
-    return idx, idx + 1, (value - axis[idx]) / (axis[idx + 1] - axis[idx])
-
-
-def interpolate_swh(grid: Era5Grid, lat: float, lon: float, t: float) -> float:
+def interpolate_swh(grid: Era5Grid, lat, lon, t) -> tuple[np.ndarray, np.ndarray]:
     """Bilinear interpolation in space at the two bracketing hours, then
-    linear interpolation in time. On a grid that is global in longitude
-    the last longitude column neighbours the first.
+    linear interpolation in time, at each of the broadcast points (lat,
+    lon, t); scalars give 0-d arrays. On a grid that is global in
+    longitude the last longitude column neighbours the first.
 
-    Raises _InterpError("outside_grid") beyond the axes and
-    _InterpError("masked_node") if any of the four surrounding cells is
-    land-masked.
+    Returns (swh, reason). reason is "" where swh holds a value, else
+    "outside_grid" for a point beyond any axis or "masked_node" for one
+    with a land-masked cell among its four neighbours; outside_grid takes
+    precedence. swh is NaN where reason is not "".
     """
-    t0, t1, tf = _bracket(grid.times, t)
-    y0, y1, yf = _bracket(grid.lats, lat)
-    x0, x1, xf = _bracket(grid.lons, lon, longitude=True)
-    mask = grid.mask
-    if mask[y0, x0] or mask[y0, x1] or mask[y1, x0] or mask[y1, x1]:
-        raise _InterpError("masked_node")
-    v0, v1 = (p[y0, x0] * (1 - yf) * (1 - xf) + p[y0, x1] * (1 - yf) * xf
-              + p[y1, x0] * yf * (1 - xf) + p[y1, x1] * yf * xf for p in (grid.swh[t0], grid.swh[t1]))
-    return v0 * (1 - tf) + v1 * tf
+    t0, t1, tf, out_t = _bracket(grid.times, t)
+    y0, y1, yf, out_y = _bracket(grid.lats, lat)
+    x0, x1, xf, out_x = _bracket(grid.lons, lon, longitude=True)
+    mask, p = grid.mask, grid.swh
+    masked = mask[y0, x0] | mask[y0, x1] | mask[y1, x0] | mask[y1, x1]
+    reason = np.where(out_t | out_y | out_x, "outside_grid", np.where(masked, "masked_node", ""))
+    # Three index arrays gather each point's nodes, not whole hours. A point
+    # without a value may gather a masked node, which may hold inf.
+    with np.errstate(invalid="ignore", over="ignore"):
+        v0, v1 = (p[h, y0, x0] * (1 - yf) * (1 - xf) + p[h, y0, x1] * (1 - yf) * xf
+                  + p[h, y1, x0] * yf * (1 - xf) + p[h, y1, x1] * yf * xf for h in (t0, t1))
+        swh = v0 * (1 - tf) + v1 * tf
+    return np.where(reason == "", swh, np.nan), reason
 
 
-def _record_to_obs(rec: L1Record, swh_ref: float) -> ChannelObs:
-    ap_vec = np.array([rec.aps[k] for k in BASE_AP_FIELDS] + [rec.sp_lat, rec.sp_lon, rec.rcg])
-    assert ap_vec.size == len(AP_COLUMNS)
-    return ChannelObs(channel=rec.channel, sp_lat=rec.sp_lat, sp_lon=rec.sp_lon,
-                      ddms=rec.ddms, aps=ap_vec, swh_ref=swh_ref)
-
-
-def match_era5(group: list[L1Record], grid: Era5Grid) -> tuple[FourChannelSample | None, str | None]:
-    """Attach interpolated reference SWH to each channel of one group."""
-    obs = []
-    for rec in group:
-        try:
-            swh = interpolate_swh(grid, rec.sp_lat, rec.sp_lon, rec.timestamp)
-        except _InterpError as exc:
-            return None, exc.reason
-        obs.append(_record_to_obs(rec, swh))
-    return FourChannelSample(timestamp=group[0].timestamp, source="era5", channels=obs), None
+def _sample(group: list[L1Record], refs, source: str) -> FourChannelSample:
+    """The sample of a group of four records with reference SWH refs, one per
+    record; each AP vector holds its record's values in AP_COLUMNS order."""
+    return FourChannelSample(timestamp=group[0].timestamp, source=source, channels=[
+        ChannelObs(channel=rec.channel, sp_lat=rec.sp_lat, sp_lon=rec.sp_lon, ddms=rec.ddms,
+                   aps=np.array([rec.aps[k] if k in rec.aps else getattr(rec, k) for k in AP_COLUMNS]),
+                   swh_ref=ref)
+        for rec, ref in zip(group, refs)])
 
 
 def match_era5_groups(groups, grid: Era5Grid) -> tuple[list[FourChannelSample], dict[str, int]]:
+    """Attach interpolated reference SWH to each channel of each group, in
+    one interpolate_swh call over all their records. A group with a channel
+    that has no value is dropped, tallied under the reason of its first
+    such channel."""
+    groups = list(groups)
+    recs = [rec for group in groups for rec in group]
+    swh, reason = interpolate_swh(grid, *(np.array([getattr(r, f) for r in recs], dtype=np.float64)
+                                          for f in ("sp_lat", "sp_lon", "timestamp")))
+    matched = iter(zip(list(swh), reason.tolist()))
     tally = {"outside_grid": 0, "masked_node": 0, "matched": 0}
     samples = []
     for group in groups:
-        sample, reason = match_era5(group, grid)
-        if sample is None:
-            tally[reason] += 1
+        found = [next(matched) for _ in group]
+        why = next((r for _, r in found if r), "")
+        if why:
+            tally[why] += 1
         else:
-            samples.append(sample)
+            samples.append(_sample(group, [ref for ref, _ in found], "era5"))
     tally["matched"] = len(samples)
     return samples, tally
 
@@ -463,12 +468,6 @@ def _match_buoys(recs: list[L1Record], buoys: list[BuoyRecord]) -> list[BuoyReco
     return [None if key is None else buoys[key[2]] for key in best]
 
 
-def match_buoy_record(rec: L1Record, buoys: list[BuoyRecord]) -> BuoyRecord | None:
-    """Nearest buoy within 25 km and 30 min, both inclusive; ties break to
-    the nearest in time, then to the earliest CSV row."""
-    return _match_buoys([rec], buoys)[0]
-
-
 def match_buoy_groups(groups, buoys: list[BuoyRecord]) -> tuple[list[FourChannelSample], dict[str, int]]:
     """Match each channel independently, then keep groups with all four matched."""
     groups = list(groups)
@@ -480,8 +479,7 @@ def match_buoy_groups(groups, buoys: list[BuoyRecord]) -> tuple[list[FourChannel
         if any(m is None for m in found):
             tally["unmatched_channel"] += 1
             continue
-        obs = [_record_to_obs(rec, buoy.swh) for rec, buoy in zip(group, found)]
-        samples.append(FourChannelSample(timestamp=group[0].timestamp, source="buoy", channels=obs))
+        samples.append(_sample(group, [buoy.swh for buoy in found], "buoy"))
     tally["matched"] = len(samples)
     return samples, tally
 
@@ -629,7 +627,11 @@ def read_samples(path: str) -> tuple[list[FourChannelSample], dict]:
     try:
         ts, src, lat, lon, ref, has, wind = (a[k].tolist() for k in (
             "timestamp", "source", "sp_lat", "sp_lon", "swh_ref", "has_wind", "wind_speed"))
-        samples = [FourChannelSample(timestamp=ts[i], source=header["sources"][src[i]], channels=[
+        sources = header["sources"]
+        bad = [code for code in src if not 0 <= code < len(sources)]
+        if bad:
+            raise FormatError(f"{path}: source code {bad[0]} is outside [0, {len(sources)})")
+        samples = [FourChannelSample(timestamp=ts[i], source=sources[src[i]], channels=[
             ChannelObs(channel=c + 1, sp_lat=lat[i][c], sp_lon=lon[i][c], ddms=a["ddms"][i, c],
                        aps=a["aps"][i, c], swh_ref=ref[i][c], wind_speed=wind[i][c] if has[i][c] else None)
             for c in range(4)]) for i in range(len(ts))]
@@ -708,7 +710,9 @@ def write_groups(path: str, groups: list[list[L1Record]], tally: dict) -> None:
 
 def read_groups(path: str) -> list[list[L1Record]]:
     """The groups of a file written by write_groups. Their records passed
-    quality control, so the file holds only the fields a kept L1Record has."""
+    quality control, so the file holds only the fields a kept L1Record has.
+    Each row must hold channels 1..4 in order at one timestamp, as
+    align_channels makes them."""
     _, a = _read_container(path, "groups")
     try:
         ts, ch, lat, lon, aps, rcg = (a[k].tolist() for k in (
@@ -718,4 +722,8 @@ def read_groups(path: str) -> list[list[L1Record]]:
                   for i in range(len(ts))]
     except (KeyError, IndexError, TypeError) as exc:
         raise FormatError(f"{path}: malformed group arrays: {exc}") from exc
+    for i, (times, channels) in enumerate(zip(ts, ch)):
+        if channels != [1, 2, 3, 4] or len(set(times)) != 1:
+            raise FormatError(f"{path}: group row {i} must hold channels [1, 2, 3, 4] at one timestamp, "
+                              f"got channels {channels} at {times}")
     return groups

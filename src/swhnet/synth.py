@@ -46,11 +46,6 @@ def nbrcs_from_swh(swh):
     return NBRCS_SCALE * np.exp(-np.asarray(swh) / NBRCS_DECAY)
 
 
-def swh_from_nbrcs(nbrcs):
-    """Exact inverse of the planted map (the oracle regressor)."""
-    return -NBRCS_DECAY * np.log(np.asarray(nbrcs) / NBRCS_SCALE)
-
-
 def _uniform(u, lo, hi):
     """`Generator.uniform(lo, hi)` from its [0, 1) draw u."""
     return lo + (hi - lo) * u

@@ -27,6 +27,13 @@ one-pass screen must agree with rule for rule and bit for bit.
 `generate`, with `_draw_swh` and `_ddm_maps`, is the synthetic generator
 as it ran before `synth.generate` drew its stream in bulk, one channel
 at a time, which the bulk generator must reproduce bit for bit.
+`interpolate_swh`, with `_bracket` and `_InterpError`, and
+`match_era5_groups`, with `match_era5` and `_record_to_obs`, are the ERA5
+matcher as it ran one record at a time, which the array matcher in
+`pipeline` must reproduce bit for bit, values and reasons.
+`swh_from_nbrcs`, the exact inverse of synth's planted map, and
+`channel_sd_percentile`, the spread of a sample's four references, are
+helpers that only tests use.
 """
 
 import math
@@ -37,14 +44,14 @@ import numpy as np
 from swhnet import autodiff as ad
 from swhnet.autodiff import Tensor, _as_tensor, _check_dropout, _rows, _tiles, _unbroadcast
 from swhnet.autodiff import linear as _linear
-from swhnet.config import DDM_TYPES, SynthSpec, parse_time
+from swhnet.config import AP_COLUMNS, DDM_TYPES, SynthSpec, parse_time
 from swhnet.errors import ConfigError, ContractError, FormatError, ShapeError
 from swhnet.pipeline import (BASE_AP_FIELDS, BUOY_MAX_KM, BUOY_MAX_S, FILL_VALUE_THRESHOLD,
                              LAND_DISTANCE_MIN_KM, PITCH_MAX_DEG, QUALITY_FLAG_MASK, RCG_MIN,
-                             ROLL_MAX_DEG, TRACKER_STATUS_OK, YAW_MAX_DEG, ChannelObs,
-                             FourChannelSample, compute_rcg, haversine_km, normalize_lon)
-from swhnet.synth import (LES_DECAY, LES_SCALE, LOGNORMAL_MEDIAN, LOGNORMAL_SIGMA, SNR_BASE,
-                          SNR_SCALE, nbrcs_from_swh)
+                             ROLL_MAX_DEG, TRACKER_STATUS_OK, YAW_MAX_DEG, ChannelObs, Era5Grid,
+                             FourChannelSample, L1Record, compute_rcg, haversine_km, normalize_lon)
+from swhnet.synth import (LES_DECAY, LES_SCALE, LOGNORMAL_MEDIAN, LOGNORMAL_SIGMA, NBRCS_DECAY,
+                          NBRCS_SCALE, SNR_BASE, SNR_SCALE, nbrcs_from_swh)
 
 
 def norm_oracle(x, gamma, beta, strategy, eps=1e-5):
@@ -744,3 +751,107 @@ def generate(spec: SynthSpec) -> list[FourChannelSample]:
                                        ddms=ddms, aps=aps, swh_ref=swh, wind_speed=wind))
         samples.append(FourChannelSample(timestamp=float(ts), source="synth", channels=channels))
     return samples
+
+
+# ---------------------------------------------------------------------------
+# ERA5 matching as it ran one record at a time
+# ---------------------------------------------------------------------------
+
+
+class _InterpError(Exception):
+    def __init__(self, reason: str):
+        super().__init__(reason)
+        self.reason = reason
+
+
+def _bracket(axis: np.ndarray, value: float, longitude: bool = False) -> tuple[int, int, float]:
+    """Indices (i, j) of the axis points around value and its fractional
+    offset from axis[i] towards axis[j]. A longitude axis that closes the
+    circle wraps value into [axis[0], axis[0] + 360) and brackets a value
+    past its last point with its first."""
+    if value < axis[0] or value > axis[-1]:
+        if not (longitude and abs(axis[-1] - axis[0] + 0.5 - 360.0) < 1e-6):
+            raise _InterpError("outside_grid")
+        value = axis[0] + (value - axis[0]) % 360.0
+        if value > axis[-1]:
+            return axis.size - 1, 0, (value - axis[-1]) / (axis[0] + 360.0 - axis[-1])
+    idx = int(np.searchsorted(axis, value, side="right") - 1)
+    idx = min(idx, axis.size - 2)
+    return idx, idx + 1, (value - axis[idx]) / (axis[idx + 1] - axis[idx])
+
+
+def interpolate_swh(grid: Era5Grid, lat: float, lon: float, t: float) -> float:
+    """Bilinear interpolation in space at the two bracketing hours, then
+    linear interpolation in time. On a grid that is global in longitude
+    the last longitude column neighbours the first.
+
+    Raises _InterpError("outside_grid") beyond the axes and
+    _InterpError("masked_node") if any of the four surrounding cells is
+    land-masked.
+    """
+    t0, t1, tf = _bracket(grid.times, t)
+    y0, y1, yf = _bracket(grid.lats, lat)
+    x0, x1, xf = _bracket(grid.lons, lon, longitude=True)
+    mask = grid.mask
+    if mask[y0, x0] or mask[y0, x1] or mask[y1, x0] or mask[y1, x1]:
+        raise _InterpError("masked_node")
+    v0, v1 = (p[y0, x0] * (1 - yf) * (1 - xf) + p[y0, x1] * (1 - yf) * xf
+              + p[y1, x0] * yf * (1 - xf) + p[y1, x1] * yf * xf for p in (grid.swh[t0], grid.swh[t1]))
+    return v0 * (1 - tf) + v1 * tf
+
+
+def _record_to_obs(rec: L1Record, swh_ref: float) -> ChannelObs:
+    ap_vec = np.array([rec.aps[k] for k in BASE_AP_FIELDS] + [rec.sp_lat, rec.sp_lon, rec.rcg])
+    assert ap_vec.size == len(AP_COLUMNS)
+    return ChannelObs(channel=rec.channel, sp_lat=rec.sp_lat, sp_lon=rec.sp_lon,
+                      ddms=rec.ddms, aps=ap_vec, swh_ref=swh_ref)
+
+
+def match_era5(group: list[L1Record], grid: Era5Grid) -> tuple[FourChannelSample | None, str | None]:
+    """Attach interpolated reference SWH to each channel of one group."""
+    obs = []
+    for rec in group:
+        try:
+            swh = interpolate_swh(grid, rec.sp_lat, rec.sp_lon, rec.timestamp)
+        except _InterpError as exc:
+            return None, exc.reason
+        obs.append(_record_to_obs(rec, swh))
+    return FourChannelSample(timestamp=group[0].timestamp, source="era5", channels=obs), None
+
+
+def match_era5_groups(groups, grid: Era5Grid) -> tuple[list[FourChannelSample], dict[str, int]]:
+    tally = {"outside_grid": 0, "masked_node": 0, "matched": 0}
+    samples = []
+    for group in groups:
+        sample, reason = match_era5(group, grid)
+        if sample is None:
+            tally[reason] += 1
+        else:
+            samples.append(sample)
+    tally["matched"] = len(samples)
+    return samples, tally
+
+
+# ---------------------------------------------------------------------------
+# helpers that only tests use
+# ---------------------------------------------------------------------------
+
+
+def swh_from_nbrcs(nbrcs):
+    """Exact inverse of synth's planted map (the oracle regressor)."""
+    return -NBRCS_DECAY * np.log(np.asarray(nbrcs) / NBRCS_SCALE)
+
+
+def channel_sd_percentile(refs: np.ndarray, q: float) -> float:
+    """q-quantile of the per-sample population SD of the four references.
+
+    The SD uses the n=4 divisor; the quantile interpolates linearly
+    between order statistics.
+    """
+    if not 0.0 < q <= 1.0:
+        raise ContractError(f"quantile must lie in (0, 1], got {q}")
+    refs = np.asarray(refs, dtype=np.float64)
+    if refs.ndim != 2 or refs.shape[1] != 4 or refs.shape[0] == 0:
+        raise ContractError(f"need an (n, 4) reference block, got {refs.shape}")
+    sds = refs.std(axis=1)  # population SD (ddof=0)
+    return float(np.quantile(sds, q, method="linear"))

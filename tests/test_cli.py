@@ -401,6 +401,37 @@ def test_match_on_a_group_file_with_a_non_finite_position_exits_two(tmp_path, to
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, value, got", [("channel", 1, "channels [1, 2, 3, 1]"),
+                                               ("timestamp", 0.0, "channels [1, 2, 3, 4] at [")],
+                         ids=["channel", "timestamp"])
+@pytest.mark.parametrize("command", ["match-era5", "match-buoy"])
+def test_match_on_a_group_row_that_preprocess_never_writes_exits_two(tmp_path, toy_config, l1_file, grid_file,
+                                                                      caplog, command, name, value, got):
+    # A row must hold channels 1..4 in order at one timestamp.
+    groups = tmp_path / "groups.jsonl"
+    assert main(["preprocess", "--config", toy_config, "--input", l1_file, "--out", str(groups)]) == 0
+    set_last_value(groups, "groups", SCHEMA_VERSION, name, value)
+    buoys = tmp_path / "buoys.csv"
+    buoys.write_text("station_id,lat,lon,iso_time,swh_m\n41001,10.0,40.0,2019-09-01T00:00:00,1.5\n")
+    reference = ["--grid", grid_file] if command == "match-era5" else ["--buoys", str(buoys)]
+    out = tmp_path / "samples.jsonl"
+    assert main([command, "--config", toy_config, "--input", str(groups), *reference, "--out", str(out)]) == 2
+    assert f"{groups}: group row 11 must hold channels [1, 2, 3, 4] at one timestamp, got {got}" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("code", [-1, 1])
+def test_train_on_a_sample_file_with_a_source_code_out_of_range_exits_two(tmp_path, toy_config, caplog, code):
+    # A synth file lists one source, so code -1 must not read as its last.
+    data = tmp_path / "samples.jsonl"
+    assert main(["synth", "--config", toy_config, "--out", str(data)]) == 0
+    set_last_value(data, "samples", SCHEMA_VERSION, "source", code)
+    out = tmp_path / "run"
+    assert main(["train", "--config", toy_config, "--data", str(data), "--out-dir", str(out)]) == 2
+    assert f"{data}: source code {code} is outside [0, 1)" in caplog.text
+    assert not out.exists()
+
+
 def test_unknown_config_key_exits_one(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"learning_rate_typo": 1.0}))

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import channel_sd_percentile
 from swhnet.errors import ConfigError, ContractError
-from swhnet.metrics import (bias, cc, channel_sd_percentile, export_bias_grid,
-                            export_scatter, least_squares_fit, mae, mape,
-                            report, rmse)
+from swhnet.metrics import (bias, cc, export_bias_grid, export_scatter,
+                            least_squares_fit, mae, mape, report, rmse)
 
 
 def naive_metrics(pred, ref):

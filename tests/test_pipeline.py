@@ -19,14 +19,18 @@ from swhnet.errors import ConfigError, ContractError, FormatError
 from swhnet.pipeline import (BUOY_MAX_S, BuoyRecord, ChannelObs, Era5Grid, FourChannelSample,
                              align_channels, cap_and_filter,
                              compute_ap_stats, compute_rcg, haversine_km,
-                             interpolate_swh, match_buoy_groups,
-                             match_buoy_record, match_era5_groups,
+                             interpolate_swh, match_buoy_groups, match_era5_groups,
                              normalize_lon, parse_time,
                              quality_control, read_buoys, read_groups,
                              read_samples, screen_l1_record, split_dataset, standardize_ap,
-                             write_groups, write_samples, _InterpError)
+                             write_groups, write_samples)
 
 W, H = 3, 4
+
+
+def match_buoy_record(rec, buoys):
+    """The buoy the matcher picks for the one record `rec`, or None."""
+    return pipeline._match_buoys([rec], buoys)[0]
 
 
 def record_doc(**over):
@@ -444,7 +448,7 @@ def affine_grid(a=0.0, b=0.0, c=0.0, const=2.0, t0=None, masked=()):
 def test_interp_constant_grid():
     grid = affine_grid(const=2.5)
     t = grid.times[0] + 1800.0
-    assert interpolate_swh(grid, 10.21, 40.37, t) == pytest.approx(2.5, abs=1e-12)
+    assert interpolate_swh(grid, 10.21, 40.37, t)[0] == pytest.approx(2.5, abs=1e-12)
 
 
 def test_interp_exact_on_affine_fields():
@@ -455,12 +459,12 @@ def test_interp_exact_on_affine_fields():
         lon = rng.uniform(35.0, 45.0)
         t = rng.uniform(grid.times[0], grid.times[-1])
         expected = 0.5 + 0.02 * lat + 0.01 * lon + 1e-9 * t
-        assert abs(interpolate_swh(grid, lat, lon, t) - expected) < 1e-10
+        assert abs(interpolate_swh(grid, lat, lon, t)[0] - expected) < 1e-10
 
 
 def test_interp_node_collapse():
     grid = affine_grid(a=0.1, b=0.05, const=1.0)
-    v = interpolate_swh(grid, 7.5, 38.0, grid.times[2])
+    v, _ = interpolate_swh(grid, 7.5, 38.0, grid.times[2])
     assert v == pytest.approx(1.0 + 0.1 * 7.5 + 0.05 * 38.0, abs=1e-12)
 
 
@@ -477,18 +481,14 @@ def test_interp_within_hull_of_nodes():
         yi = min(int((lat - grid.lats[0]) / 0.5), grid.lats.size - 2)
         xi = min(int((lon - grid.lons[0]) / 0.5), grid.lons.size - 2)
         nodes = grid.swh[ti:ti + 2, yi:yi + 2, xi:xi + 2]
-        v = interpolate_swh(grid, lat, lon, t)
+        v, _ = interpolate_swh(grid, lat, lon, t)
         assert nodes.min() - 1e-12 <= v <= nodes.max() + 1e-12
 
 
 def test_interp_outside_and_masked():
     grid = affine_grid(masked=[(10, 10)])
-    with pytest.raises(_InterpError) as err:
-        interpolate_swh(grid, 80.0, 40.0, grid.times[0])
-    assert err.value.reason == "outside_grid"
-    with pytest.raises(_InterpError) as err:
-        interpolate_swh(grid, grid.lats[10] + 0.2, grid.lons[10] + 0.2, grid.times[0])
-    assert err.value.reason == "masked_node"
+    assert interpolate_swh(grid, 80.0, 40.0, grid.times[0])[1] == "outside_grid"
+    assert interpolate_swh(grid, grid.lats[10] + 0.2, grid.lons[10] + 0.2, grid.times[0])[1] == "masked_node"
 
 
 def test_interp_wraps_antimeridian_on_global_grid():
@@ -500,22 +500,18 @@ def test_interp_wraps_antimeridian_on_global_grid():
     grid = Era5Grid(times=[t0, t0 + 3600.0], lats=lats, lons=lons, swh=swh,
                     mask=np.zeros((lats.size, lons.size), dtype=bool))
     # between the nodes 179.5 (2 + 1.795) and -180 = 180 (2 + 1.800)
-    assert interpolate_swh(grid, 0.3, 179.75, t0) == pytest.approx(3.7975, abs=1e-12)
-    assert interpolate_swh(grid, 0.3, 179.9, t0) == pytest.approx(3.799, abs=1e-12)
-    assert interpolate_swh(grid, 0.3, -179.75, t0) == pytest.approx(3.8025, abs=1e-12)
+    assert interpolate_swh(grid, 0.3, 179.75, t0)[0] == pytest.approx(3.7975, abs=1e-12)
+    assert interpolate_swh(grid, 0.3, 179.9, t0)[0] == pytest.approx(3.799, abs=1e-12)
+    assert interpolate_swh(grid, 0.3, -179.75, t0)[0] == pytest.approx(3.8025, abs=1e-12)
     # a grid running 0 .. 359.5 takes a [-180, 180) longitude
     shifted = Era5Grid(times=grid.times, lats=lats, lons=lons + 180.0, swh=swh, mask=grid.mask)
-    assert interpolate_swh(shifted, 0.3, -0.25, t0) == pytest.approx(3.7975, abs=1e-12)
+    assert interpolate_swh(shifted, 0.3, -0.25, t0)[0] == pytest.approx(3.7975, abs=1e-12)
     # the wrapped cell honours the mask of the first column
     grid.mask[4, 0] = True
-    with pytest.raises(_InterpError) as err:
-        interpolate_swh(grid, 0.3, 179.75, t0)
-    assert err.value.reason == "masked_node"
+    assert interpolate_swh(grid, 0.3, 179.75, t0)[1] == "masked_node"
     # a regional grid does not wrap
     regional = affine_grid()
-    with pytest.raises(_InterpError) as err:
-        interpolate_swh(regional, 10.0, 45.25, regional.times[0])
-    assert err.value.reason == "outside_grid"
+    assert interpolate_swh(regional, 10.0, 45.25, regional.times[0])[1] == "outside_grid"
 
 
 def test_match_era5_groups_tally():
@@ -531,6 +527,136 @@ def test_match_era5_groups_tally():
     assert samples[0].source == "era5"
     assert samples[0].refs() == pytest.approx(np.full(4, 2.0))
     assert samples[0].channels[0].aps[-1] == pytest.approx(good[0].rcg)
+
+
+def test_match_era5_groups_tallies_a_group_under_its_first_channel_without_a_value():
+    grid = affine_grid(masked=[(2, 2)])
+    group = make_records(float(grid.times[1]), [1, 2, 3, 4])
+    for masked, outside, want in ((0, 1, "masked_node"), (1, 0, "outside_grid")):
+        group[masked].sp_lat, group[masked].sp_lon = grid.lats[2] + 0.1, grid.lons[2] + 0.1
+        group[outside].sp_lat, group[outside].sp_lon = -70.0, 40.0
+        tally = {"outside_grid": 0, "masked_node": 0, "matched": 0} | {want: 1}
+        assert match_era5_groups([group], grid) == ([], tally)
+
+
+def _random_grid(kind):
+    """A grid with random SWH whose eastern half has about one land cell in
+    four, and whose land nodes hold NaN, inf or a number: "global" runs
+    -180 .. 179.5, "shifted" 0 .. 359.5 and "regional" 35 .. 45."""
+    rng = np.random.default_rng({"global": 11, "shifted": 12, "regional": 13}[kind])
+    t0 = parse_time("2019-09-01")
+    lats = np.arange(-3.0, 3.5, 0.5) if kind != "regional" else np.arange(5.0, 15.5, 0.5)
+    lons = {"global": np.arange(-180.0, 180.0, 0.5), "shifted": np.arange(0.0, 360.0, 0.5),
+            "regional": np.arange(35.0, 45.5, 0.5)}[kind]
+    times = t0 + 3600.0 * np.arange(3)
+    mask = np.zeros((lats.size, lons.size), dtype=bool)
+    mask[:, lons.size // 2:] = rng.uniform(size=(lats.size, lons.size - lons.size // 2)) < 1 / 4
+    swh = rng.uniform(0.2, 6.0, size=(times.size, lats.size, lons.size))
+    swh[:, mask] = rng.choice([np.nan, np.inf, -np.inf, 3.0], size=(times.size, int(mask.sum())))
+    return Era5Grid(times=times, lats=lats, lons=lons, swh=swh, mask=mask)
+
+
+INTERP_GRIDS = {kind: _random_grid(kind) for kind in ("global", "shifted", "regional")}
+
+
+def clear_points(grid):
+    """Points inside the grid's western half, which has no land cell."""
+    return st.tuples(st.floats(grid.lats[0], grid.lats[-1]),
+                     st.floats(grid.lons[0], grid.lons[grid.lons.size // 2 - 1]),
+                     st.floats(grid.times[0], grid.times[-1]))
+
+
+def grid_points(grid):
+    """Points anywhere near or beyond the grid, on its nodes, in the gap past
+    its last longitude, wrapped by a whole turn or more, and at or just past
+    its first and last hours."""
+    lats, lons, times = grid.lats, grid.lons, grid.times
+    node_lon = st.sampled_from(lons.tolist())
+    return st.tuples(
+        st.one_of(st.floats(lats[0] - 2.0, lats[-1] + 2.0), st.sampled_from(lats.tolist()),
+                  st.sampled_from([np.nextafter(lats[0], -np.inf), np.nextafter(lats[-1], np.inf)])),
+        st.one_of(st.floats(-540.0, 540.0), st.floats(lons[0] - 2.0, lons[-1] + 2.0), node_lon,
+                  st.floats(lons[-1], lons[-1] + 0.5, exclude_max=True),
+                  st.builds(lambda v, turns: v + 360.0 * turns, node_lon, st.sampled_from([-1, 1])),
+                  st.sampled_from([-540.0, 540.0, -180.0, 180.0, 179.5, np.nextafter(180.0, 0.0)])),
+        st.one_of(st.floats(times[0] - 3600.0, times[-1] + 3600.0), st.sampled_from(times.tolist()),
+                  st.sampled_from([np.nextafter(times[0], -np.inf), np.nextafter(times[-1], np.inf)])))
+
+
+# Each grid's points in its land-free half and anywhere, built once.
+GRID_POINTS = {kind: (clear_points(grid), grid_points(grid)) for kind, grid in INTERP_GRIDS.items()}
+
+
+def interp_oracle(grid, lat, lon, t):
+    """The one-record interpolation as (swh, reason), NaN without a value."""
+    try:
+        return oracles.interpolate_swh(grid, lat, lon, t), ""
+    except oracles._InterpError as exc:
+        return math.nan, exc.reason
+
+
+@st.composite
+def grid_and_points(draw):
+    kind = draw(st.sampled_from(sorted(INTERP_GRIDS)))
+    return kind, draw(st.lists(st.one_of(*GRID_POINTS[kind]), min_size=1, max_size=30))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(grid_and_points())
+def test_interpolation_over_arrays_equals_the_one_record_oracle_bit_for_bit(case):
+    kind, points = case
+    grid = INTERP_GRIDS[kind]
+    lat, lon, t = (np.array(column) for column in zip(*points))
+    swh, reason = interpolate_swh(grid, lat, lon, t)
+    want = [interp_oracle(grid, *point) for point in points]
+    assert swh.dtype == np.float64 and swh.shape == reason.shape == lat.shape
+    assert reason.tolist() == [r for _, r in want]
+    assert swh.tobytes() == np.array([v for v, _ in want], dtype=np.float64).tobytes()
+    one, why = interpolate_swh(grid, *points[0])
+    assert one.shape == why.shape == () and (one.tobytes(), str(why)) == (swh[0].tobytes(), reason[0])
+
+
+def _sample_bits(sample):
+    """Every field of a sample as (Python type, dtype, bytes)."""
+    def bits(v):
+        return type(v), getattr(v, "dtype", None), np.asarray(v).tobytes()
+    return [bits(sample.timestamp), sample.source] + [
+        [bits(getattr(ch, f)) for f in ("channel", "sp_lat", "sp_lon", "ddms", "aps", "swh_ref", "wind_speed")]
+        for ch in sample.channels]
+
+
+@st.composite
+def era5_groups(draw):
+    """Groups of four records at one time each, on one of the grids. In
+    about half the groups every channel lies in the grid's land-free half;
+    in the others each channel may have a value or lack one for either
+    reason."""
+    kind = draw(st.sampled_from(sorted(INTERP_GRIDS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    groups = []
+    for i in range(draw(st.integers(0, 6))):
+        points = GRID_POINTS[kind][draw(st.integers(0, 1))]
+        t = draw(points)[2]
+        group = []
+        for channel in (1, 2, 3, 4):
+            lat, lon, _ = draw(points)
+            aps = dict(zip(pipeline.BASE_AP_FIELDS, rng.normal(size=6).tolist()))
+            group.append(pipeline.L1Record(t, channel, lat, normalize_lon(lon), rng.normal(size=(3, W, H)),
+                                           aps, float(rng.uniform(3.0, 40.0))))
+        groups.append(group)
+    return kind, groups
+
+
+@settings(max_examples=150, deadline=None)
+@given(era5_groups())
+def test_match_era5_groups_equals_the_one_record_oracle(case):
+    kind, groups = case
+    grid = INTERP_GRIDS[kind]
+    samples, tally = match_era5_groups(iter(groups), grid)
+    want_samples, want_tally = oracles.match_era5_groups(groups, grid)
+    assert tally == want_tally
+    assert [_sample_bits(s) for s in samples] == [_sample_bits(s) for s in want_samples]
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import channel_sd_percentile, swh_from_nbrcs
 from swhnet import container
 from swhnet.config import SynthSpec
-from swhnet.metrics import channel_sd_percentile
 from swhnet.pipeline import SCHEMA_VERSION, parse_time, read_samples, write_samples
-from swhnet.synth import generate, nbrcs_from_swh, swh_from_nbrcs
+from swhnet.synth import generate, nbrcs_from_swh
 
 
 def spec(**kw):
