@@ -208,18 +208,6 @@ class ParamBag:
             lo += p.data.size
         return views
 
-    def __getitem__(self, name: str) -> Tensor:
-        return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def items(self):
         return self._params.items()
 
@@ -234,10 +222,9 @@ class ParamBag:
         """The sealed (values, gradients) buffers, ready for an in-place
         update of every parameter at once.
 
-        A gradient assigned by hand, not in the buffer, is copied into its
-        view. Raises ContractError for a parameter without a gradient, or
-        one whose `data` was rebound away from the buffer, which an update
-        of the buffer would miss.
+        Raises ContractError for a parameter without a gradient, or one
+        whose `data` or `grad` is not its view of the buffer, which an
+        update of the buffers would miss.
         """
         if self.data is None:
             raise ContractError("flat buffers of an unsealed parameter bag")
@@ -247,8 +234,7 @@ class ParamBag:
             if p.data.base is not self.data:
                 raise ContractError(f"{name} no longer views the parameter buffer")
             if p.grad is not p._grad_view:
-                np.copyto(p._grad_view, p.grad)
-                p.grad = p._grad_view
+                raise ContractError(f"the gradient of {name} is not its view of the gradient buffer")
         return self.data, self.grad
 
     def state_arrays(self) -> dict[str, np.ndarray]:

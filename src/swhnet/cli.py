@@ -268,18 +268,18 @@ def cmd_evaluate(args) -> int:
     cfg, h, model, dataset = _load_for_inference(args)
     preds = predict(model, dataset)
     os.makedirs(args.out_dir, exist_ok=True)
-    _write_predictions(os.path.join(args.out_dir, "predictions.csv"), dataset, preds, h)
-    pairs = {c + 1: (preds[:, c], dataset.refs[:, c]) for c in range(4)}
-    rep = report(pairs, bin_edges=cfg["report_bin_edges"], config_hash=h)
-    rep.write_json(os.path.join(args.out_dir, "metrics.json"))
-    rep.write_csv(os.path.join(args.out_dir, "metrics.csv"))
+    path = os.path.join(args.out_dir, "predictions.csv")
+    _write_predictions(path, dataset, preds, h)
+    rep = _report_predictions(path, args.out_dir, cfg, h)[0]
     log.info("average RMSE %.4f over %d predictions", rep.average["rmse"], rep.n)
     return 0
 
 
-def _read_predictions(path: str) -> list[tuple]:
-    """(channel, y_hat, y_ref, sp_lat, sp_lon) rows of a predictions CSV; a
-    channel outside 1-4 or a value not a finite number is a FormatError at its line."""
+def _report_predictions(path: str, out_dir: str, cfg: dict, h: str) -> tuple:
+    """Write metrics.json and metrics.csv into out_dir from the predictions CSV at
+    `path`, for both `evaluate` and `report`; return the report and the file's pred,
+    ref, lat and lon columns. A channel outside 1-4 or a value not a finite number at
+    a line, or a channel without rows, is a FormatError, raised before any write."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -298,25 +298,28 @@ def _read_predictions(path: str) -> list[tuple]:
             rows.append((channel,) + values)
     if not rows:
         raise ContractError(f"no prediction rows in {path}")
-    return rows
+    channels, preds, refs, lats, lons = (np.array(col) for col in zip(*rows))
+    missing = sorted({1, 2, 3, 4} - set(channels.tolist()))
+    if missing:
+        raise FormatError(f"{path} has no prediction rows for channel {missing[0]}")
+    os.makedirs(out_dir, exist_ok=True)
+    pairs = {c: (preds[channels == c], refs[channels == c]) for c in (1, 2, 3, 4)}
+    rep = report(pairs, bin_edges=cfg["report_bin_edges"], config_hash=h)
+    rep.write_json(os.path.join(out_dir, "metrics.json"))
+    rep.write_csv(os.path.join(out_dir, "metrics.csv"))
+    return rep, preds, refs, lats, lons
 
 
 def cmd_report(args) -> int:
     cfg, h = _resolve_config(args)
-    rows = _read_predictions(args.predictions)
-    channels, preds_flat, refs_flat, lats, lons = (np.array(col) for col in zip(*rows))
-    pairs = {c: (preds_flat[channels == c], refs_flat[channels == c]) for c in (1, 2, 3, 4)}
-    os.makedirs(args.out_dir, exist_ok=True)
-    rep = report(pairs, bin_edges=cfg["report_bin_edges"], config_hash=h)
-    rep.write_json(os.path.join(args.out_dir, "metrics.json"))
-    rep.write_csv(os.path.join(args.out_dir, "metrics.csv"))
+    rep, preds, refs, lats, lons = _report_predictions(args.predictions, args.out_dir, cfg, h)
     if args.bins:
         rep.write_binned_csv(os.path.join(args.out_dir, "metrics_binned.csv"))
     if args.scatter:
-        export_scatter(preds_flat, refs_flat, os.path.join(args.out_dir, "scatter"),
+        export_scatter(preds, refs, os.path.join(args.out_dir, "scatter"),
                        bin_width=cfg["scatter_bin_width"], config_hash=h)
     if args.bias_grid:
-        export_bias_grid(lats, lons, preds_flat, refs_flat, os.path.join(args.out_dir, "bias_grid.csv"),
+        export_bias_grid(lats, lons, preds, refs, os.path.join(args.out_dir, "bias_grid.csv"),
                          cell_deg=cfg["bias_cell_deg"], config_hash=h)
     log.info("report written to %s", args.out_dir)
     return 0

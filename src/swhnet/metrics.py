@@ -120,7 +120,7 @@ class MetricsReport:
     average: dict
     bins: list[dict] = field(default_factory=list)
 
-    def to_json(self) -> str:
+    def write_json(self, path: str) -> None:
         doc = {
             "config_hash": self.config_hash,
             "n": self.n,
@@ -128,48 +128,34 @@ class MetricsReport:
             "average": self.average,
             "bins": self.bins,
         }
-        return json.dumps(doc, indent=1) + "\n"
-
-    def write_json(self, path: str) -> None:
         with atomic_open_text(path) as fh:
-            fh.write(self.to_json())
+            fh.write(json.dumps(doc, indent=1) + "\n")
 
-    def write_csv(self, path: str) -> None:
-        fields = ["scope", "channel", "bin_lo", "bin_hi", "n",
-                  "rmse", "mae", "bias", "mape_percent", "cc", "mape_excluded"]
+    def _write_rows(self, path: str, key_fields: tuple, trailing: tuple, rows) -> None:
+        """A CSV of the key columns, `n`, each metric ("undefined" for None),
+        the `trailing` cell fields and the config hash: one row per
+        (keys, cell) pair of `rows`."""
         with atomic_open_text(path) as fh:
             writer = csv.writer(fh)
-            writer.writerow(fields + ["config_hash"])
-            def fmt(cell, scope, channel="", lo="", hi=""):
-                row = [scope, channel, lo, hi, cell["n"]]
-                for name in METRIC_NAMES:
-                    v = cell[name]
-                    row.append("undefined" if v is None else repr(v))
-                row.append(cell["mape_excluded"])
-                row.append(self.config_hash)
-                writer.writerow(row)
-            for chn in sorted(self.per_channel):
-                fmt(self.per_channel[chn], "channel", chn)
-            fmt(self.average, "average")
-            for b in self.bins:
-                for chn in sorted(int(k) for k in b["per_channel"]):
-                    fmt(b["per_channel"][chn], "bin_channel", chn, b["lo"], b["hi"])
-                fmt(b["average"], "bin_average", "", b["lo"], b["hi"])
+            writer.writerow([*key_fields, "n", *METRIC_NAMES, *trailing, "config_hash"])
+            for keys, cell in rows:
+                writer.writerow([*keys, cell["n"],
+                                 *("undefined" if cell[m] is None else repr(cell[m]) for m in METRIC_NAMES),
+                                 *(cell[t] for t in trailing), self.config_hash])
+
+    def write_csv(self, path: str) -> None:
+        rows = [(("channel", chn, "", ""), self.per_channel[chn]) for chn in sorted(self.per_channel)]
+        rows.append((("average", "", "", ""), self.average))
+        for b in self.bins:
+            rows += [(("bin_channel", chn, b["lo"], b["hi"]), b["per_channel"][chn])
+                     for chn in sorted(b["per_channel"])]
+            rows.append((("bin_average", "", b["lo"], b["hi"]), b["average"]))
+        self._write_rows(path, ("scope", "channel", "bin_lo", "bin_hi"), ("mape_excluded",), rows)
 
     def write_binned_csv(self, path: str) -> None:
         """One bin-averaged row per bin (the data behind range histograms)."""
-        with atomic_open_text(path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_lo", "bin_hi", "n", "rmse", "mae", "bias",
-                             "mape_percent", "cc", "config_hash"])
-            for b in self.bins:
-                cell = b["average"]
-                row = [b["lo"], b["hi"], cell["n"]]
-                for name in METRIC_NAMES:
-                    v = cell[name]
-                    row.append("undefined" if v is None else repr(v))
-                row.append(self.config_hash)
-                writer.writerow(row)
+        self._write_rows(path, ("bin_lo", "bin_hi"), (),
+                         [((b["lo"], b["hi"]), b["average"]) for b in self.bins])
 
 
 def report(pairs_by_channel: dict[int, tuple[np.ndarray, np.ndarray]],
@@ -182,11 +168,9 @@ def report(pairs_by_channel: dict[int, tuple[np.ndarray, np.ndarray]],
     """
     if sorted(pairs_by_channel) != [1, 2, 3, 4]:
         raise ContractError(f"expected channels 1..4, got {sorted(pairs_by_channel)}")
-    per_channel = {}
-    for chn in (1, 2, 3, 4):
-        pred, ref = _pair(*pairs_by_channel[chn])
-        per_channel[chn] = _cell(pred, ref)
-    average = _average_cells([per_channel[c] for c in (1, 2, 3, 4)])
+    pairs = {chn: _pair(*pairs_by_channel[chn]) for chn in (1, 2, 3, 4)}
+    per_channel = {chn: _cell(pred, ref) for chn, (pred, ref) in pairs.items()}
+    average = _average_cells(list(per_channel.values()))
     bins = []
     if bin_edges is not None:
         edges = list(bin_edges)
@@ -195,10 +179,7 @@ def report(pairs_by_channel: dict[int, tuple[np.ndarray, np.ndarray]],
         for lo, hi in zip(edges[:-1], edges[1:]):
             last = hi == edges[-1]
             cells = {}
-            for chn in (1, 2, 3, 4):
-                pred, ref = pairs_by_channel[chn]
-                pred = np.asarray(pred, dtype=np.float64)
-                ref = np.asarray(ref, dtype=np.float64)
+            for chn, (pred, ref) in pairs.items():
                 mask = (ref >= lo) & ((ref <= hi) if last else (ref < hi))
                 if mask.any():
                     cells[chn] = _cell(pred[mask], ref[mask])
@@ -206,8 +187,7 @@ def report(pairs_by_channel: dict[int, tuple[np.ndarray, np.ndarray]],
                 bins.append({"lo": lo, "hi": hi,
                              "per_channel": cells,
                              "average": _average_cells(list(cells.values()))})
-    n_total = int(sum(per_channel[c]["n"] for c in (1, 2, 3, 4)))
-    return MetricsReport(config_hash=config_hash, n=n_total,
+    return MetricsReport(config_hash=config_hash, n=average["n"],
                          per_channel=per_channel, average=average, bins=bins)
 
 

@@ -628,6 +628,9 @@ def read_samples(path: str) -> tuple[list[FourChannelSample], dict]:
         ts, src, lat, lon, ref, has, wind = (a[k].tolist() for k in (
             "timestamp", "source", "sp_lat", "sp_lon", "swh_ref", "has_wind", "wind_speed"))
         sources = header["sources"]
+        if not isinstance(sources, list) or not all(isinstance(s, str) for s in sources) \
+                or len(set(sources)) < len(sources):
+            raise FormatError(f"{path}: header 'sources' must be a list of distinct strings, got {sources!r}")
         bad = [code for code in src if not 0 <= code < len(sources)]
         if bad:
             raise FormatError(f"{path}: source code {bad[0]} is outside [0, {len(sources)})")

@@ -20,3 +20,11 @@ def set_last_value(path, kind: str, version: int, name: str, value: float) -> No
     arrays[name].reshape(-1)[-1] = value
     meta = {k: v for k, v in header.items() if k not in ("kind", "format_version", "arrays")}
     container.write(str(path), kind, version, meta, arrays)
+
+
+def set_header_field(path, kind: str, version: int, key: str, value) -> None:
+    """Rewrite the container file at `path` with its header's `key` set to
+    `value`, the arrays and every other header field kept."""
+    header, arrays = container.read(str(path), kind, version)
+    meta = {k: v for k, v in header.items() if k not in ("kind", "format_version", "arrays")}
+    container.write(str(path), kind, version, {**meta, key: value}, arrays)

@@ -31,11 +31,16 @@ at a time, which the bulk generator must reproduce bit for bit.
 `match_era5_groups`, with `match_era5` and `_record_to_obs`, are the ERA5
 matcher as it ran one record at a time, which the array matcher in
 `pipeline` must reproduce bit for bit, values and reasons.
-`swh_from_nbrcs`, the exact inverse of synth's planted map, and
+`MetricsReportWriters` holds `metrics.MetricsReport`'s writers as they
+ran before one row writer served both metrics CSVs and `to_json` folded
+into `write_json`, which the report's writers must reproduce byte for
+byte. `swh_from_nbrcs`, the exact inverse of synth's planted map, and
 `channel_sd_percentile`, the spread of a sample's four references, are
 helpers that only tests use.
 """
 
+import csv
+import json
 import math
 from dataclasses import dataclass
 
@@ -45,7 +50,9 @@ from swhnet import autodiff as ad
 from swhnet.autodiff import Tensor, _as_tensor, _check_dropout, _rows, _tiles, _unbroadcast
 from swhnet.autodiff import linear as _linear
 from swhnet.config import AP_COLUMNS, DDM_TYPES, SynthSpec, parse_time
+from swhnet.container import atomic_open_text
 from swhnet.errors import ConfigError, ContractError, FormatError, ShapeError
+from swhnet.metrics import METRIC_NAMES
 from swhnet.pipeline import (BASE_AP_FIELDS, BUOY_MAX_KM, BUOY_MAX_S, FILL_VALUE_THRESHOLD,
                              LAND_DISTANCE_MIN_KM, PITCH_MAX_DEG, QUALITY_FLAG_MASK, RCG_MIN,
                              ROLL_MAX_DEG, TRACKER_STATUS_OK, YAW_MAX_DEG, ChannelObs, Era5Grid,
@@ -855,3 +862,63 @@ def channel_sd_percentile(refs: np.ndarray, q: float) -> float:
         raise ContractError(f"need an (n, 4) reference block, got {refs.shape}")
     sds = refs.std(axis=1)  # population SD (ddof=0)
     return float(np.quantile(sds, q, method="linear"))
+
+
+class MetricsReportWriters:
+    """The writers of a `metrics.MetricsReport` `rep`, verbatim as they ran
+    with one formatting loop in each CSV writer and a separate `to_json`."""
+
+    def __init__(self, rep):
+        self.config_hash, self.n, self.per_channel, self.average, self.bins = (
+            rep.config_hash, rep.n, rep.per_channel, rep.average, rep.bins)
+
+    def to_json(self) -> str:
+        doc = {
+            "config_hash": self.config_hash,
+            "n": self.n,
+            "per_channel": {str(ch): cell for ch, cell in self.per_channel.items()},
+            "average": self.average,
+            "bins": self.bins,
+        }
+        return json.dumps(doc, indent=1) + "\n"
+
+    def write_json(self, path: str) -> None:
+        with atomic_open_text(path) as fh:
+            fh.write(self.to_json())
+
+    def write_csv(self, path: str) -> None:
+        fields = ["scope", "channel", "bin_lo", "bin_hi", "n",
+                  "rmse", "mae", "bias", "mape_percent", "cc", "mape_excluded"]
+        with atomic_open_text(path) as fh:
+            writer = csv.writer(fh)
+            writer.writerow(fields + ["config_hash"])
+            def fmt(cell, scope, channel="", lo="", hi=""):
+                row = [scope, channel, lo, hi, cell["n"]]
+                for name in METRIC_NAMES:
+                    v = cell[name]
+                    row.append("undefined" if v is None else repr(v))
+                row.append(cell["mape_excluded"])
+                row.append(self.config_hash)
+                writer.writerow(row)
+            for chn in sorted(self.per_channel):
+                fmt(self.per_channel[chn], "channel", chn)
+            fmt(self.average, "average")
+            for b in self.bins:
+                for chn in sorted(int(k) for k in b["per_channel"]):
+                    fmt(b["per_channel"][chn], "bin_channel", chn, b["lo"], b["hi"])
+                fmt(b["average"], "bin_average", "", b["lo"], b["hi"])
+
+    def write_binned_csv(self, path: str) -> None:
+        """One bin-averaged row per bin (the data behind range histograms)."""
+        with atomic_open_text(path) as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["bin_lo", "bin_hi", "n", "rmse", "mae", "bias",
+                             "mape_percent", "cc", "config_hash"])
+            for b in self.bins:
+                cell = b["average"]
+                row = [b["lo"], b["hi"], cell["n"]]
+                for name in METRIC_NAMES:
+                    v = cell[name]
+                    row.append("undefined" if v is None else repr(v))
+                row.append(self.config_hash)
+                writer.writerow(row)

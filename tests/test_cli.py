@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from damage import record_shape, set_last_value
+from damage import record_shape, set_header_field, set_last_value
 from swhnet import container
 from swhnet.checkpoint import FORMAT_VERSION, save_checkpoint
 from swhnet.cli import main
@@ -267,6 +267,36 @@ def test_report_on_a_malformed_prediction_row_exits_two(tmp_path, toy_config, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("channel", [1, 3])
+def test_report_on_predictions_without_a_channel_exits_two(tmp_path, toy_config, caplog, channel):
+    preds = tmp_path / "preds.csv"
+    write_predictions(preds, n=3)
+    with open(preds, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row[2] != str(channel)]
+    with open(preds, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    out = tmp_path / "rep"
+    assert main(["report", "--config", toy_config, "--predictions", str(preds),
+                 "--out-dir", str(out), "--bins", "--scatter", "--bias-grid"]) == 2
+    assert f"{preds} has no prediction rows for channel {channel}" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [{}, {"synth_include_wind": True, "use_wind": True}])
+def test_evaluate_writes_the_metrics_that_report_writes_from_its_predictions(tmp_path, extra):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TOY, **extra}))
+    data, run, ev, rep = (tmp_path / name for name in ("samples.jsonl", "run", "eval", "rep"))
+    assert main(["synth", "--config", str(config), "--out", str(data)]) == 0
+    assert main(["train", "--config", str(config), "--data", str(data), "--out-dir", str(run)]) == 0
+    assert main(["evaluate", "--config", str(config), "--data", str(data),
+                 "--checkpoint", str(run / "checkpoint.json"), "--out-dir", str(ev)]) == 0
+    assert main(["report", "--config", str(config), "--predictions", str(ev / "predictions.csv"),
+                 "--out-dir", str(rep)]) == 0
+    for name in ("metrics.json", "metrics.csv"):
+        assert (ev / name).read_bytes() == (rep / name).read_bytes(), name
+
+
 def damage_grid(doc, field, kind):
     """Make one entry of a grid document's `field` a word or, for a ragged
     array, a list of the wrong length."""
@@ -429,6 +459,18 @@ def test_train_on_a_sample_file_with_a_source_code_out_of_range_exits_two(tmp_pa
     out = tmp_path / "run"
     assert main(["train", "--config", toy_config, "--data", str(data), "--out-dir", str(out)]) == 2
     assert f"{data}: source code {code} is outside [0, 1)" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sources", ["xyz", [7], ["synth", "synth"]])
+def test_train_on_a_sample_file_whose_sources_are_not_distinct_strings_exits_two(tmp_path, toy_config, caplog,
+                                                                                  sources):
+    data = tmp_path / "samples.jsonl"
+    assert main(["synth", "--config", toy_config, "--out", str(data)]) == 0
+    set_header_field(data, "samples", SCHEMA_VERSION, "sources", sources)
+    out = tmp_path / "run"
+    assert main(["train", "--config", toy_config, "--data", str(data), "--out-dir", str(out)]) == 2
+    assert f"{data}: header 'sources' must be a list of distinct strings, got {sources!r}" in caplog.text
     assert not out.exists()
 
 

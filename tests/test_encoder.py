@@ -75,9 +75,9 @@ def test_embed_channel_sequence_length():
 def test_embed_zero_weights_gives_pure_pe():
     cfg = tiny_config()
     enc, bag = build_encoder(cfg)
-    for name in bag.names():
+    for name, p in bag.items():
         if name.startswith("encoder.embed"):
-            bag[name].data[...] = 0.0
+            p.data[...] = 0.0
     out = enc.embed_channel(Tensor(np.zeros((3, 2, 2))))
     assert np.array_equal(out.data, positional_encoding(cfg.seq_len, cfg.embed_dim))
 
@@ -355,8 +355,7 @@ def test_encoder_channel_permutation_equivariance_ci():
     base = enc.forward(Tensor(stack)).data
     perm = np.array([2, 0, 3, 1])
     # permute per-channel weights to follow the input permutation
-    for name in bag.names():
-        p = bag[name]
+    for name, p in bag.items():
         if any(tag in name for tag in (".attn.w", ".norm", ".ffn.")):
             p.data = p.data[perm].copy()
     out = enc.forward(Tensor(stack[perm])).data

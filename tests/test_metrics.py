@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import channel_sd_percentile
+from oracles import MetricsReportWriters, channel_sd_percentile
 from swhnet.errors import ConfigError, ContractError
 from swhnet.metrics import (bias, cc, export_bias_grid, export_scatter,
                             least_squares_fit, mae, mape, report, rmse)
@@ -199,6 +199,31 @@ def test_report_csv_and_json_round(tmp_path):
     bpath = tmp_path / "bins.csv"
     rep.write_binned_csv(str(bpath))
     assert len(bpath.read_text().splitlines()) == 1 + len(rep.bins)
+
+
+WRITER_EDGES = [0.0, 0.005, 1.0, 2.0, 4.0, 8.0]
+# References on the bin edges, below the MAPE floor (a cell of them has no
+# MAPE), anywhere in range and beyond the last edge; cells of one sample
+# or of equal values have no CC.
+writer_refs = st.one_of(st.sampled_from(WRITER_EDGES), st.floats(0.0, 0.0099), st.floats(0.0, 9.0))
+writer_channel = st.lists(st.tuples(st.floats(0.0, 9.0), writer_refs), min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(writer_channel, min_size=4, max_size=4), st.booleans())
+def test_report_writers_are_byte_identical_to_the_oracles(tmp_path_factory, channels, binned):
+    pairs = {c: tuple(np.array(col) for col in zip(*rows)) for c, rows in enumerate(channels, start=1)}
+    rep = report(pairs, bin_edges=WRITER_EDGES if binned else None, config_hash="c0ffee")
+    oracle = MetricsReportWriters(rep)
+    out = tmp_path_factory.mktemp("writers")
+    for write, expected in ((rep.write_json, oracle.write_json), (rep.write_csv, oracle.write_csv),
+                            (rep.write_binned_csv, oracle.write_binned_csv)):
+        write(str(out / "new"))
+        expected(str(out / "old"))
+        assert (out / "new").read_bytes() == (out / "old").read_bytes(), write.__name__
+    # the bins split [0, 8] without overlap, the last closed on the right
+    refs = np.concatenate([ref for _, ref in pairs.values()])
+    assert sum(b["average"]["n"] for b in rep.bins) == (int(np.sum(refs <= 8.0)) if binned else 0)
 
 
 # ---------------------------------------------------------------------------

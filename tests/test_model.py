@@ -79,7 +79,7 @@ def test_head_zero_weights_bias_output():
     for name, p in model.bag.items():
         if name.startswith("head."):
             p.data[...] = 0.0
-    model.bag["head.out.b"].data[...] = [1.0, 2.0, 3.0, 4.0]
+    dict(model.bag.items())["head.out.b"].data[...] = [1.0, 2.0, 3.0, 4.0]
     ddm, ap = toy_inputs(cfg)
     pred = model.predict_sample(ddm, ap)
     assert np.array_equal(pred, [1.0, 2.0, 3.0, 4.0])
@@ -341,7 +341,7 @@ def test_paper_default_cd_backward_builds_no_weight_gradient_temporary():
     backward's own (M, M) probability block, so the check is CD's."""
     model, _, peak = traced_paper_default_backward("CD")
     largest = max(p.data.nbytes for p in model.bag.values())
-    assert largest == model.bag["head.layer0.w"].data.nbytes
+    assert largest == dict(model.bag.items())["head.layer0.w"].data.nbytes
     assert peak < largest, f"{peak / 1e6:.1f} MB peak in a B = 1 backward"
 
 

@@ -57,10 +57,16 @@ def scalar_bag(value=1.0):
     return bag, t
 
 
+def set_grad(p, g):
+    """Give the sealed parameter `p` the gradient `g`, written into its view
+    of the bag's gradient buffer as a backward writes it."""
+    np.copyto(p._new_grad(), g)
+
+
 def test_adamw_zero_grad_no_decay_keeps_param():
     bag, t = scalar_bag(1.5)
     opt = AdamW(bag, lr=0.1, weight_decay=0.0)
-    t.grad = np.zeros(1)
+    set_grad(t, np.zeros(1))
     opt.step()
     assert t.data[0] == 1.5
 
@@ -69,7 +75,7 @@ def test_adamw_single_step_hand_computed():
     # p=1, g=1, lr=0.1, wd=0: m_hat = v_hat = 1 -> p' = 1 - 0.1/(1 + 1e-8)
     bag, t = scalar_bag(1.0)
     opt = AdamW(bag, lr=0.1, weight_decay=0.0)
-    t.grad = np.ones(1)
+    set_grad(t, np.ones(1))
     opt.step()
     expected = 1.0 - 0.1 * (1.0 / (1.0 + 1e-8))
     assert t.data[0] == pytest.approx(expected, abs=1e-15)
@@ -79,7 +85,7 @@ def test_adamw_single_step_hand_computed():
 def test_adamw_decay_only_shrinks():
     bag, t = scalar_bag(2.0)
     opt = AdamW(bag, lr=0.1, weight_decay=0.5)
-    t.grad = np.zeros(1)
+    set_grad(t, np.zeros(1))
     opt.step()
     assert t.data[0] == pytest.approx(2.0 * (1 - 0.1 * 0.5))
 
@@ -89,7 +95,7 @@ def test_adamw_lr_zero_bit_identical():
     before = model.bag.state_arrays()
     opt = AdamW(model.bag, lr=0.0, weight_decay=0.1)
     for p in model.bag.values():
-        p.grad = np.ones_like(p.data)
+        set_grad(p, np.ones_like(p.data))
     opt.step()
     for name, arr in model.bag.state_arrays().items():
         assert np.array_equal(arr, before[name])
@@ -117,7 +123,7 @@ def test_adamw_five_steps_bit_identical_to_textbook_expression():
     for t in range(1, 6):
         for name, p in bag.items():
             g = rng.normal(size=shapes[name]) * 10.0 ** rng.integers(-3, 3)
-            p.grad = g.copy()
+            set_grad(p, g)
             m[name] = b1 * m[name] + (1.0 - b1) * g
             v[name] = b2 * v[name] + (1.0 - b2) * g * g
             m_hat = m[name] / (1.0 - b1 ** t)
@@ -193,11 +199,12 @@ def test_state_arrays_are_copies():
 def test_state_arrays_are_views_of_one_flat_copy():
     bag = toy_model().bag
     state = bag.state_arrays()
-    base = state[bag.names()[0]].base
+    params = dict(bag.items())
+    base = state[next(iter(params))].base
     assert all(arr.base is base for arr in state.values())
     assert base is not bag.data and base.nbytes == bag.data.nbytes
     assert base.tobytes() == bag.data.tobytes()
-    assert list(state) == bag.names() and all(state[k].shape == bag[k].data.shape for k in state)
+    assert list(state) == list(params) and all(state[k].shape == params[k].data.shape for k in state)
 
 
 def test_load_state_arrays_keeps_the_views_and_checks_every_array_first():
@@ -209,7 +216,7 @@ def test_load_state_arrays_keeps_the_views_and_checks_every_array_first():
         assert p.data is views[name]
         assert p.data.tobytes() == other[name].tobytes()
     loaded = bag.data.tobytes()
-    first, last = bag.names()[0], bag.names()[-1]
+    first, *_, last = dict(bag.items())
     bad_sets = [({k: v for k, v in other.items() if k != last}, ConfigError, "missing"),
                 ({**other, "extra": np.zeros(1)}, ConfigError, "unexpected"),
                 ({**other, last: np.zeros(other[last].size + 1)}, ConfigError, f"shape mismatch for {last}"),
@@ -244,6 +251,17 @@ def test_adamw_rejects_a_parameter_the_backward_never_reached():
     tsum_node(a).backward()
     with pytest.raises(ContractError, match="missing gradient for b"):
         opt.step()
+
+
+def test_adamw_rejects_a_gradient_that_is_not_the_buffer_view():
+    # A step updates the gradient buffer only: a gradient array of its own
+    # would be skipped, so it is refused by name.
+    bag, t = scalar_bag()
+    opt = AdamW(bag, lr=0.1)
+    t.grad = np.ones(1)
+    with pytest.raises(ContractError, match="gradient of p is not its view"):
+        opt.step()
+    assert t.data[0] == 1.0
 
 
 def test_adamw_rejects_a_parameter_rebound_away_from_the_buffer():
@@ -354,7 +372,7 @@ def test_train_copies_the_state_once_per_improving_epoch(monkeypatch, avgs, impr
     result = train(model, ds, ds, tcfg)
     best = [e for e, a in enumerate(avgs, start=1) if a < min(avgs[:e - 1], default=np.inf)]
     assert len(copies) == len(best) == improving
-    assert [b"".join(c[name].tobytes() for name in model.bag.names()) for c in copies] == \
+    assert [b"".join(c[name].tobytes() for name in dict(model.bag.items())) for c in copies] == \
         [validated[e - 1].tobytes() for e in best]
     assert result.best_meta.epoch == best[-1] and result.best_state is copies[-1]
     last_is_best = best[-1] == len(avgs)
