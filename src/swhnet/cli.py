@@ -21,7 +21,7 @@ from . import config as cfgmod
 from .autodiff import count_params
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import STRATEGIES, config_hash, load_config
-from .container import atomic_open_text
+from .container import write_csv
 from .errors import ConfigError, ContractError, FormatError, NonFiniteError, ShapeError
 from .metrics import export_bias_grid, export_scatter, report
 from .model import WaveHeightModel
@@ -234,10 +234,11 @@ def cmd_train(args) -> int:
 def _load_for_inference(args):
     cfg, h = _resolve_config(args)
     model, stats, meta = load_checkpoint(args.checkpoint)
-    if args.strategy is not None and args.strategy != model.cfg.strategy:
-        raise ConfigError(
-            f"checkpoint was trained with strategy {model.cfg.strategy}; requested {args.strategy}"
-        )
+    mcfg = cfgmod.model_config(cfg)
+    for key in ("strategy", "use_wind"):
+        if getattr(mcfg, key) != getattr(model.cfg, key):
+            raise ConfigError(f"checkpoint was trained with {key} {getattr(model.cfg, key)!r}; "
+                              f"the config asks for {getattr(mcfg, key)!r}")
     if stats is None:
         raise ConfigError("checkpoint carries no standardization statistics")
     samples, _ = read_samples(args.data)
@@ -246,14 +247,9 @@ def _load_for_inference(args):
 
 
 def _write_predictions(path: str, dataset, preds: np.ndarray, h: str) -> None:
-    with atomic_open_text(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PREDICTION_FIELDS)
-        for i in range(len(dataset)):
-            for c in range(4):
-                writer.writerow([i, repr(float(dataset.timestamps[i])), c + 1,
-                                 repr(float(dataset.lats[i, c])), repr(float(dataset.lons[i, c])),
-                                 repr(float(dataset.refs[i, c])), repr(float(preds[i, c])), h])
+    write_csv(path, PREDICTION_FIELDS,
+              ([i, dataset.timestamps[i], c + 1, dataset.lats[i, c], dataset.lons[i, c],
+                dataset.refs[i, c], preds[i, c], h] for i in range(len(dataset)) for c in range(4)))
 
 
 def cmd_predict(args) -> int:

@@ -1,6 +1,6 @@
 """Configuration objects, the flat config-file schema, and config hashing.
 
-The four dataclasses below are the schema. The CLI consumes a flat JSON
+The five dataclasses below are the schema. The CLI consumes a flat JSON
 key/value file whose keys are their field names, prefixed `split_` for
 SplitSpec and `synth_` for SynthSpec; `seed`, `width`, `height` and the
 three `*_subsample` counts stay bare. A field's default is its key's
@@ -18,7 +18,7 @@ import hashlib
 import json
 import types
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
 
 from . import metrics
@@ -189,21 +189,31 @@ class SplitSpec:
         _need_time_order(self, ("train_start", "val_start", "test_start", "test_end"), strict=True)
 
 
+@dataclass
+class ReportSpec:
+    """Granularity of the reports: reference-SWH bin edges for the binned
+    metrics, the density scatter's bin width over 0-8 m (at least one bin)
+    and the bias map's cell size in degrees."""
+
+    report_bin_edges: list[float] = field(default_factory=lambda: [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+    scatter_bin_width: float = 0.1
+    bias_cell_deg: float = 1.0
+
+    def __post_init__(self):
+        _check_kinds(self)
+        _need(self, "report_bin_edges", metrics.increasing(self.report_bin_edges),
+              "hold at least 2 strictly increasing edges")
+        _need(self, "scatter_bin_width", 0.0 < self.scatter_bin_width <= 8.0, "lie in (0, 8.0]")
+        _need(self, "bias_cell_deg", self.bias_cell_deg > 0.0, "be > 0")
+
+
 # ---------------------------------------------------------------------------
 # Flat config-file schema
 # ---------------------------------------------------------------------------
 
 # The key prefix of each dataclass's fields; the _BARE fields take none.
-_SECTIONS = {ModelConfig: "", TrainConfig: "", SplitSpec: "split_", SynthSpec: "synth_"}
+_SECTIONS = {ModelConfig: "", TrainConfig: "", SplitSpec: "split_", SynthSpec: "synth_", ReportSpec: ""}
 _BARE = frozenset({"seed", "width", "height", "train_subsample", "val_subsample", "test_subsample"})
-
-# Reporting keys that no dataclass owns: key -> (kind, default). Their
-# ranges are checked by `metrics.check_report_keys`.
-_REPORT_KEYS = {
-    "report_bin_edges": (list[float], [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]),
-    "scatter_bin_width": (float, 0.1),
-    "bias_cell_deg": (float, 1.0),
-}
 
 
 def _key(cls: type, name: str) -> str:
@@ -212,10 +222,9 @@ def _key(cls: type, name: str) -> str:
 
 
 # Key -> evaluated field annotation: the kind of value the key takes.
-_KINDS = {_key(cls, name): hint for cls in _SECTIONS for name, hint in typing.get_type_hints(cls).items()} \
-    | {key: kind for key, (kind, _) in _REPORT_KEYS.items()}
-DEFAULT_CONFIG: dict = {_key(cls, f.name): f.default for cls in _SECTIONS for f in fields(cls)} \
-    | {key: default for key, (_, default) in _REPORT_KEYS.items()}
+_KINDS = {_key(cls, name): hint for cls in _SECTIONS for name, hint in typing.get_type_hints(cls).items()}
+DEFAULT_CONFIG: dict = {_key(cls, f.name): f.default_factory() if f.default is MISSING else f.default
+                        for cls in _SECTIONS for f in fields(cls)}
 
 _KIND_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers"),
                bool: ("true or false", ""), str: ("a string", ""), list: ("a list", "")}
@@ -291,7 +300,6 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
         _apply(cfg, overrides, source="command line")
     for cls in _SECTIONS:
         _section(cls, cfg)
-    metrics.check_report_keys(cfg)
     return cfg
 
 

@@ -12,10 +12,11 @@ go straight into the model's parameter buffer.
 Writes go to a temporary file beside the target that is then renamed onto
 it, so a crashed writer leaves no half-written file. There is no fsync.
 The text reports (history, predictions, metrics and plot data) are written
-the same way, through `atomic_open_text`.
+the same way, by `write_csv` and `write_json`, each float as its `repr`.
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -51,6 +52,22 @@ def atomic_open_text(path: str):
     """`atomic_open` through a UTF-8 text handle that writes newlines as given."""
     with atomic_open(path) as raw, io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
         yield fh
+
+
+def write_csv(path: str, header, rows) -> None:
+    """`header`, then each row of `rows`: a float cell as `repr(float(v))`,
+    which reads back to the same bits (numpy 2's own `repr` would write
+    `np.float64(v)`), every other cell as `csv` writes it."""
+    with atomic_open_text(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def write_json(path: str, doc) -> None:
+    """`doc` as JSON indented by one space, then a newline."""
+    with atomic_open_text(path) as fh:
+        fh.write(json.dumps(doc, indent=1) + "\n")
 
 
 def write(path: str, kind: str, version: int, meta: dict, arrays: dict[str, np.ndarray]) -> None:

@@ -15,13 +15,12 @@ Conventions:
 
 from __future__ import annotations
 
-import csv
-import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .container import atomic_open_text
+from .container import write_csv, write_json
 from .errors import ConfigError, ContractError
 
 MAPE_MIN_REF = 0.01
@@ -29,22 +28,9 @@ MAPE_MIN_REF = 0.01
 METRIC_NAMES = ("rmse", "mae", "bias", "mape_percent", "cc")
 
 
-def _increasing(edges) -> bool:
+def increasing(edges) -> bool:
     """At least two edges, each strictly above the one before."""
     return len(edges) >= 2 and all(lo < hi for lo, hi in zip(edges, edges[1:]))
-
-
-def check_report_keys(cfg: dict) -> None:
-    """Raise ConfigError naming the first reporting key of a resolved config
-    out of range, before a command writes anything: at least 2 strictly
-    increasing bin edges, a scatter bin width in (0, 8] (at least one bin
-    over the 0-8 m scatter range) and a positive bias cell."""
-    for key, ok, rule in (
-            ("report_bin_edges", _increasing(cfg["report_bin_edges"]), "hold at least 2 strictly increasing edges"),
-            ("scatter_bin_width", 0.0 < cfg["scatter_bin_width"] <= 8.0, "lie in (0, 8.0]"),
-            ("bias_cell_deg", cfg["bias_cell_deg"] > 0.0, "be > 0")):
-        if not ok:
-            raise ConfigError(f"config key {key!r} must {rule}, got {cfg[key]!r}")
 
 
 def _pair(pred, ref) -> tuple[np.ndarray, np.ndarray]:
@@ -121,27 +107,21 @@ class MetricsReport:
     bins: list[dict] = field(default_factory=list)
 
     def write_json(self, path: str) -> None:
-        doc = {
+        write_json(path, {
             "config_hash": self.config_hash,
             "n": self.n,
             "per_channel": {str(ch): cell for ch, cell in self.per_channel.items()},
             "average": self.average,
             "bins": self.bins,
-        }
-        with atomic_open_text(path) as fh:
-            fh.write(json.dumps(doc, indent=1) + "\n")
+        })
 
     def _write_rows(self, path: str, key_fields: tuple, trailing: tuple, rows) -> None:
         """A CSV of the key columns, `n`, each metric ("undefined" for None),
         the `trailing` cell fields and the config hash: one row per
         (keys, cell) pair of `rows`."""
-        with atomic_open_text(path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow([*key_fields, "n", *METRIC_NAMES, *trailing, "config_hash"])
-            for keys, cell in rows:
-                writer.writerow([*keys, cell["n"],
-                                 *("undefined" if cell[m] is None else repr(cell[m]) for m in METRIC_NAMES),
-                                 *(cell[t] for t in trailing), self.config_hash])
+        write_csv(path, [*key_fields, "n", *METRIC_NAMES, *trailing, "config_hash"],
+                  ([*keys, cell["n"], *("undefined" if cell[m] is None else cell[m] for m in METRIC_NAMES),
+                    *(cell[t] for t in trailing), self.config_hash] for keys, cell in rows))
 
     def write_csv(self, path: str) -> None:
         rows = [(("channel", chn, "", ""), self.per_channel[chn]) for chn in sorted(self.per_channel)]
@@ -174,7 +154,7 @@ def report(pairs_by_channel: dict[int, tuple[np.ndarray, np.ndarray]],
     bins = []
     if bin_edges is not None:
         edges = list(bin_edges)
-        if not _increasing(edges):
+        if not increasing(edges):
             raise ConfigError(f"bin edges must be strictly increasing, got {edges}")
         for lo, hi in zip(edges[:-1], edges[1:]):
             last = hi == edges[-1]
@@ -217,33 +197,24 @@ def export_scatter(pred, ref, path_prefix: str, bin_width: float = 0.1,
     """Emit the data behind a density scatter plot (no rendering).
 
     Writes {prefix}_pairs.csv, {prefix}_hist.csv (2-D counts over
-    [lo, hi]^2), and {prefix}_fit.json with the regression line.
+    [lo, hi]^2, in as many bins of `bin_width` as reach `hi`, so the last
+    may end past it), and {prefix}_fit.json with the regression line.
     """
     pred, ref = _pair(pred, ref)
     if bin_width <= 0:
         raise ConfigError("bin width must be positive")
-    with atomic_open_text(f"{path_prefix}_pairs.csv") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ref", "pred", "config_hash"])
-        for r, p in zip(ref, pred):
-            writer.writerow([repr(float(r)), repr(float(p)), config_hash])
-    nbins = int(round((hi - lo) / bin_width))
+    write_csv(f"{path_prefix}_pairs.csv", ["ref", "pred", "config_hash"],
+              ([r, p, config_hash] for r, p in zip(ref, pred)))
+    # Rounded first, so that float error in the ratio adds no bin.
+    nbins = math.ceil(round((hi - lo) / bin_width, 9))
     edges = lo + bin_width * np.arange(nbins + 1)
     hist, _, _ = np.histogram2d(ref, pred, bins=[edges, edges])
-    with atomic_open_text(f"{path_prefix}_hist.csv") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ref_bin_lo", "pred_bin_lo", "count", "config_hash"])
-        for i in range(nbins):
-            for j in range(nbins):
-                if hist[i, j] > 0:
-                    writer.writerow([repr(float(edges[i])), repr(float(edges[j])),
-                                     int(hist[i, j]), config_hash])
+    write_csv(f"{path_prefix}_hist.csv", ["ref_bin_lo", "pred_bin_lo", "count", "config_hash"],
+              ([edges[i], edges[j], int(hist[i, j]), config_hash] for i, j in zip(*np.nonzero(hist))))
     slope, intercept = least_squares_fit(pred, ref)
     fit = {"slope": slope, "intercept": intercept, "n": int(pred.size),
            "hist_total": int(hist.sum()), "config_hash": config_hash}
-    with atomic_open_text(f"{path_prefix}_fit.json") as fh:
-        json.dump(fit, fh, indent=1)
-        fh.write("\n")
+    write_json(f"{path_prefix}_fit.json", fit)
     return fit
 
 
@@ -267,9 +238,6 @@ def export_bias_grid(lats, lons, pred, ref, path: str, cell_deg: float = 1.0,
         errors = cells[(iy, ix)]
         rows.append(((iy + 0.5) * cell_deg, (ix + 0.5) * cell_deg,
                      float(np.mean(errors)), len(errors)))
-    with atomic_open_text(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lat_center", "lon_center", "bias", "n", "config_hash"])
-        for lat_c, lon_c, b, n in rows:
-            writer.writerow([repr(lat_c), repr(lon_c), repr(b), n, config_hash])
+    write_csv(path, ["lat_center", "lon_center", "bias", "n", "config_hash"],
+              ([*row, config_hash] for row in rows))
     return rows

@@ -13,7 +13,6 @@ batches of at most `eval_batch_size(cfg)` samples.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamBag
 from .config import ModelConfig, TrainConfig
-from .container import atomic_open_text
+from .container import write_csv
 from .errors import ConfigError, ContractError
 from .model import WaveHeightModel, batch_loss
 from .pipeline import ap_matrix, per_channel, standardize_ap
@@ -101,7 +100,6 @@ class TrainResult:
     history: list[dict]
     best_state: dict[str, np.ndarray]
     best_meta: CheckpointMeta
-    stopped_epoch: int
 
 
 class AdamW:
@@ -160,27 +158,6 @@ class AdamW:
             w -= s1
 
 
-class EarlyStopper:
-    """Track the best metric; signal stop after `patience` epochs without
-    strict improvement."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = np.inf
-        self.best_epoch = 0
-        self.stale = 0
-
-    def update(self, value: float, epoch: int) -> tuple[bool, bool]:
-        """Returns (improved, should_stop)."""
-        if value < self.best:
-            self.best = value
-            self.best_epoch = epoch
-            self.stale = 0
-            return True, False
-        self.stale += 1
-        return False, self.stale >= self.patience
-
-
 def eval_batch_size(cfg: ModelConfig) -> int:
     """Samples per no-grad evaluation batch: as many as would fit the batch's
     float feedforward hidden arrays in EVAL_BATCH_BYTES, at least one."""
@@ -226,6 +203,9 @@ def train(model: WaveHeightModel, train_set: ModelDataset, val_set: ModelDataset
           tcfg: TrainConfig, config_hash: str = "", log=None) -> TrainResult:
     """Run the optimization loop and return history plus the best checkpoint.
 
+    An epoch is the best so far when its average validation RMSE is strictly
+    below every earlier epoch's; training stops once `patience` epochs have
+    run since the best (or since the start, while none is best).
     The model ends holding the best epoch's parameters. They are copied
     only when needed: before the next epoch's first step changes them, or,
     if the last epoch run is the best, once the optimizer is released.
@@ -235,7 +215,6 @@ def train(model: WaveHeightModel, train_set: ModelDataset, val_set: ModelDataset
     opt = AdamW(model.bag, lr=tcfg.lr, weight_decay=tcfg.weight_decay,
                 beta1=tcfg.adam_beta1, beta2=tcfg.adam_beta2, eps=tcfg.adam_eps)
     rng = np.random.default_rng([tcfg.seed, 1])
-    stopper = EarlyStopper(tcfg.patience)
     history: list[dict] = []
     best_state = best_meta = None
 
@@ -252,23 +231,14 @@ def train(model: WaveHeightModel, train_set: ModelDataset, val_set: ModelDataset
         train_loss = epoch_loss / len(order)
         rmse = validation_rmse(model, val_set)
         avg = float(rmse.mean())
-        history.append({
-            "epoch": epoch,
-            "train_loss": train_loss,
-            "val_rmse_ch1": float(rmse[0]),
-            "val_rmse_ch2": float(rmse[1]),
-            "val_rmse_ch3": float(rmse[2]),
-            "val_rmse_ch4": float(rmse[3]),
-            "val_rmse_avg": avg,
-        })
+        history.append(dict(zip(HISTORY_FIELDS, (epoch, train_loss, *rmse.tolist(), avg))))
         if log is not None:
             log(f"epoch {epoch}: train_loss={train_loss:.6f} val_rmse_avg={avg:.6f} "
                 f"train_s={train_s:.3f} train_samples_per_s={len(order) / train_s:.1f}")
-        improved, stop = stopper.update(avg, epoch)
-        if improved:
-            best_meta = CheckpointMeta(epoch=epoch, val_rmse=[float(r) for r in rmse],
-                                       val_rmse_avg=avg, config_hash=config_hash)
-        if stop:
+        if avg < (np.inf if best_meta is None else best_meta.val_rmse_avg):
+            best_meta = CheckpointMeta(epoch=epoch, val_rmse=rmse.tolist(), val_rmse_avg=avg,
+                                       config_hash=config_hash)
+        elif epoch - (0 if best_meta is None else best_meta.epoch) >= tcfg.patience:
             break
 
     if best_meta is None:  # no validation average was below +inf, e.g. all NaN
@@ -278,14 +248,8 @@ def train(model: WaveHeightModel, train_set: ModelDataset, val_set: ModelDataset
         best_state = model.bag.state_arrays()
     else:
         model.bag.load_state_arrays(best_state)
-    return TrainResult(history=history, best_state=best_state,
-                       best_meta=best_meta, stopped_epoch=history[-1]["epoch"])
+    return TrainResult(history=history, best_state=best_state, best_meta=best_meta)
 
 
 def write_history(path: str, history: list[dict]) -> None:
-    with atomic_open_text(path) as fh:
-        writer = csv.DictWriter(fh, fieldnames=HISTORY_FIELDS)
-        writer.writeheader()
-        for row in history:
-            writer.writerow({k: repr(row[k]) if isinstance(row[k], float) else row[k]
-                             for k in HISTORY_FIELDS})
+    write_csv(path, HISTORY_FIELDS, ([row[k] for k in HISTORY_FIELDS] for row in history))

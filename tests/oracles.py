@@ -34,7 +34,12 @@ matcher as it ran one record at a time, which the array matcher in
 `MetricsReportWriters` holds `metrics.MetricsReport`'s writers as they
 ran before one row writer served both metrics CSVs and `to_json` folded
 into `write_json`, which the report's writers must reproduce byte for
-byte. `swh_from_nbrcs`, the exact inverse of synth's planted map, and
+byte. `write_predictions`, `write_history`, `export_scatter` and
+`export_bias_grid` are the other report writers as they ran before every
+one wrote through `container.write_csv` and `container.write_json`,
+which the writers that replaced them must reproduce byte for byte (the
+scatter at widths that divide its range, where its bin count is
+unchanged). `swh_from_nbrcs`, the exact inverse of synth's planted map, and
 `channel_sd_percentile`, the spread of a sample's four references, are
 helpers that only tests use.
 """
@@ -49,16 +54,18 @@ import numpy as np
 from swhnet import autodiff as ad
 from swhnet.autodiff import Tensor, _as_tensor, _check_dropout, _rows, _tiles, _unbroadcast
 from swhnet.autodiff import linear as _linear
+from swhnet.cli import PREDICTION_FIELDS
 from swhnet.config import AP_COLUMNS, DDM_TYPES, SynthSpec, parse_time
 from swhnet.container import atomic_open_text
 from swhnet.errors import ConfigError, ContractError, FormatError, ShapeError
-from swhnet.metrics import METRIC_NAMES
+from swhnet.metrics import METRIC_NAMES, _pair, least_squares_fit
 from swhnet.pipeline import (BASE_AP_FIELDS, BUOY_MAX_KM, BUOY_MAX_S, FILL_VALUE_THRESHOLD,
                              LAND_DISTANCE_MIN_KM, PITCH_MAX_DEG, QUALITY_FLAG_MASK, RCG_MIN,
                              ROLL_MAX_DEG, TRACKER_STATUS_OK, YAW_MAX_DEG, ChannelObs, Era5Grid,
                              FourChannelSample, L1Record, compute_rcg, haversine_km, normalize_lon)
 from swhnet.synth import (LES_DECAY, LES_SCALE, LOGNORMAL_MEDIAN, LOGNORMAL_SIGMA, NBRCS_DECAY,
                           NBRCS_SCALE, SNR_BASE, SNR_SCALE, nbrcs_from_swh)
+from swhnet.training import HISTORY_FIELDS
 
 
 def norm_oracle(x, gamma, beta, strategy, eps=1e-5):
@@ -922,3 +929,86 @@ class MetricsReportWriters:
                     row.append("undefined" if v is None else repr(v))
                 row.append(self.config_hash)
                 writer.writerow(row)
+
+
+def write_predictions(path: str, dataset, preds: np.ndarray, h: str) -> None:
+    with atomic_open_text(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(PREDICTION_FIELDS)
+        for i in range(len(dataset)):
+            for c in range(4):
+                writer.writerow([i, repr(float(dataset.timestamps[i])), c + 1,
+                                 repr(float(dataset.lats[i, c])), repr(float(dataset.lons[i, c])),
+                                 repr(float(dataset.refs[i, c])), repr(float(preds[i, c])), h])
+
+
+def write_history(path: str, history: list[dict]) -> None:
+    with atomic_open_text(path) as fh:
+        writer = csv.DictWriter(fh, fieldnames=HISTORY_FIELDS)
+        writer.writeheader()
+        for row in history:
+            writer.writerow({k: repr(row[k]) if isinstance(row[k], float) else row[k]
+                             for k in HISTORY_FIELDS})
+
+
+def export_scatter(pred, ref, path_prefix: str, bin_width: float = 0.1,
+                   lo: float = 0.0, hi: float = 8.0, config_hash: str = "") -> dict:
+    """Emit the data behind a density scatter plot (no rendering).
+
+    Writes {prefix}_pairs.csv, {prefix}_hist.csv (2-D counts over
+    [lo, hi]^2), and {prefix}_fit.json with the regression line.
+    """
+    pred, ref = _pair(pred, ref)
+    if bin_width <= 0:
+        raise ConfigError("bin width must be positive")
+    with atomic_open_text(f"{path_prefix}_pairs.csv") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["ref", "pred", "config_hash"])
+        for r, p in zip(ref, pred):
+            writer.writerow([repr(float(r)), repr(float(p)), config_hash])
+    nbins = int(round((hi - lo) / bin_width))
+    edges = lo + bin_width * np.arange(nbins + 1)
+    hist, _, _ = np.histogram2d(ref, pred, bins=[edges, edges])
+    with atomic_open_text(f"{path_prefix}_hist.csv") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["ref_bin_lo", "pred_bin_lo", "count", "config_hash"])
+        for i in range(nbins):
+            for j in range(nbins):
+                if hist[i, j] > 0:
+                    writer.writerow([repr(float(edges[i])), repr(float(edges[j])),
+                                     int(hist[i, j]), config_hash])
+    slope, intercept = least_squares_fit(pred, ref)
+    fit = {"slope": slope, "intercept": intercept, "n": int(pred.size),
+           "hist_total": int(hist.sum()), "config_hash": config_hash}
+    with atomic_open_text(f"{path_prefix}_fit.json") as fh:
+        json.dump(fit, fh, indent=1)
+        fh.write("\n")
+    return fit
+
+
+def export_bias_grid(lats, lons, pred, ref, path: str, cell_deg: float = 1.0,
+                     config_hash: str = "") -> list[tuple]:
+    """Mean signed error and count per lat/lon cell, one CSV row per
+    populated cell, ordered by (lat, lon)."""
+    if cell_deg <= 0:
+        raise ConfigError("cell size must be positive")
+    lats = np.asarray(lats, dtype=np.float64)
+    lons = np.asarray(lons, dtype=np.float64)
+    pred, ref = _pair(pred, ref)
+    if lats.shape != pred.shape or lons.shape != pred.shape:
+        raise ContractError("lat/lon vectors must match the pair vectors")
+    cells: dict[tuple[int, int], list[float]] = {}
+    for la, lo_, p, r in zip(lats, lons, pred, ref):
+        key = (int(np.floor(la / cell_deg)), int(np.floor(lo_ / cell_deg)))
+        cells.setdefault(key, []).append(p - r)
+    rows = []
+    for (iy, ix) in sorted(cells):
+        errors = cells[(iy, ix)]
+        rows.append(((iy + 0.5) * cell_deg, (ix + 0.5) * cell_deg,
+                     float(np.mean(errors)), len(errors)))
+    with atomic_open_text(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["lat_center", "lon_center", "bias", "n", "config_hash"])
+        for lat_c, lon_c, b, n in rows:
+            writer.writerow([repr(lat_c), repr(lon_c), repr(b), n, config_hash])
+    return rows

@@ -492,6 +492,25 @@ def test_strategy_mismatch_on_checkpoint_exits_one(tmp_path, toy_config):
     assert code == 1
 
 
+@pytest.mark.parametrize("changes, flags, key", [({"strategy": "CI"}, [], "strategy"),
+                                                  ({}, ["--use-wind"], "use_wind")])
+@pytest.mark.parametrize("command, out", [("evaluate", "--out-dir"), ("predict", "--out")])
+def test_config_that_disagrees_with_the_checkpoint_exits_one(tmp_path, toy_config, caplog, changes, flags,
+                                                             key, command, out):
+    """The resolved config, file and flags, must name the checkpoint's
+    strategy and wind input; the CD checkpoint here reads no wind."""
+    data = tmp_path / "samples.jsonl"
+    main(["synth", "--config", toy_config, "--out", str(data)])
+    assert main(["train", "--config", toy_config, "--data", str(data), "--out-dir", str(tmp_path / "run")]) == 0
+    config = tmp_path / "other.json"
+    config.write_text(json.dumps({**TOY, **changes}))
+    target = tmp_path / "out"
+    assert main([command, "--config", str(config), *flags, "--data", str(data),
+                 "--checkpoint", str(tmp_path / "run" / "checkpoint.json"), out, str(target)]) == 1
+    assert f"checkpoint was trained with {key}" in caplog.text
+    assert not target.exists()
+
+
 def test_checkpoint_config_of_the_wrong_kind_exits_two(tmp_path, toy_config):
     data = tmp_path / "samples.jsonl"
     main(["synth", "--config", toy_config, "--out", str(data)])

@@ -15,8 +15,22 @@ from swhnet.errors import ConfigError
 SECTIONS = (ModelConfig, TrainConfig, SplitSpec, SynthSpec)
 
 
+# The README quick-start config.
+QUICK_START = {
+    "width": 6, "height": 6, "patch_size": 3, "embed_dim": 2,
+    "n_layers": 1, "d_ff": 16, "dropout_p": 0.0,
+    "head_hidden": [16, 16, 16, 16, 16, 16, 16, 16, 16],
+    "strategy": "CD", "lr": 0.003, "batch_size": 16,
+    "max_epochs": 10, "patience": 10, "synth_n_samples": 300,
+}
+
+
 def test_default_config_hash_is_pinned():
     assert config_hash(load_config()) == config_hash(DEFAULT_CONFIG) == "b9a6d034a79c"
+
+
+def test_quick_start_config_hash_is_pinned():
+    assert config_hash(load_config(None, QUICK_START)) == "cc5d66871212"
 
 
 @pytest.mark.parametrize("key, value", [

@@ -268,6 +268,17 @@ def test_scatter_perfect_fit(tmp_path):
     assert fit["hist_total"] == 40
 
 
+@pytest.mark.parametrize("width, nbins", [(0.7, 12), (0.1, 80), (8.0, 1)])
+def test_scatter_bins_reach_the_top_of_the_range(tmp_path, width, nbins):
+    """Widths that do not divide 8 m take one more bin, ending past 8 m,
+    so that no pair in [0, 8] falls outside the histogram."""
+    ref = np.array([0.0, 3.0, 7.9, 8.0])
+    fit = export_scatter(ref[::-1], ref, str(tmp_path / "sc"), bin_width=width)
+    assert fit["hist_total"] == fit["n"] == 4
+    rows = list(csv.DictReader((tmp_path / "sc_hist.csv").read_text().splitlines()))
+    assert max(float(r["ref_bin_lo"]) for r in rows) == pytest.approx((nbins - 1) * width)
+
+
 def test_fit_matches_normal_equations_three_points():
     ref = np.array([1.0, 2.0, 4.0])
     pred = np.array([1.5, 2.0, 4.5])

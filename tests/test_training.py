@@ -18,8 +18,8 @@ from swhnet.config import ModelConfig, TrainConfig
 from swhnet.errors import ConfigError, ContractError, FormatError, NonFiniteError
 from swhnet.model import WaveHeightModel
 from swhnet import training
-from swhnet.training import (ADAMW_SLICE, AdamW, EarlyStopper, ModelDataset, eval_batch_size,
-                             predict, train, validation_rmse)
+from swhnet.training import (ADAMW_SLICE, AdamW, ModelDataset, eval_batch_size, predict, train,
+                             validation_rmse)
 
 from damage import record_shape
 from oracles import PerParameterAdamW, tsum_node
@@ -274,33 +274,7 @@ def test_adamw_rejects_a_parameter_rebound_away_from_the_buffer():
 
 
 # ---------------------------------------------------------------------------
-# early stopping
-# ---------------------------------------------------------------------------
-
-
-def test_early_stopper_improvement_then_stale_run():
-    stopper = EarlyStopper(patience=15)
-    values = [0.5, 0.4] + [0.41] * 20
-    stopped_at = None
-    for epoch, v in enumerate(values, start=1):
-        _, stop = stopper.update(v, epoch)
-        if stop:
-            stopped_at = epoch
-            break
-    assert stopped_at == 17  # improvement at epoch 2 + 15 stale epochs
-    assert stopper.best_epoch == 2
-    assert stopper.best == 0.4
-
-
-def test_early_stopper_monotone_runs_out_epochs():
-    stopper = EarlyStopper(patience=75)
-    for epoch in range(1, 76):
-        improved, stop = stopper.update(1.0 / epoch, epoch)
-        assert improved and not stop
-
-
-# ---------------------------------------------------------------------------
-# train loop
+# train loop and early stopping
 # ---------------------------------------------------------------------------
 
 
@@ -309,6 +283,32 @@ def small_tcfg(**kw):
                 weight_decay=1e-5, delta=2.0, seed=0)
     base.update(kw)
     return TrainConfig(**base)
+
+
+def train_on_scripted_averages(monkeypatch, avgs, **tcfg):
+    """`train` on a toy model whose epochs validate, in turn, at the
+    average RMSEs `avgs` (equal on every channel)."""
+    scripted = iter(avgs)
+    monkeypatch.setattr(training, "validation_rmse", lambda model, val: np.full(4, next(scripted)))
+    model = toy_model()
+    ds = toy_dataset(model.cfg, 8, seed=1)
+    return train(model, ds, ds, small_tcfg(**tcfg))
+
+
+def test_train_stops_after_patience_epochs_without_improvement(monkeypatch):
+    result = train_on_scripted_averages(monkeypatch, [0.5, 0.4] + [0.41] * 20, max_epochs=75, patience=15)
+    assert result.history[-1]["epoch"] == 17  # improvement at epoch 2 + 15 stale epochs
+    assert result.best_meta.epoch == 2
+    assert result.best_meta.val_rmse_avg == 0.4
+
+
+def test_train_on_a_monotone_run_runs_out_its_epochs(monkeypatch):
+    # A patience of 1 stops at the first epoch that does not improve.
+    result = train_on_scripted_averages(monkeypatch, [1.0 / epoch for epoch in range(1, 76)],
+                                        max_epochs=75, patience=1)
+    assert [row["epoch"] for row in result.history] == list(range(1, 76))
+    assert result.best_meta.epoch == 75
+    assert result.best_meta.val_rmse_avg == 1.0 / 75
 
 
 def test_train_returns_best_not_last():
