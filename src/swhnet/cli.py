@@ -118,22 +118,8 @@ def _resolve_config(args) -> tuple[dict, str]:
 
 def cmd_synth(args) -> int:
     cfg, h = _resolve_config(args)
-    spec = cfgmod.synth_spec(cfg)
-    samples = generate(spec)
-    manifest = {
-        "config_hash": h,
-        "source": "synth",
-        "width": spec.width,
-        "height": spec.height,
-        "ap_columns": list(cfgmod.AP_COLUMNS) + ([cfgmod.WIND_COLUMN] if spec.include_wind else []),
-        "k_ap": len(cfgmod.AP_COLUMNS) + int(spec.include_wind),
-        "include_wind": spec.include_wind,
-        "seed": spec.seed,
-        "standardization": None,
-        "qc_tally": None,
-        "split_spec": asdict(cfgmod.split_spec(cfg)),
-    }
-    write_samples(args.out, samples, manifest)
+    samples = generate(cfgmod.synth_spec(cfg))
+    write_samples(args.out, samples, {"config_hash": h})
     log.info("wrote %d synthetic samples to %s", len(samples), args.out)
     return 0
 
@@ -150,75 +136,50 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _finish_samples(args, cfg: dict, h: str, samples, tallies: dict, source: str,
-                    with_stats: bool) -> int:
+def _finish_samples(args, h: str, samples, tallies: dict) -> int:
     samples, cap_tally = cap_and_filter(samples)
     tallies["cap"] = cap_tally
     log.info("cap filter: %s", cap_tally)
-    stats = None
-    spec = cfgmod.split_spec(cfg)
-    if with_stats and samples:
-        splits, split_tally = split_dataset(samples, spec)
-        tallies["split"] = split_tally
-        log.info("split: %s", split_tally)
-        if splits["train"]:
-            stats = compute_ap_stats(splits["train"], include_wind=False)
-    manifest = {
-        "config_hash": h,
-        "source": source,
-        "width": int(samples[0].channels[0].ddms.shape[1]) if samples else cfg["width"],
-        "height": int(samples[0].channels[0].ddms.shape[2]) if samples else cfg["height"],
-        "ap_columns": list(cfgmod.AP_COLUMNS),
-        "k_ap": len(cfgmod.AP_COLUMNS),
-        "include_wind": False,
-        "seed": cfg["seed"],
-        "standardization": stats,
-        "qc_tally": tallies,
-        "split_spec": asdict(spec),
-    }
-    write_samples(args.out, samples, manifest)
+    write_samples(args.out, samples, {"config_hash": h, "qc_tally": tallies})
     log.info("wrote %d samples to %s", len(samples), args.out)
     return 0
 
 
 def cmd_match_era5(args) -> int:
-    cfg, h = _resolve_config(args)
+    _, h = _resolve_config(args)
     groups = read_groups(args.input)
     grid = read_era5_grid(args.grid)
     samples, tally = match_era5_groups(groups, grid)
     log.info("era5 matching: %s", tally)
-    return _finish_samples(args, cfg, h, samples, {"match": tally}, "era5", with_stats=True)
+    return _finish_samples(args, h, samples, {"match": tally})
 
 
 def cmd_match_buoy(args) -> int:
-    cfg, h = _resolve_config(args)
+    _, h = _resolve_config(args)
     groups = read_groups(args.input)
     buoys = read_buoys(args.buoys)
     samples, tally = match_buoy_groups(groups, buoys)
     log.info("buoy matching: %s", tally)
-    return _finish_samples(args, cfg, h, samples, {"match": tally}, "buoy", with_stats=False)
+    return _finish_samples(args, h, samples, {"match": tally})
 
 
 def cmd_train(args) -> int:
     cfg, h = _resolve_config(args)
-    samples, manifest = read_samples(args.data)
+    samples, _ = read_samples(args.data)
     mcfg = cfgmod.model_config(cfg)
     tcfg = cfgmod.train_config(cfg)
-    if manifest.get("width") != mcfg.width or manifest.get("height") != mcfg.height:
-        raise ConfigError(
-            f"data file has {manifest.get('width')}x{manifest.get('height')} DDMs but the "
-            f"config expects {mcfg.width}x{mcfg.height}"
-        )
     splits, split_tally = split_dataset(samples, cfgmod.split_spec(cfg))
     log.info("split: %s", split_tally)
-    stats = manifest.get("standardization")
-    if stats is None or mcfg.use_wind:
-        if not splits["train"]:
-            raise ContractError("empty training split")
-        stats = compute_ap_stats(splits["train"], include_wind=mcfg.use_wind)
+    if not splits["train"]:
+        raise ContractError("empty training split")
+    stats = compute_ap_stats(splits["train"], include_wind=mcfg.use_wind)
+    train_ds = to_model_dataset(splits["train"], stats, mcfg.use_wind)
+    width, height = train_ds.ddms.shape[-2:]
+    if (width, height) != (mcfg.width, mcfg.height):
+        raise ConfigError(f"data file has {width}x{height} DDMs but the "
+                          f"config expects {mcfg.width}x{mcfg.height}")
     model = WaveHeightModel(mcfg)
     log.info("model parameters (%s): %d", mcfg.strategy, count_params(model.bag))
-    train_ds = to_model_dataset(splits["train"], stats, mcfg.use_wind)
     val_ds = to_model_dataset(splits["val"], stats, mcfg.use_wind)
     result = train(model, train_ds, val_ds, tcfg, config_hash=h, log=log.info)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -262,6 +223,8 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg, h, model, dataset = _load_for_inference(args)
+    if len(dataset) == 0:
+        raise ContractError(f"no samples in {args.data}")
     preds = predict(model, dataset)
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "predictions.csv")

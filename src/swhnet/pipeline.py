@@ -501,25 +501,17 @@ def split_dataset(samples: list[FourChannelSample], spec: SplitSpec
     then optionally subsample each split with a seeded uniform draw."""
     bounds = [parse_time(spec.train_start), parse_time(spec.val_start),
               parse_time(spec.test_start), parse_time(spec.test_end)]
-    splits: dict[str, list[FourChannelSample]] = {"train": [], "val": [], "test": []}
-    outside = 0
-    for s in samples:
-        if bounds[0] <= s.timestamp < bounds[1]:
-            splits["train"].append(s)
-        elif bounds[1] <= s.timestamp < bounds[2]:
-            splits["val"].append(s)
-        elif bounds[2] <= s.timestamp < bounds[3]:
-            splits["test"].append(s)
-        else:
-            outside += 1
+    # 1, 2, 3 for train, val, test; 0 before train_start, 4 from test_end on
+    where = np.searchsorted(bounds, [s.timestamp for s in samples], side="right").tolist()
     rng = np.random.default_rng(spec.seed)
-    for name, count in (("train", spec.train_subsample), ("val", spec.val_subsample),
-                        ("test", spec.test_subsample)):
-        pool = splits[name]
+    splits = {}
+    for k, name in enumerate(("train", "val", "test"), start=1):
+        pool = [s for s, w in zip(samples, where) if w == k]
+        count = getattr(spec, f"{name}_subsample")
         if count is not None and count < len(pool):
-            idx = np.sort(rng.choice(len(pool), size=count, replace=False))
-            splits[name] = [pool[i] for i in idx]
-    tally = {"outside_split": outside}
+            pool = [pool[i] for i in np.sort(rng.choice(len(pool), size=count, replace=False))]
+        splits[name] = pool
+    tally = {"outside_split": where.count(0) + where.count(4)}
     tally.update({name: len(rows) for name, rows in splits.items()})
     return splits, tally
 

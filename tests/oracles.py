@@ -31,6 +31,9 @@ at a time, which the bulk generator must reproduce bit for bit.
 `match_era5_groups`, with `match_era5` and `_record_to_obs`, are the ERA5
 matcher as it ran one record at a time, which the array matcher in
 `pipeline` must reproduce bit for bit, values and reasons.
+`split_dataset` is the temporal split as it ran with one comparison chain
+per sample, which the `searchsorted` split must reproduce sample for
+sample, subsample draws and tally included.
 `MetricsReportWriters` holds `metrics.MetricsReport`'s writers as they
 ran before one row writer served both metrics CSVs and `to_json` folded
 into `write_json`, which the report's writers must reproduce byte for
@@ -55,7 +58,7 @@ from swhnet import autodiff as ad
 from swhnet.autodiff import Tensor, _as_tensor, _check_dropout, _rows, _tiles, _unbroadcast
 from swhnet.autodiff import linear as _linear
 from swhnet.cli import PREDICTION_FIELDS
-from swhnet.config import AP_COLUMNS, DDM_TYPES, SynthSpec, parse_time
+from swhnet.config import AP_COLUMNS, DDM_TYPES, SplitSpec, SynthSpec, parse_time
 from swhnet.container import atomic_open_text
 from swhnet.errors import ConfigError, ContractError, FormatError, ShapeError
 from swhnet.metrics import METRIC_NAMES, _pair, least_squares_fit
@@ -844,6 +847,35 @@ def match_era5_groups(groups, grid: Era5Grid) -> tuple[list[FourChannelSample], 
             samples.append(sample)
     tally["matched"] = len(samples)
     return samples, tally
+
+
+def split_dataset(samples: list[FourChannelSample], spec: SplitSpec
+                  ) -> tuple[dict[str, list[FourChannelSample]], dict[str, int]]:
+    """Assign samples to half-open [start, next_start) ranges by timestamp,
+    then optionally subsample each split with a seeded uniform draw."""
+    bounds = [parse_time(spec.train_start), parse_time(spec.val_start),
+              parse_time(spec.test_start), parse_time(spec.test_end)]
+    splits: dict[str, list[FourChannelSample]] = {"train": [], "val": [], "test": []}
+    outside = 0
+    for s in samples:
+        if bounds[0] <= s.timestamp < bounds[1]:
+            splits["train"].append(s)
+        elif bounds[1] <= s.timestamp < bounds[2]:
+            splits["val"].append(s)
+        elif bounds[2] <= s.timestamp < bounds[3]:
+            splits["test"].append(s)
+        else:
+            outside += 1
+    rng = np.random.default_rng(spec.seed)
+    for name, count in (("train", spec.train_subsample), ("val", spec.val_subsample),
+                        ("test", spec.test_subsample)):
+        pool = splits[name]
+        if count is not None and count < len(pool):
+            idx = np.sort(rng.choice(len(pool), size=count, replace=False))
+            splits[name] = [pool[i] for i in idx]
+    tally = {"outside_split": outside}
+    tally.update({name: len(rows) for name, rows in splits.items()})
+    return splits, tally
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ import pytest
 
 from damage import record_shape, set_header_field, set_last_value
 from swhnet import container
-from swhnet.checkpoint import FORMAT_VERSION, save_checkpoint
+from swhnet.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from swhnet.cli import main
-from swhnet.config import load_config, model_config
+from swhnet.config import config_hash, load_config, model_config, split_spec, synth_spec
 from swhnet.model import WaveHeightModel
-from swhnet.pipeline import SCHEMA_VERSION, parse_time, read_samples, Era5Grid
+from swhnet.pipeline import (SCHEMA_VERSION, compute_ap_stats, parse_time, read_samples,
+                             split_dataset, write_samples, Era5Grid)
+from swhnet.synth import generate
 
 TOY = {
     "width": 4,
@@ -173,7 +175,6 @@ def test_pipeline_commands_era5_and_buoy(tmp_path, toy_config, l1_file, grid_fil
                  "--grid", grid_file, "--out", str(samples)]) == 0
     loaded, manifest = read_samples(str(samples))
     assert len(loaded) == 12
-    assert manifest["standardization"] is not None
     assert manifest["qc_tally"]["match"]["matched"] == 12
 
     # buoy path: one buoy near the records' box
@@ -188,9 +189,93 @@ def test_pipeline_commands_era5_and_buoy(tmp_path, toy_config, l1_file, grid_fil
     assert main(["match-buoy", "--config", toy_config, "--input", str(groups),
                  "--buoys", str(buoys), "--out", str(buoy_samples)]) == 0
     loaded, manifest = read_samples(str(buoy_samples))
-    assert manifest["source"] == "buoy"
     assert all(s.source == "buoy" for s in loaded)
     assert len(loaded) > 0
+
+
+def matched_sample_files(tmp_path, config, l1_file, grid_file):
+    """preprocess, match-era5 and match-buoy under `config`; the ERA5 and
+    buoy sample files. The buoy sits in the records' box and reports
+    hourly, so all 12 groups match it."""
+    groups, era5, buoy = (tmp_path / name for name in ("groups.jsonl", "era5.jsonl", "buoy.jsonl"))
+    buoys = tmp_path / "buoys.csv"
+    buoys.write_text("station_id,lat,lon,iso_time,swh_m\n"
+                     + "".join(f"41001,10.0,40.0,2019-09-01T{i:02d}:00:00,1.5\n" for i in range(24)))
+    assert main(["preprocess", "--config", config, "--input", l1_file, "--out", str(groups)]) == 0
+    assert main(["match-era5", "--config", config, "--input", str(groups), "--grid", grid_file,
+                 "--out", str(era5)]) == 0
+    assert main(["match-buoy", "--config", config, "--input", str(groups), "--buoys", str(buoys),
+                 "--out", str(buoy)]) == 0
+    return era5, buoy
+
+
+def test_sample_manifests_hold_only_provenance(tmp_path, toy_config, l1_file, grid_file):
+    """synth records the config hash; the matchers add their match and cap
+    tallies. Geometry, sources and AP columns are in the arrays and header."""
+    h = config_hash(load_config(toy_config))
+    synth = tmp_path / "synth.jsonl"
+    assert main(["synth", "--config", toy_config, "--out", str(synth)]) == 0
+    era5, buoy = matched_sample_files(tmp_path, toy_config, l1_file, grid_file)
+    cap = {"swh_above_cap": 0, "kept": 12}
+
+    def manifest(path):
+        return container.read(str(path), "samples", SCHEMA_VERSION)[0]["manifest"]
+
+    assert manifest(synth) == {"config_hash": h}
+    assert manifest(era5) == {"config_hash": h, "qc_tally": {
+        "match": {"outside_grid": 0, "masked_node": 0, "matched": 12}, "cap": cap}}
+    assert manifest(buoy) == {"config_hash": h, "qc_tally": {
+        "match": {"unmatched_channel": 0, "matched": 12}, "cap": cap}}
+
+
+def test_train_standardizes_with_its_own_training_split(tmp_path, toy_config, l1_file, grid_file):
+    """match-era5 ran under the default split, which holds all 12 samples in
+    training. train under a split that trains on the first 6 standardizes
+    the AP inputs with those 6 alone, not with the validation samples."""
+    era5, _ = matched_sample_files(tmp_path, toy_config, l1_file, grid_file)
+    config = tmp_path / "split.json"
+    config.write_text(json.dumps({**TOY, "split_val_start": "2019-09-01T12:00:00"}))
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--data", str(era5), "--out-dir", str(run_dir)]) == 0
+    splits, tally = split_dataset(read_samples(str(era5))[0], split_spec(load_config(str(config))))
+    assert (tally["train"], tally["val"]) == (6, 6)
+    _, stats, _ = load_checkpoint(str(run_dir / "checkpoint.json"))
+    assert stats == compute_ap_stats(splits["train"], include_wind=False)
+
+
+def test_train_reads_nothing_from_the_manifest(tmp_path, toy_config):
+    data = tmp_path / "bare.jsonl"
+    write_samples(str(data), generate(synth_spec(load_config(toy_config))), {})
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", toy_config, "--data", str(data), "--out-dir", str(run_dir)]) == 0
+    assert (run_dir / "checkpoint.json").exists()
+
+
+def test_train_on_ddms_of_another_size_exits_one(tmp_path, caplog):
+    """4x6 DDMs under a 6x4 config: the message gives width then height of each."""
+    synth_config, train_config = tmp_path / "synth.json", tmp_path / "train.json"
+    synth_config.write_text(json.dumps({**TOY, "width": 4, "height": 6}))
+    train_config.write_text(json.dumps({**TOY, "width": 6, "height": 4}))
+    data = tmp_path / "samples.jsonl"
+    assert main(["synth", "--config", str(synth_config), "--out", str(data)]) == 0
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(train_config), "--data", str(data), "--out-dir", str(run_dir)]) == 1
+    assert "data file has 4x6 DDMs but the config expects 6x4" in caplog.text
+    assert not run_dir.exists()
+
+
+def test_evaluate_on_an_empty_sample_file_exits_one_and_writes_nothing(tmp_path, toy_config, caplog):
+    """A matcher writes a file without samples when nothing matches."""
+    data = tmp_path / "samples.jsonl"
+    assert main(["synth", "--config", toy_config, "--out", str(data)]) == 0
+    assert main(["train", "--config", toy_config, "--data", str(data), "--out-dir", str(tmp_path / "run")]) == 0
+    empty = tmp_path / "empty.jsonl"
+    write_samples(str(empty), [], {"config_hash": "h"})
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--config", toy_config, "--data", str(empty),
+                 "--checkpoint", str(tmp_path / "run" / "checkpoint.json"), "--out-dir", str(out)]) == 1
+    assert f"no samples in {empty}" in caplog.text
+    assert not out.exists()
 
 
 def write_predictions(path, n=200, seed=1):

@@ -4,6 +4,7 @@ splitting, and the canonical file formats."""
 import copy
 import json
 import math
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -908,6 +909,40 @@ def test_split_subsample_and_overlap():
     assert len(splits["train"]) == 20  # subsample >= population keeps everything
     with pytest.raises(ConfigError):
         split_dataset(samples, SplitSpec(val_start="2019-01-01"))
+
+
+@st.composite
+def split_cases(draw):
+    """A split spec over four strictly increasing whole-second bounds, and
+    samples whose timestamps fall on a bound, just either side of one, or
+    anywhere from a day before the first bound to a day after the last."""
+    t0 = parse_time("2019-08-01")
+    offsets = sorted(draw(st.sets(st.integers(0, 400 * 86400), min_size=4, max_size=4)))
+    bounds = [t0 + d for d in offsets]
+    names = ("train_start", "val_start", "test_start", "test_end")
+    counts = st.none() | st.integers(0, 12)
+    spec = SplitSpec(**{name: datetime.fromtimestamp(b, timezone.utc).isoformat()
+                        for name, b in zip(names, bounds)},
+                     train_subsample=draw(counts), val_subsample=draw(counts),
+                     test_subsample=draw(counts), seed=draw(st.integers(0, 2**32 - 1)))
+    near = st.sampled_from(bounds).flatmap(lambda b: st.sampled_from(
+        [b, b - 1.0, b + 1.0, np.nextafter(b, -np.inf), np.nextafter(b, np.inf)]))
+    anywhere = st.floats(bounds[0] - 86400.0, bounds[-1] + 86400.0)
+    times = draw(st.lists(near | anywhere, max_size=30))
+    return spec, [sample_with_refs([1] * 4, ts=t) for t in times]
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_cases())
+def test_split_matches_the_comparison_chain(case):
+    """The searchsorted split puts every sample where the per-sample
+    comparison chain did, draws the same subsamples and tallies alike."""
+    spec, samples = case
+    got, got_tally = split_dataset(samples, spec)
+    want, want_tally = oracles.split_dataset(samples, spec)
+    assert got_tally == want_tally
+    for name in ("train", "val", "test"):
+        assert [id(s) for s in got[name]] == [id(s) for s in want[name]]
 
 
 
