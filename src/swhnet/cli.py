@@ -21,7 +21,7 @@ from . import config as cfgmod
 from .autodiff import count_params
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import STRATEGIES, config_hash, load_config
-from .container import write_csv
+from .container import open_text, write_csv
 from .errors import ConfigError, ContractError, FormatError, NonFiniteError, ShapeError
 from .metrics import export_bias_grid, export_scatter, report
 from .model import WaveHeightModel
@@ -38,12 +38,15 @@ PREDICTION_FIELDS = ("sample_index", "timestamp", "channel", "sp_lat", "sp_lon",
                      "y_ref", "y_hat", "config_hash")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, seed: bool = False, model: bool = False) -> None:
+    """`--config`, and the override flags of the config keys the command reads."""
     p.add_argument("--config", help="JSON config file (flat key/value schema)")
-    p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--strategy", choices=STRATEGIES, help="channel strategy override")
-    p.add_argument("--use-wind", dest="use_wind", action="store_true", default=None,
-                   help="enable the wind-speed input column")
+    if seed:
+        p.add_argument("--seed", type=int, help="override the config seed")
+    if model:
+        p.add_argument("--strategy", choices=STRATEGIES, help="channel strategy override")
+        p.add_argument("--use-wind", dest="use_wind", action="store_true", default=None,
+                       help="enable the wind-speed input column")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic canonical sample file")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("preprocess", help="quality control + channel alignment of L1 records")
@@ -73,18 +76,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="train a model on a canonical sample file")
-    _add_common(p)
+    _add_common(p, seed=True, model=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("predict", help="run a checkpoint over a sample file")
-    _add_common(p)
+    _add_common(p, model=True)
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="predictions CSV")
 
     p = sub.add_parser("evaluate", help="predict and emit a metrics report")
-    _add_common(p)
+    _add_common(p, model=True)
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out-dir", required=True)
@@ -100,13 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> tuple[dict, str]:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.strategy is not None:
-        overrides["strategy"] = args.strategy
-    if getattr(args, "use_wind", None) is not None:
-        overrides["use_wind"] = args.use_wind
+    overrides = {key: value for key in ("seed", "strategy", "use_wind")
+                 if (value := getattr(args, key, None)) is not None}
     cfg = load_config(args.config, overrides)
     h = config_hash(cfg)
     log.info("config hash %s", h)
@@ -131,7 +129,7 @@ def cmd_preprocess(args) -> int:
     groups, align_tally = align_channels(kept)
     log.info("quality control: %s", qc_tally)
     log.info("alignment: %s", align_tally)
-    write_groups(args.out, groups, {"config_hash": h, "qc": qc_tally, "align": align_tally})
+    write_groups(args.out, groups, {"config_hash": h, "qc_tally": {"qc": qc_tally, "align": align_tally}})
     log.info("wrote %d aligned groups to %s", len(groups), args.out)
     return 0
 
@@ -168,10 +166,13 @@ def cmd_train(args) -> int:
     samples, _ = read_samples(args.data)
     mcfg = cfgmod.model_config(cfg)
     tcfg = cfgmod.train_config(cfg)
-    splits, split_tally = split_dataset(samples, cfgmod.split_spec(cfg))
+    spec = cfgmod.split_spec(cfg)
+    splits, split_tally = split_dataset(samples, spec)
     log.info("split: %s", split_tally)
-    if not splits["train"]:
-        raise ContractError("empty training split")
+    for key, name, start, end in (("train", "training", spec.train_start, spec.val_start),
+                                  ("val", "validation", spec.val_start, spec.test_start)):
+        if not splits[key]:
+            raise ContractError(f"empty {name} split [{start}, {end})")
     stats = compute_ap_stats(splits["train"], include_wind=mcfg.use_wind)
     train_ds = to_model_dataset(splits["train"], stats, mcfg.use_wind)
     width, height = train_ds.ddms.shape[-2:]
@@ -203,6 +204,8 @@ def _load_for_inference(args):
     if stats is None:
         raise ConfigError("checkpoint carries no standardization statistics")
     samples, _ = read_samples(args.data)
+    if not samples:
+        raise ContractError(f"no samples in {args.data}")
     dataset = to_model_dataset(samples, stats, model.cfg.use_wind)
     return cfg, h, model, dataset
 
@@ -223,8 +226,6 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg, h, model, dataset = _load_for_inference(args)
-    if len(dataset) == 0:
-        raise ContractError(f"no samples in {args.data}")
     preds = predict(model, dataset)
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "predictions.csv")
@@ -240,7 +241,7 @@ def _report_predictions(path: str, out_dir: str, cfg: dict, h: str) -> tuple:
     ref, lat and lon columns. A channel outside 1-4 or a value not a finite number at
     a line, or a channel without rows, is a FormatError, raised before any write."""
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not set(PREDICTION_FIELDS) <= set(reader.fieldnames):
             raise FormatError(f"predictions CSV must have columns {PREDICTION_FIELDS}")

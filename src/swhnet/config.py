@@ -22,6 +22,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
 
 from . import metrics
+from .container import open_text
 from .errors import ConfigError, FormatError
 
 STRATEGIES = ("CI", "CD")
@@ -74,10 +75,11 @@ class ModelConfig:
     dropout_p: float = 0.1
     strategy: str = "CD"
     use_wind: bool = False
-    standard_residual: bool = False
-    head_input: str = "full"          # "full" | "global_only"
     head_hidden: list[int] | None = None  # None -> geometric taper to 32
     seed: int = 0
+    # Not config keys: perfbench/composed.py reads them; they go with ROADMAP item 0.
+    standard_residual = False
+    head_input = "full"
 
     def __post_init__(self):
         _check_kinds(self)
@@ -86,7 +88,6 @@ class ModelConfig:
             _need(self, name, getattr(self, name) >= 1, "be >= 1")
         _need(self, "d_ff", self.strategy != "CI" or self.d_ff % 4 == 0, "be divisible by 4 under CI")
         _need(self, "dropout_p", 0.0 <= self.dropout_p < 1.0, "lie in [0, 1)")
-        _need(self, "head_input", self.head_input in ("full", "global_only"), "be 'full' or 'global_only'")
         _need(self, "head_hidden", self.head_hidden is None
               or (len(self.head_hidden) == 9 and min(self.head_hidden) >= 1), "be null or 9 widths >= 1")
 
@@ -120,21 +121,15 @@ class TrainConfig:
     weight_decay: float = 1e-5
     delta: float = 2.0
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         _check_kinds(self)
         for name in ("batch_size", "max_epochs"):
             _need(self, name, getattr(self, name) >= 1, "be >= 1")
         _need(self, "patience", 0 < self.patience <= self.max_epochs, "satisfy 0 < patience <= max_epochs")
-        for name in ("lr", "delta", "adam_eps"):
+        for name in ("lr", "delta"):
             _need(self, name, getattr(self, name) > 0, "be positive")
         _need(self, "weight_decay", self.weight_decay >= 0, "be >= 0")
-        # A beta of 1 zeroes Adam's bias correction 1 - beta**t.
-        for name in ("adam_beta1", "adam_beta2"):
-            _need(self, name, 0 <= getattr(self, name) < 1, "lie in [0, 1)")
 
 
 @dataclass
@@ -288,7 +283,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
     the wrong kind and values out of range raise ConfigError naming the key."""
     cfg = dict(DEFAULT_CONFIG)
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path, error=ConfigError) as fh:
             try:
                 loaded = json.load(fh)
             except json.JSONDecodeError as exc:

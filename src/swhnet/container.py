@@ -13,6 +13,8 @@ Writes go to a temporary file beside the target that is then renamed onto
 it, so a crashed writer leaves no half-written file. There is no fsync.
 The text reports (history, predictions, metrics and plot data) are written
 the same way, by `write_csv` and `write_json`, each float as its `repr`.
+Text inputs are read through `open_text`, which names a file that is not
+UTF-8.
 """
 
 import contextlib
@@ -52,6 +54,17 @@ def atomic_open_text(path: str):
     """`atomic_open` through a UTF-8 text handle that writes newlines as given."""
     with atomic_open(path) as raw, io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
         yield fh
+
+
+@contextlib.contextmanager
+def open_text(path: str, newline: str | None = None, error: type = FormatError):
+    """`path` opened as UTF-8 text; a byte that does not decode, wherever
+    the block reads it, raises `error` naming the file."""
+    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise error(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def write_csv(path: str, header, rows) -> None:

@@ -199,15 +199,8 @@ class DdmEncoder:
         cfg = self.cfg
         p = cfg.dropout_p
         o = self.sca_attention(tokens, layer)
-        if cfg.standard_residual:
-            d = channel_norm(ad.add(tokens, ad.dropout(o, p, train, rng)),
-                             layer["norm1_gamma"], layer["norm1_beta"], cfg.strategy)
-        else:
-            d = add_norm(o, o, layer["norm1_gamma"], layer["norm1_beta"], cfg.strategy, p, train, rng)
+        d = add_norm(o, o, layer["norm1_gamma"], layer["norm1_beta"], cfg.strategy, p, train, rng)
         f = self.ffn(d, layer, train, rng)
-        if cfg.standard_residual:
-            return channel_norm(ad.add(d, ad.dropout(f, p, train, rng)),
-                                layer["norm2_gamma"], layer["norm2_beta"], cfg.strategy)
         return add_norm(d, f, layer["norm2_gamma"], layer["norm2_beta"], cfg.strategy, p, train, rng)
 
     def dropout_draws(self) -> int:

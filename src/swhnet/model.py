@@ -54,8 +54,7 @@ class FusionHead:
 
     def __init__(self, cfg: ModelConfig, bag: ParamBag, rng: np.random.Generator):
         self.cfg = cfg
-        m_eff = cfg.flat_len if cfg.head_input == "full" else cfg.embed_dim
-        per_channel = m_eff + cfg.k_ap
+        per_channel = cfg.flat_len + cfg.k_ap
         self.input_dim = per_channel if cfg.strategy == "CI" else 4 * per_channel
         out_dim = 1 if cfg.strategy == "CI" else 4
         widths = head_widths(self.input_dim, cfg.head_hidden)
@@ -148,8 +147,6 @@ class WaveHeightModel:
             raise ShapeError(f"AP batch must be ({n}, 4, {cfg.k_ap}), got {aps.shape}")
         with ad.per_sample_streams(rng, n, self.encoder.dropout_draws() if train else 0) as streams:
             d_prime = self.encoder.forward(Tensor(ddms), train, streams)
-        if cfg.head_input == "global_only":
-            d_prime = ad.split(d_prime, cfg.seq_len, axis=-2)[0]
         a_prime = self.ap_branch.forward(Tensor(aps))
         return self.head.forward(fuse(d_prime, a_prime, cfg.strategy))
 

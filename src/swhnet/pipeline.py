@@ -638,7 +638,7 @@ def read_samples(path: str) -> tuple[list[FourChannelSample], dict]:
 def read_l1_records(path: str) -> list[dict]:
     """Raw interchange dicts; quality_control parses and screens them."""
     docs = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with container.open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -650,13 +650,14 @@ def read_l1_records(path: str) -> list[dict]:
 
 
 def read_era5_grid(path: str) -> Era5Grid:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with container.open_text(path) as fh:
+        try:
             doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"grid file {path} is not valid JSON: {exc}") from exc
+    try:
         arrays = {k: np.asarray(doc[k], dtype=bool if k == "mask" else np.float64)
                   for k in ("times", "lats", "lons", "swh", "mask")}
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"grid file {path} is not valid JSON: {exc}") from exc
     except (KeyError, TypeError) as exc:
         raise FormatError(f"grid file {path} is missing fields: {exc}") from exc
     except ValueError as exc:
@@ -669,7 +670,7 @@ def read_buoys(path: str) -> list[BuoyRecord]:
     import csv
 
     buoys = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with container.open_text(path, newline="") as fh:
         reader = csv.DictReader(fh)
         expected = {"station_id", "lat", "lon", "iso_time", "swh_m"}
         if reader.fieldnames is None or set(reader.fieldnames) != expected:
@@ -690,12 +691,12 @@ def read_buoys(path: str) -> list[BuoyRecord]:
 # ---------------------------------------------------------------------------
 
 
-def write_groups(path: str, groups: list[list[L1Record]], tally: dict) -> None:
+def write_groups(path: str, groups: list[list[L1Record]], manifest: dict) -> None:
     """A `container` file with one (n_groups, 4, ...) array per persisted
-    record field and the QC and alignment `tally` in its header's manifest."""
+    record field and `manifest` in its header."""
     recs = [r for group in groups for r in group]
     n = len(groups)
-    _write_container(path, "groups", {"manifest": {"tally": tally}}, {
+    _write_container(path, "groups", {"manifest": manifest}, {
         **per_channel(recs, n, "timestamp", "sp_lat", "sp_lon", "ddms", "rcg"),
         "channel": np.array([r.channel for r in recs], dtype=np.int64).reshape(n, 4),
         "aps": np.array([[r.aps[k] for k in BASE_AP_FIELDS] for r in recs],

@@ -212,8 +212,7 @@ def train(model: WaveHeightModel, train_set: ModelDataset, val_set: ModelDataset
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise ContractError("train() requires non-empty train and validation sets")
-    opt = AdamW(model.bag, lr=tcfg.lr, weight_decay=tcfg.weight_decay,
-                beta1=tcfg.adam_beta1, beta2=tcfg.adam_beta2, eps=tcfg.adam_eps)
+    opt = AdamW(model.bag, lr=tcfg.lr, weight_decay=tcfg.weight_decay)
     rng = np.random.default_rng([tcfg.seed, 1])
     history: list[dict] = []
     best_state = best_meta = None

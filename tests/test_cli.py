@@ -10,7 +10,7 @@ import pytest
 from damage import record_shape, set_header_field, set_last_value
 from swhnet import container
 from swhnet.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
-from swhnet.cli import main
+from swhnet.cli import build_parser, main
 from swhnet.config import config_hash, load_config, model_config, split_spec, synth_spec
 from swhnet.model import WaveHeightModel
 from swhnet.pipeline import (SCHEMA_VERSION, compute_ap_stats, parse_time, read_samples,
@@ -166,8 +166,9 @@ def test_pipeline_commands_era5_and_buoy(tmp_path, toy_config, l1_file, grid_fil
     assert main(["preprocess", "--config", toy_config, "--input", l1_file,
                  "--out", str(groups)]) == 0
     header, arrays = container.read(str(groups), "groups", SCHEMA_VERSION)
-    assert header["manifest"]["tally"]["qc"]["solar_contamination"] == 1
-    assert header["manifest"]["tally"]["align"]["incomplete_channels"] == 1
+    assert header["manifest"]["config_hash"] == config_hash(load_config(toy_config))
+    assert header["manifest"]["qc_tally"]["qc"]["solar_contamination"] == 1
+    assert header["manifest"]["qc_tally"]["align"]["incomplete_channels"] == 1
     assert arrays["timestamp"].shape[0] == 12
 
     samples = tmp_path / "era5_samples.jsonl"
@@ -243,6 +244,64 @@ def test_train_standardizes_with_its_own_training_split(tmp_path, toy_config, l1
     assert stats == compute_ap_stats(splits["train"], include_wind=False)
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({}, "empty validation split [2020-08-01, 2021-08-01)"),
+    ({"split_train_start": "2019-09-02"}, "empty training split [2019-09-02, 2020-08-01)")],
+    ids=["validation", "training"])
+def test_train_on_an_empty_split_exits_one_naming_its_dates(tmp_path, toy_config, l1_file, grid_file,
+                                                            caplog, changes, message):
+    """The 12 matched samples lie on 2019-09-01, inside the default training
+    split. train refuses an empty split before it builds the model."""
+    era5, _ = matched_sample_files(tmp_path, toy_config, l1_file, grid_file)
+    config = tmp_path / "split.json"
+    config.write_text(json.dumps({**TOY, **changes}))
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--data", str(era5), "--out-dir", str(run_dir)]) == 1
+    assert message in caplog.text
+    assert "model parameters" not in caplog.text
+    assert not run_dir.exists()
+
+
+def not_utf8(path):
+    """Put one 0xff byte, which no UTF-8 text holds, after the file's first byte."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(raw[:1] + b"\xff" + raw[1:])
+
+
+@pytest.mark.parametrize("command, flag, code", [
+    ("preprocess", "--input", 2), ("match-era5", "--grid", 2), ("match-buoy", "--buoys", 2),
+    ("report", "--predictions", 2),
+    *((command, "--config", 1) for command in ("synth", "preprocess", "match-era5", "match-buoy",
+                                                "train", "predict", "evaluate", "report"))])
+def test_an_input_that_is_not_utf8_exits_naming_it(tmp_path, toy_config, l1_file, grid_file, caplog,
+                                                   command, flag, code):
+    """One 0xff byte in a text input: in an L1 file, grid, buoy CSV or
+    predictions CSV it is a format error (exit 2), in a config file a config
+    error (exit 1). Each names the file, and nothing is written."""
+    groups, buoys, preds = (str(tmp_path / name) for name in ("groups.jsonl", "buoys.csv", "preds.csv"))
+    assert main(["preprocess", "--config", toy_config, "--input", l1_file, "--out", groups]) == 0
+    with open(buoys, "w") as fh:
+        fh.write("station_id,lat,lon,iso_time,swh_m\n41001,10.0,40.0,2019-09-01T00:00:00,1.5\n")
+    write_predictions(preds, n=10)
+    out, missing = str(tmp_path / "out"), str(tmp_path / "missing")
+    args = {"synth": ["--out", out],
+            "preprocess": ["--input", l1_file, "--out", out],
+            "match-era5": ["--input", groups, "--grid", grid_file, "--out", out],
+            "match-buoy": ["--input", groups, "--buoys", buoys, "--out", out],
+            "train": ["--data", missing, "--out-dir", out],
+            "predict": ["--data", missing, "--checkpoint", missing, "--out", out],
+            "evaluate": ["--data", missing, "--checkpoint", missing, "--out-dir", out],
+            "report": ["--predictions", preds, "--out-dir", out]}[command]
+    argv = ["--config", toy_config, *args]
+    damaged = argv[argv.index(flag) + 1]
+    not_utf8(damaged)
+    assert main([command, *argv]) == code
+    assert f"{damaged} is not UTF-8 text" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_reads_nothing_from_the_manifest(tmp_path, toy_config):
     data = tmp_path / "bare.jsonl"
     write_samples(str(data), generate(synth_spec(load_config(toy_config))), {})
@@ -264,16 +323,19 @@ def test_train_on_ddms_of_another_size_exits_one(tmp_path, caplog):
     assert not run_dir.exists()
 
 
-def test_evaluate_on_an_empty_sample_file_exits_one_and_writes_nothing(tmp_path, toy_config, caplog):
-    """A matcher writes a file without samples when nothing matches."""
+@pytest.mark.parametrize("command, out_flag", [("evaluate", "--out-dir"), ("predict", "--out")])
+def test_evaluate_on_an_empty_sample_file_exits_one_and_writes_nothing(tmp_path, toy_config, caplog,
+                                                                      command, out_flag):
+    """A matcher writes a file without samples when nothing matches; predict
+    refuses it too, rather than write a predictions CSV that report refuses."""
     data = tmp_path / "samples.jsonl"
     assert main(["synth", "--config", toy_config, "--out", str(data)]) == 0
     assert main(["train", "--config", toy_config, "--data", str(data), "--out-dir", str(tmp_path / "run")]) == 0
     empty = tmp_path / "empty.jsonl"
     write_samples(str(empty), [], {"config_hash": "h"})
     out = tmp_path / "eval"
-    assert main(["evaluate", "--config", toy_config, "--data", str(empty),
-                 "--checkpoint", str(tmp_path / "run" / "checkpoint.json"), "--out-dir", str(out)]) == 1
+    assert main([command, "--config", toy_config, "--data", str(empty),
+                 "--checkpoint", str(tmp_path / "run" / "checkpoint.json"), out_flag, str(out)]) == 1
     assert f"no samples in {empty}" in caplog.text
     assert not out.exists()
 
@@ -565,6 +627,46 @@ def test_unknown_config_key_exits_one(tmp_path):
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "x.jsonl")]) == 1
 
 
+@pytest.mark.parametrize("key, value", [("standard_residual", False), ("head_input", "full"),
+                                        ("adam_beta1", 0.9), ("adam_beta2", 0.999), ("adam_eps", 1e-8)])
+def test_a_removed_key_is_unknown(tmp_path, caplog, key, value):
+    """The two ablation wirings and the three Adam constants left the schema,
+    so a config that sets one, even to its old default, exits 1."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**TOY, key: value}))
+    assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "x.jsonl")]) == 1
+    assert f"unknown config key {key!r}" in caplog.text
+    assert not (tmp_path / "x.jsonl").exists()
+
+
+# Each command's required arguments, and the override flags it takes: those
+# of the config keys it reads.
+REQUIRED_ARGS = {"synth": ["--out", "o"], "preprocess": ["--input", "i", "--out", "o"],
+                 "match-era5": ["--input", "i", "--grid", "g", "--out", "o"],
+                 "match-buoy": ["--input", "i", "--buoys", "b", "--out", "o"],
+                 "train": ["--data", "d", "--out-dir", "o"],
+                 "predict": ["--data", "d", "--checkpoint", "c", "--out", "o"],
+                 "evaluate": ["--data", "d", "--checkpoint", "c", "--out-dir", "o"],
+                 "report": ["--predictions", "p", "--out-dir", "o"]}
+OVERRIDE_FLAGS = {"--seed": ("seed", ["1"]), "--strategy": ("strategy", ["CI"]), "--use-wind": ("use_wind", [])}
+TAKES = {"synth": {"--seed"}, "train": {"--seed", "--strategy", "--use-wind"},
+         "predict": {"--strategy", "--use-wind"}, "evaluate": {"--strategy", "--use-wind"}}
+
+
+@pytest.mark.parametrize("flag", sorted(OVERRIDE_FLAGS))
+@pytest.mark.parametrize("command", sorted(REQUIRED_ARGS))
+def test_a_command_takes_only_the_override_flags_it_reads(capsys, command, flag):
+    dest, value = OVERRIDE_FLAGS[flag]
+    argv = [command, "--config", "c.json", *REQUIRED_ARGS[command], flag, *value]
+    if flag in TAKES.get(command, ()):
+        assert getattr(build_parser().parse_args(argv), dest) is not None
+    else:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_strategy_mismatch_on_checkpoint_exits_one(tmp_path, toy_config):
     data = tmp_path / "samples.jsonl"
     main(["synth", "--config", toy_config, "--out", str(data)])
@@ -607,6 +709,20 @@ def test_checkpoint_config_of_the_wrong_kind_exits_two(tmp_path, toy_config):
                     model.bag.state_arrays())
     assert main(["predict", "--config", toy_config, "--data", str(data), "--checkpoint", str(ckpt),
                  "--out", str(tmp_path / "preds.csv")]) == 2
+
+
+@pytest.mark.parametrize("key, value", [("standard_residual", False), ("head_input", "full")])
+def test_checkpoint_config_with_a_removed_wiring_key_exits_two(tmp_path, toy_config, caplog, key, value):
+    data = tmp_path / "samples.jsonl"
+    main(["synth", "--config", toy_config, "--out", str(data)])
+    model = WaveHeightModel(model_config(load_config(toy_config)))
+    ckpt = tmp_path / "checkpoint.json"
+    container.write(str(ckpt), "checkpoint", FORMAT_VERSION,
+                    {"config": {**vars(model.cfg), key: value}, "standardization": None, "meta": None},
+                    model.bag.state_arrays())
+    assert main(["predict", "--config", toy_config, "--data", str(data), "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "preds.csv")]) == 2
+    assert "does not fit ModelConfig" in caplog.text and key in caplog.text
 
 
 def test_checkpoint_with_a_non_finite_parameter_exits_two(tmp_path, toy_config, caplog):
@@ -658,6 +774,7 @@ def test_negative_subsample_exits_one(tmp_path, toy_config):
                  "--out-dir", str(tmp_path / "run")]) == 1
 
 
+# The adam_* rows name keys that are no longer in the schema: each is unknown.
 @pytest.mark.parametrize("key, value", [("synth_n_samples", "5"), ("n_layers", True),
                                         ("report_bin_edges", 5), ("adam_beta1", 1.0),
                                         ("adam_beta2", 1.5), ("adam_eps", 0.0),

@@ -1,9 +1,12 @@
 """Tests for the flat config schema: keys and defaults derived from the
 config dataclasses, value kinds and ranges, and the config hash."""
 
+import fnmatch
+import re
 import typing
 from collections import Counter
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -26,11 +29,11 @@ QUICK_START = {
 
 
 def test_default_config_hash_is_pinned():
-    assert config_hash(load_config()) == config_hash(DEFAULT_CONFIG) == "b9a6d034a79c"
+    assert config_hash(load_config()) == config_hash(DEFAULT_CONFIG) == "7551ceefcab8"
 
 
 def test_quick_start_config_hash_is_pinned():
-    assert config_hash(load_config(None, QUICK_START)) == "cc5d66871212"
+    assert config_hash(load_config(None, QUICK_START)) == "39e3f1043f80"
 
 
 @pytest.mark.parametrize("key, value", [
@@ -44,7 +47,7 @@ def test_quick_start_config_hash_is_pinned():
     ("report_bin_edges", [0.0, "1"]),
     ("head_hidden", [16.5] * 9),
     ("train_subsample", 2.5),
-    # Out of range: a beta of 1 zeroes Adam's bias correction.
+    # Keys no longer in the schema: each is unknown.
     ("adam_beta1", 1.0),
     ("adam_beta2", 1.5),
     ("adam_eps", 0.0),
@@ -151,3 +154,22 @@ def test_equal_synth_times_and_datetime_splits_are_taken():
                              "split_val_start": "2020-08-01T06:00:00+06:00"})
     assert synth_spec(cfg).time_end == "2020-01-01T00:00:00Z"
     assert split_spec(cfg).val_start == "2020-08-01T06:00:00+06:00"
+
+
+def readme_key_table() -> list[str]:
+    """The key cells of the README's table under "The main keys"."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = text.split("The main keys:", 1)[1].strip().split("\n\n", 1)[0].splitlines()
+    return [row.split("|")[1] for row in rows[2:]]
+
+
+def test_readme_key_table_names_only_config_keys():
+    """Each backticked name in the table's key column, a range row's ends
+    included, is a config key; each wildcard matches at least one."""
+    names = [name for cell in readme_key_table() for name in re.findall(r"`([^`]+)`", cell)]
+    assert len(names) >= 15
+    for name in names:
+        if "*" in name:
+            assert fnmatch.filter(DEFAULT_CONFIG, name), f"README wildcard {name!r} matches no key"
+        else:
+            assert name in DEFAULT_CONFIG, f"README names {name!r}, which is not a config key"

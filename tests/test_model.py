@@ -269,14 +269,6 @@ def test_cd_has_more_params_than_ci():
     assert count_params(cd.bag) > count_params(ci.bag)
 
 
-def test_global_only_head_input():
-    cfg = toy_config(head_input="global_only")
-    model = WaveHeightModel(cfg)
-    assert model.head.input_dim == 4 * (cfg.embed_dim + cfg.k_ap)
-    ddm, ap = toy_inputs(cfg)
-    assert model.predict_sample(ddm, ap).shape == (4,)
-
-
 def test_paper_default_train_forward_holds_two_bytes_per_hidden_unit():
     """Memory still held after one paper-default training forward, before
     backward: the fused attention keeps O(M) arrays per layer, not the M x M

@@ -1113,7 +1113,7 @@ def test_group_file_roundtrip_bit_identical(tmp_path):
     write_groups(str(path2), loaded, {"qc": {}})
     assert path.read_bytes() == path2.read_bytes()
     header, _ = container.read(str(path), "groups", pipeline.SCHEMA_VERSION)
-    assert header["manifest"] == {"tally": {"qc": {}}}
+    assert header["manifest"] == {"qc": {}}
     assert not list(tmp_path.glob("*.manifest.json"))
 
 
