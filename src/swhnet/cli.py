@@ -23,7 +23,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import STRATEGIES, config_hash, load_config
 from .container import open_text, write_csv
 from .errors import ConfigError, ContractError, FormatError, NonFiniteError, ShapeError
-from .metrics import export_bias_grid, export_scatter, report
+from .metrics import MetricsReport, export_bias_grid, export_scatter, report
 from .model import WaveHeightModel
 from .pipeline import (align_channels, cap_and_filter, compute_ap_stats,
                        match_buoy_groups, match_era5_groups, quality_control,
@@ -96,9 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--predictions", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--bins", action="store_true", help="also write the binned CSV")
-    p.add_argument("--scatter", action="store_true", help="also write density-scatter data")
-    p.add_argument("--bias-grid", action="store_true", help="also write the gridded bias map")
     return parser
 
 
@@ -134,31 +131,20 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _finish_samples(args, h: str, samples, tallies: dict) -> int:
+def cmd_match(args) -> int:
+    """match-era5 or match-buoy: collocate with the reference, then cap."""
+    _, h = _resolve_config(args)
+    groups = read_groups(args.input)
+    if args.command == "match-era5":
+        samples, tally = match_era5_groups(groups, read_era5_grid(args.grid))
+    else:
+        samples, tally = match_buoy_groups(groups, read_buoys(args.buoys))
+    log.info("%s matching: %s", args.command.removeprefix("match-"), tally)
     samples, cap_tally = cap_and_filter(samples)
-    tallies["cap"] = cap_tally
     log.info("cap filter: %s", cap_tally)
-    write_samples(args.out, samples, {"config_hash": h, "qc_tally": tallies})
+    write_samples(args.out, samples, {"config_hash": h, "qc_tally": {"match": tally, "cap": cap_tally}})
     log.info("wrote %d samples to %s", len(samples), args.out)
     return 0
-
-
-def cmd_match_era5(args) -> int:
-    _, h = _resolve_config(args)
-    groups = read_groups(args.input)
-    grid = read_era5_grid(args.grid)
-    samples, tally = match_era5_groups(groups, grid)
-    log.info("era5 matching: %s", tally)
-    return _finish_samples(args, h, samples, {"match": tally})
-
-
-def cmd_match_buoy(args) -> int:
-    _, h = _resolve_config(args)
-    groups = read_groups(args.input)
-    buoys = read_buoys(args.buoys)
-    samples, tally = match_buoy_groups(groups, buoys)
-    log.info("buoy matching: %s", tally)
-    return _finish_samples(args, h, samples, {"match": tally})
 
 
 def cmd_train(args) -> int:
@@ -230,16 +216,17 @@ def cmd_evaluate(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "predictions.csv")
     _write_predictions(path, dataset, preds, h)
-    rep = _report_predictions(path, args.out_dir, cfg, h)[0]
+    rep = _report_predictions(path, args.out_dir, cfg, h)
     log.info("average RMSE %.4f over %d predictions", rep.average["rmse"], rep.n)
     return 0
 
 
-def _report_predictions(path: str, out_dir: str, cfg: dict, h: str) -> tuple:
-    """Write metrics.json and metrics.csv into out_dir from the predictions CSV at
-    `path`, for both `evaluate` and `report`; return the report and the file's pred,
-    ref, lat and lon columns. A channel outside 1-4 or a value not a finite number at
-    a line, or a channel without rows, is a FormatError, raised before any write."""
+def _report_predictions(path: str, out_dir: str, cfg: dict, h: str) -> MetricsReport:
+    """Write the report of the predictions CSV at `path` into out_dir, for both
+    `evaluate` and `report`: metrics.json, metrics.csv, metrics_binned.csv, the
+    three scatter_* files and bias_grid.csv. A channel outside 1-4 or a value not a
+    finite number at a line, or a channel without rows, is a FormatError, raised
+    before any write."""
     rows = []
     with open_text(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -267,20 +254,17 @@ def _report_predictions(path: str, out_dir: str, cfg: dict, h: str) -> tuple:
     rep = report(pairs, bin_edges=cfg["report_bin_edges"], config_hash=h)
     rep.write_json(os.path.join(out_dir, "metrics.json"))
     rep.write_csv(os.path.join(out_dir, "metrics.csv"))
-    return rep, preds, refs, lats, lons
+    rep.write_binned_csv(os.path.join(out_dir, "metrics_binned.csv"))
+    export_scatter(preds, refs, os.path.join(out_dir, "scatter"),
+                   bin_width=cfg["scatter_bin_width"], config_hash=h)
+    export_bias_grid(lats, lons, preds, refs, os.path.join(out_dir, "bias_grid.csv"),
+                     cell_deg=cfg["bias_cell_deg"], config_hash=h)
+    return rep
 
 
 def cmd_report(args) -> int:
     cfg, h = _resolve_config(args)
-    rep, preds, refs, lats, lons = _report_predictions(args.predictions, args.out_dir, cfg, h)
-    if args.bins:
-        rep.write_binned_csv(os.path.join(args.out_dir, "metrics_binned.csv"))
-    if args.scatter:
-        export_scatter(preds, refs, os.path.join(args.out_dir, "scatter"),
-                       bin_width=cfg["scatter_bin_width"], config_hash=h)
-    if args.bias_grid:
-        export_bias_grid(lats, lons, preds, refs, os.path.join(args.out_dir, "bias_grid.csv"),
-                         cell_deg=cfg["bias_cell_deg"], config_hash=h)
+    _report_predictions(args.predictions, args.out_dir, cfg, h)
     log.info("report written to %s", args.out_dir)
     return 0
 
@@ -288,8 +272,8 @@ def cmd_report(args) -> int:
 COMMANDS = {
     "synth": cmd_synth,
     "preprocess": cmd_preprocess,
-    "match-era5": cmd_match_era5,
-    "match-buoy": cmd_match_buoy,
+    "match-era5": cmd_match,
+    "match-buoy": cmd_match,
     "train": cmd_train,
     "predict": cmd_predict,
     "evaluate": cmd_evaluate,

@@ -36,9 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamBag, Tensor
 from .config import DDM_TYPES, ModelConfig
-from .errors import ConfigError, ShapeError
-
-LN_EPS = 1e-5
+from .errors import ShapeError
 
 
 def positional_encoding(seq_len: int, dim: int) -> np.ndarray:
@@ -63,19 +61,6 @@ def _xavier(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_o
     return rng.uniform(-limit, limit, size=shape)
 
 
-def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor, strategy: str, eps: float = LN_EPS) -> Tensor:
-    """Normalize an (..., M, 4) token tensor according to the channel strategy.
-
-    CD normalizes each token over its 4 channel features; CI normalizes
-    each channel column over its M tokens so no statistics are shared
-    across channels. The affine parameters are per channel either way.
-    One fused op (`autodiff.affine_norm`) serves both.
-    """
-    if strategy not in ("CD", "CI"):
-        raise ConfigError(f"unknown strategy {strategy!r}")
-    return ad.affine_norm(x, gamma, beta, over_tokens=strategy == "CI", eps=eps)
-
-
 def add_norm(
     residual: Tensor,
     features: Tensor,
@@ -91,8 +76,14 @@ def add_norm(
     Note the order: the *normalized* sublayer output passes through
     dropout and is added back to the raw tensor. For the attention block
     residual and features are the same tensor.
+
+    Norm normalizes the (..., M, 4) tokens according to the channel
+    strategy: CD normalizes each token over its 4 channel features; CI
+    normalizes each channel column over its M tokens so no statistics are
+    shared across channels. The affine parameters are per channel either
+    way. One fused op (`autodiff.affine_norm`) serves both.
     """
-    normed = channel_norm(features, gamma, beta, strategy)
+    normed = ad.affine_norm(features, gamma, beta, over_tokens=strategy == "CI")
     return ad.add(residual, ad.dropout(normed, dropout_p, train, rng))
 
 

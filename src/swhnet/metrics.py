@@ -8,8 +8,9 @@ Conventions:
     while report() excludes references below 0.01 m with a counted
     exclusion (post-screening references are positive, so the count
     should be zero and is asserted in tests).
-  * CC for a constant vector is undefined and reported as None rather
-    than NaN.
+  * CC for a constant vector, and the scatter's regression line for
+    constant references, are undefined and reported as None rather than
+    NaN.
   * SWH bins are left-closed right-open with the final bin closed at 8 m.
 """
 
@@ -185,7 +186,8 @@ def least_squares_fit(pred: np.ndarray, ref: np.ndarray) -> tuple[float, float]:
     sxx = float(ref @ ref)
     sxy = float(ref @ pred)
     denom = n * sxx - sx * sx
-    if denom == 0.0:
+    # Rounding can leave a constant vector's denominator nonzero.
+    if denom == 0.0 or ref.min() == ref.max():
         raise ContractError("least-squares fit undefined for constant references")
     slope = (n * sxy - sx * sy) / denom
     intercept = (sy - slope * sx) / n
@@ -198,11 +200,16 @@ def export_scatter(pred, ref, path_prefix: str, bin_width: float = 0.1,
 
     Writes {prefix}_pairs.csv, {prefix}_hist.csv (2-D counts over
     [lo, hi]^2, in as many bins of `bin_width` as reach `hi`, so the last
-    may end past it), and {prefix}_fit.json with the regression line.
+    may end past it), and {prefix}_fit.json with the regression line, whose
+    slope and intercept are None (null) for constant references.
     """
     pred, ref = _pair(pred, ref)
     if bin_width <= 0:
         raise ConfigError("bin width must be positive")
+    try:
+        slope, intercept = least_squares_fit(pred, ref)
+    except ContractError:
+        slope = intercept = None
     write_csv(f"{path_prefix}_pairs.csv", ["ref", "pred", "config_hash"],
               ([r, p, config_hash] for r, p in zip(ref, pred)))
     # Rounded first, so that float error in the ratio adds no bin.
@@ -211,7 +218,6 @@ def export_scatter(pred, ref, path_prefix: str, bin_width: float = 0.1,
     hist, _, _ = np.histogram2d(ref, pred, bins=[edges, edges])
     write_csv(f"{path_prefix}_hist.csv", ["ref_bin_lo", "pred_bin_lo", "count", "config_hash"],
               ([edges[i], edges[j], int(hist[i, j]), config_hash] for i, j in zip(*np.nonzero(hist))))
-    slope, intercept = least_squares_fit(pred, ref)
     fit = {"slope": slope, "intercept": intercept, "n": int(pred.size),
            "hist_total": int(hist.sum()), "config_hash": config_hash}
     write_json(f"{path_prefix}_fit.json", fit)

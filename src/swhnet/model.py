@@ -17,7 +17,7 @@ from .autodiff import ParamBag, Tensor
 from .apbranch import ApGateBranch
 from .config import ModelConfig
 from .encoder import DdmEncoder, _xavier
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ContractError, ShapeError
 
 HEAD_N_HIDDEN = 9
 HEAD_MIN_WIDTH = 32
@@ -36,9 +36,7 @@ def fuse(d_prime: Tensor, a_prime: Tensor, strategy: str) -> Tensor:
     per_channel = ad.concat([ad.transpose(d_prime), a_prime], axis=-1)
     if strategy == "CI":
         return per_channel
-    if strategy == "CD":
-        return ad.reshape(per_channel, per_channel.shape[:-2] + (1, -1))
-    raise ConfigError(f"unknown strategy {strategy!r}")
+    return ad.reshape(per_channel, per_channel.shape[:-2] + (1, -1))
 
 
 def head_widths(input_dim: int, explicit: list[int] | None) -> list[int]:

@@ -662,7 +662,10 @@ def read_era5_grid(path: str) -> Era5Grid:
         raise FormatError(f"grid file {path} is missing fields: {exc}") from exc
     except ValueError as exc:
         raise FormatError(f"grid file {path} holds a non-numeric or ragged array: {exc}") from exc
-    return Era5Grid(**arrays)
+    try:
+        return Era5Grid(**arrays)
+    except (ConfigError, FormatError) as exc:  # an axis, shape or SWH fault of the file
+        raise FormatError(f"grid file {path}: {exc}") from exc
 
 
 def read_buoys(path: str) -> list[BuoyRecord]:

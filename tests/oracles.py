@@ -42,9 +42,10 @@ byte. `write_predictions`, `write_history`, `export_scatter` and
 one wrote through `container.write_csv` and `container.write_json`,
 which the writers that replaced them must reproduce byte for byte (the
 scatter at widths that divide its range, where its bin count is
-unchanged). `swh_from_nbrcs`, the exact inverse of synth's planted map, and
-`channel_sd_percentile`, the spread of a sample's four references, are
-helpers that only tests use.
+unchanged, and with a null line for constant references, where it
+raised after writing two files). `swh_from_nbrcs`, the exact inverse of
+synth's planted map, and `channel_sd_percentile`, the spread of a
+sample's four references, are helpers that only tests use.
 """
 
 import csv
@@ -1009,7 +1010,10 @@ def export_scatter(pred, ref, path_prefix: str, bin_width: float = 0.1,
                 if hist[i, j] > 0:
                     writer.writerow([repr(float(edges[i])), repr(float(edges[j])),
                                      int(hist[i, j]), config_hash])
-    slope, intercept = least_squares_fit(pred, ref)
+    try:
+        slope, intercept = least_squares_fit(pred, ref)
+    except ContractError:  # constant references give a null line
+        slope = intercept = None
     fit = {"slope": slope, "intercept": intercept, "n": int(pred.size),
            "hist_total": int(hist.sum()), "config_hash": config_hash}
     with atomic_open_text(f"{path_prefix}_fit.json") as fh:

@@ -133,7 +133,7 @@ def test_synth_train_evaluate_report_roundtrip(tmp_path, toy_config):
 
     rep_dir = tmp_path / "rep"
     assert main(["report", "--config", toy_config, "--predictions", str(preds),
-                 "--out-dir", str(rep_dir), "--bins", "--scatter", "--bias-grid"]) == 0
+                 "--out-dir", str(rep_dir)]) == 0
     assert (rep_dir / "metrics_binned.csv").exists()
     assert (rep_dir / "scatter_fit.json").exists()
     assert (rep_dir / "bias_grid.csv").exists()
@@ -156,7 +156,7 @@ def test_binned_report_has_eight_rows_on_full_range(tmp_path, toy_config):
                 i += 1
     out = tmp_path / "rep"
     assert main(["report", "--config", toy_config, "--predictions", str(preds),
-                 "--out-dir", str(out), "--bins"]) == 0
+                 "--out-dir", str(out)]) == 0
     rows = (out / "metrics_binned.csv").read_text().splitlines()
     assert len(rows) == 1 + 8
 
@@ -375,7 +375,7 @@ def test_report_with_a_reporting_key_out_of_range_writes_nothing(tmp_path, key, 
     bad.write_text(json.dumps({**TOY, key: value}))
     out = tmp_path / "rep"
     assert main(["report", "--config", str(bad), "--predictions", str(preds),
-                 "--out-dir", str(out), "--bins", "--scatter", "--bias-grid"]) == 1
+                 "--out-dir", str(out)]) == 1
     assert repr(key) in caplog.text
     assert not out.exists()
 
@@ -387,7 +387,7 @@ def test_report_at_the_widest_scatter_bin_fills_its_histogram(tmp_path):
     config.write_text(json.dumps({**TOY, "scatter_bin_width": 8.0}))
     out = tmp_path / "rep"
     assert main(["report", "--config", str(config), "--predictions", str(preds),
-                 "--out-dir", str(out), "--scatter"]) == 0
+                 "--out-dir", str(out)]) == 0
     assert json.loads((out / "scatter_fit.json").read_text())["hist_total"] == 800
 
 
@@ -409,7 +409,7 @@ def test_report_on_a_malformed_prediction_row_exits_two(tmp_path, toy_config, ca
     damage_prediction(preds, 7, column, value)
     out = tmp_path / "rep"
     assert main(["report", "--config", toy_config, "--predictions", str(preds),
-                 "--out-dir", str(out), "--bins", "--scatter", "--bias-grid"]) == 2
+                 "--out-dir", str(out)]) == 2
     assert f"{preds} line 7" in caplog.text
     assert not out.exists()
 
@@ -424,7 +424,7 @@ def test_report_on_predictions_without_a_channel_exits_two(tmp_path, toy_config,
         csv.writer(fh).writerows(rows)
     out = tmp_path / "rep"
     assert main(["report", "--config", toy_config, "--predictions", str(preds),
-                 "--out-dir", str(out), "--bins", "--scatter", "--bias-grid"]) == 2
+                 "--out-dir", str(out)]) == 2
     assert f"{preds} has no prediction rows for channel {channel}" in caplog.text
     assert not out.exists()
 
@@ -442,6 +442,54 @@ def test_evaluate_writes_the_metrics_that_report_writes_from_its_predictions(tmp
                  "--out-dir", str(rep)]) == 0
     for name in ("metrics.json", "metrics.csv"):
         assert (ev / name).read_bytes() == (rep / name).read_bytes(), name
+
+
+REPORT_FILES = {"metrics.json", "metrics.csv", "metrics_binned.csv", "scatter_pairs.csv",
+                "scatter_hist.csv", "scatter_fit.json", "bias_grid.csv"}
+
+
+@pytest.mark.parametrize("flag", ["--bins", "--scatter", "--bias-grid"])
+def test_report_takes_no_output_switch(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["report", *REQUIRED_ARGS["report"], flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_evaluate_writes_its_predictions_and_the_report_of_them(tmp_path, toy_config):
+    """evaluate is predict into predictions.csv, then report on that file."""
+    data, run, ev, rep = (tmp_path / name for name in ("samples.jsonl", "run", "eval", "rep"))
+    assert main(["synth", "--config", toy_config, "--out", str(data)]) == 0
+    assert main(["train", "--config", toy_config, "--data", str(data), "--out-dir", str(run)]) == 0
+    assert main(["evaluate", "--config", toy_config, "--data", str(data),
+                 "--checkpoint", str(run / "checkpoint.json"), "--out-dir", str(ev)]) == 0
+    assert main(["report", "--config", toy_config, "--predictions", str(ev / "predictions.csv"),
+                 "--out-dir", str(rep)]) == 0
+    assert {f.name for f in rep.iterdir()} == REPORT_FILES
+    assert {f.name for f in ev.iterdir()} == REPORT_FILES | {"predictions.csv"}
+    for name in REPORT_FILES:
+        assert (ev / name).read_bytes() == (rep / name).read_bytes(), name
+
+
+def test_evaluate_and_report_on_four_equal_references_write_a_null_fit(tmp_path, toy_config):
+    """One sample whose four channels share a reference, as when all four
+    match one buoy row: the scatter's regression line is undefined, so it
+    is null, and every report file is written."""
+    data, one, run, ev, rep = (tmp_path / name for name in ("samples.jsonl", "one.jsonl", "run", "eval", "rep"))
+    assert main(["synth", "--config", toy_config, "--out", str(data)]) == 0
+    assert main(["train", "--config", toy_config, "--data", str(data), "--out-dir", str(run)]) == 0
+    sample = read_samples(str(data))[0][0]
+    for ch in sample.channels:
+        ch.swh_ref = 2.0
+    write_samples(str(one), [sample], {})
+    assert main(["evaluate", "--config", toy_config, "--data", str(one),
+                 "--checkpoint", str(run / "checkpoint.json"), "--out-dir", str(ev)]) == 0
+    assert main(["report", "--config", toy_config, "--predictions", str(ev / "predictions.csv"),
+                 "--out-dir", str(rep)]) == 0
+    for out in (ev, rep):
+        assert {f.name for f in out.iterdir()} - {"predictions.csv"} == REPORT_FILES
+        fit = json.loads((out / "scatter_fit.json").read_text())
+        assert (fit["slope"], fit["intercept"], fit["n"]) == (None, None, 4)
 
 
 def damage_grid(doc, field, kind):
@@ -471,19 +519,41 @@ def test_match_era5_on_a_non_numeric_or_ragged_grid_exits_two(tmp_path, toy_conf
     assert not out.exists()
 
 
-def test_match_era5_on_a_grid_with_uneven_spacing_exits_one(tmp_path, toy_config, l1_file, grid_file, caplog):
-    """A numeric grid whose axis breaks the grid's contract is a config
-    error (exit 1), not a format error."""
+# A grid fault that its arrays' types do not show, and the message it gives.
+GRID_FAULTS = {"one time point": "grid times axis needs at least two points",
+               "lats spacing 0.7": "grid lats axis spacing must be exactly 0.5",
+               "swh shape": "grid swh shape (30, 21, 20) does not match axes",
+               "nan swh": "grid swh is not finite at the unmasked node"}
+
+
+def break_grid(doc, fault):
+    if fault == "one time point":
+        doc["times"], doc["swh"] = doc["times"][:1], doc["swh"][:1]
+    elif fault == "lats spacing 0.7":
+        doc["lats"] = [doc["lats"][0] + 0.7 * i for i in range(len(doc["lats"]))]
+    elif fault == "swh shape":
+        doc["swh"] = [[row[:-1] for row in layer] for layer in doc["swh"]]
+    else:
+        doc["swh"][3][4][5] = float("nan")
+
+
+@pytest.mark.parametrize("fault", list(GRID_FAULTS))
+def test_match_era5_on_a_faulty_grid_exits_two_naming_the_file(tmp_path, toy_config, l1_file, grid_file,
+                                                                caplog, fault):
+    """A grid file whose axes, shapes or values break the grid's contract is
+    a file-format error (exit 2) naming the file, and nothing is written."""
     groups = tmp_path / "groups.jsonl"
     assert main(["preprocess", "--config", toy_config, "--input", l1_file, "--out", str(groups)]) == 0
     with open(grid_file) as fh:
         doc = json.load(fh)
-    doc["lats"][-1] += 0.25
+    break_grid(doc, fault)
     with open(grid_file, "w") as fh:
         json.dump(doc, fh)
+    out = tmp_path / "samples.jsonl"
     assert main(["match-era5", "--config", toy_config, "--input", str(groups),
-                 "--grid", grid_file, "--out", str(tmp_path / "samples.jsonl")]) == 1
-    assert "grid lats axis spacing must be exactly 0.5" in caplog.text
+                 "--grid", grid_file, "--out", str(out)]) == 2
+    assert f"grid file {grid_file}: {GRID_FAULTS[fault]}" in caplog.text
+    assert not out.exists()
 
 
 def test_match_era5_on_a_grid_that_is_not_json_names_the_json_error(tmp_path, toy_config, l1_file, grid_file,

@@ -292,6 +292,20 @@ def test_fit_matches_normal_equations_three_points():
     assert intercept == pytest.approx(exp_int, abs=1e-14)
 
 
+@pytest.mark.parametrize("swh", [2.0, 0.6])
+def test_fit_is_undefined_for_constant_references(tmp_path, swh):
+    """The fit raises; the scatter export writes a null line and every
+    file. At 0.6 m the normal equations' denominator rounds to nonzero."""
+    ref = np.full(4, swh)
+    pred = ref + np.array([0.1, -0.2, 0.3, 0.0])
+    with pytest.raises(ContractError, match="constant references"):
+        least_squares_fit(pred, ref)
+    fit = export_scatter(pred, ref, str(tmp_path / "sc"))
+    assert (fit["slope"], fit["intercept"]) == (None, None)
+    assert json.loads((tmp_path / "sc_fit.json").read_text()) == fit
+    assert (tmp_path / "sc_pairs.csv").exists() and (tmp_path / "sc_hist.csv").exists()
+
+
 def test_scatter_histogram_counts_sum(tmp_path):
     rng = np.random.default_rng(8)
     ref = rng.uniform(0.1, 7.9, size=300)
