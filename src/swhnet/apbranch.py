@@ -27,23 +27,24 @@ class ApGateBranch:
     def __init__(self, cfg: ModelConfig, bag: ParamBag, rng: np.random.Generator):
         self.cfg = cfg
         k, up, dense = cfg.k_ap, SPATIAL_UP_FACTOR * cfg.k_ap, cfg.strategy == "CD"
-        kernel = _xavier(rng, (8, 4), 4, 8) if dense else _xavier(rng, (8,), 1, 1)  # (8,) under CI: per channel
-        self.embed_kernel = bag.add("ap.embed.kernel", kernel)
-        self.embed_bias = bag.add("ap.embed.bias", np.zeros(8))
-        self.p1 = bag.add("ap.spatial.p1", _xavier(rng, (k, up), k, up))
-        self.b1 = bag.add("ap.spatial.b1", np.zeros(up))
-        self.p2 = bag.add("ap.spatial.p2", _xavier(rng, (up, k), up, k))
-        self.b2 = bag.add("ap.spatial.b2", np.zeros(k))
+        # (8,) under CI: per channel
+        self.embed_kernel = bag.add("ap.embed.kernel", (8, 4) if dense else (8,),
+                                    _xavier(rng, 4, 8) if dense else _xavier(rng, 1, 1))
+        self.embed_bias = bag.add("ap.embed.bias", (8,), 0.0)
+        self.p1 = bag.add("ap.spatial.p1", (k, up), _xavier(rng, k, up))
+        self.b1 = bag.add("ap.spatial.b1", (up,), 0.0)
+        self.p2 = bag.add("ap.spatial.p2", (up, k), _xavier(rng, up, k))
+        self.b2 = bag.add("ap.spatial.b2", (k,), 0.0)
         if dense:
-            self.p3 = bag.add("ap.channel.p3", _xavier(rng, (4, CHANNEL_HIDDEN), 4, CHANNEL_HIDDEN))
-            self.b3 = bag.add("ap.channel.b3", np.zeros(CHANNEL_HIDDEN))
-            self.p4 = bag.add("ap.channel.p4", _xavier(rng, (CHANNEL_HIDDEN, 4), CHANNEL_HIDDEN, 4))
+            self.p3 = bag.add("ap.channel.p3", (4, CHANNEL_HIDDEN), _xavier(rng, 4, CHANNEL_HIDDEN))
+            self.b3 = bag.add("ap.channel.b3", (CHANNEL_HIDDEN,), 0.0)
+            self.p4 = bag.add("ap.channel.p4", (CHANNEL_HIDDEN, 4), _xavier(rng, CHANNEL_HIDDEN, 4))
         else:
             # Per-channel 1 -> 4 -> 1 blocks, one row per channel.
-            self.p3 = bag.add("ap.channel.p3", _xavier(rng, (4, 4), 1, 4))
-            self.b3 = bag.add("ap.channel.b3", np.zeros((4, 4)))
-            self.p4 = bag.add("ap.channel.p4", _xavier(rng, (4, 4), 4, 1))
-        self.b4 = bag.add("ap.channel.b4", np.zeros(4))
+            self.p3 = bag.add("ap.channel.p3", (4, 4), _xavier(rng, 1, 4))
+            self.b3 = bag.add("ap.channel.b3", (4, 4), 0.0)
+            self.p4 = bag.add("ap.channel.p4", (4, 4), _xavier(rng, 4, 1))
+        self.b4 = bag.add("ap.channel.b4", (4,), 0.0)
 
     def forward(self, a: Tensor) -> Tensor:
         if a.shape[-2:] != (4, self.cfg.k_ap):

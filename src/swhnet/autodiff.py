@@ -77,7 +77,7 @@ class Tensor:
 
     `data` is always a float64 ndarray. `grad` is materialized lazily
     during backward() and has the same shape as `data`: for a parameter
-    of a sealed ParamBag, as its view of the bag's gradient buffer.
+    of a ParamBag with a gradient buffer, as its view of that buffer.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_grad_view", "_parents", "_backward")
@@ -137,7 +137,8 @@ class Tensor:
     def _new_grad(self) -> np.ndarray:
         """Set and return the array that this node's first gradient of a
         backward is written into: its view of the bag's gradient buffer for
-        a sealed parameter, else a fresh array. Its contents are stale."""
+        a parameter of a bag that has one, else a fresh array. Its contents
+        are stale."""
         self.grad = self._grad_view if self._grad_view is not None else np.empty_like(self.data)
         return self.grad
 
@@ -163,49 +164,77 @@ def _as_tensor(x) -> Tensor:
 class ParamBag:
     """Ordered registry of the trainable tensors, keyed by unique names.
 
-    Parameters are added one by one, each with its own array, then the bag
-    is sealed once (`seal`): one float64 buffer `data` takes every value in
-    the order added, and each parameter's `data` becomes its view of it. A
-    second buffer `grad` of the same layout holds the gradients: a
-    parameter's first gradient of a backward is written into its view there
+    Each parameter is declared with its shape and initializer (`add`), then
+    the bag is sealed once (`seal`): one float64 buffer `data` is allocated
+    for every value, in the order added, each parameter's `data` becomes its
+    view of it, and each initializer fills that view, in the same order. No
+    initial value is held anywhere else, so a built model holds its
+    parameter bytes once.
+
+    A second buffer `grad` of the same layout, allocated by `grad_buffer`
+    (an optimizer asks for it), holds the gradients: a parameter's first
+    gradient of a backward is then written into its view there
     (`Tensor._new_grad`), so a backward allocates no weight gradient and an
-    optimizer updates the whole bag in one pass over the two buffers.
+    optimizer updates the whole bag in one pass over the two buffers. A
+    model that only predicts has no gradient buffer.
     """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
+        self._shapes: dict[str, tuple[int, ...]] = {}
+        self._inits: list = []
         self.data: np.ndarray | None = None
         self.grad: np.ndarray | None = None
 
-    def add(self, name: str, data) -> Tensor:
+    def add(self, name: str, shape: tuple[int, ...], init) -> Tensor:
+        """Declare the parameter `name` of `shape`, whose `data` exists once
+        the bag is sealed. `init` is the value of every entry, or a function
+        that fills its argument, the parameter's view, in place."""
         if self.data is not None:
             raise ContractError(f"cannot add {name}: the parameter bag is sealed")
         if name in self._params:
             raise ContractError(f"duplicate parameter name: {name}")
-        p = Tensor(data, requires_grad=True)
+        p = Tensor.__new__(Tensor)  # a leaf whose data `seal` sets
+        p.data, p.grad, p._grad_view, p._parents, p._backward = None, None, None, (), None
+        p.requires_grad = True
         self._params[name] = p
+        self._shapes[name] = tuple(shape)
+        self._inits.append(init)
         return p
 
     def seal(self) -> None:
-        """Move every parameter into the flat buffers; a no-op once sealed.
-
-        The gradient buffer is left unwritten, so its pages cost memory only
-        once a backward reaches them.
-        """
+        """Allocate the value buffer and fill each parameter's view of it by
+        its initializer, in the order added; a no-op once sealed."""
         if self.data is not None:
             return
-        total = sum(p.data.size for p in self._params.values())
-        self.data, self.grad = np.empty(total), np.empty(total)
-        for p, view, grad_view in zip(self._params.values(), self._views(self.data), self._views(self.grad)):
-            np.copyto(view, p.data)
-            p.data, p._grad_view = view, grad_view
+        self.data = np.empty(sum(math.prod(shape) for shape in self._shapes.values()))
+        for p, view, init in zip(self._params.values(), self._views(self.data), self._inits):
+            p.data = view
+            if callable(init):
+                init(view)
+            else:
+                view.fill(init)
+        self._inits = []
+
+    def grad_buffer(self) -> np.ndarray:
+        """The gradient buffer, allocated (after sealing the bag) by the
+        first call, which makes it the target of every later first gradient.
+        It is left unwritten, so its pages cost memory only once a backward
+        reaches them."""
+        self.seal()
+        if self.grad is None:
+            self.grad = np.empty(self.data.size)
+            for p, view in zip(self._params.values(), self._views(self.grad)):
+                p._grad_view = view
+        return self.grad
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
         """Each parameter's view, in order, of `flat`, a buffer of the sealed layout."""
         views, lo = [], 0
-        for p in self._params.values():
-            views.append(flat[lo:lo + p.data.size].reshape(p.data.shape))
-            lo += p.data.size
+        for shape in self._shapes.values():
+            size = math.prod(shape)
+            views.append(flat[lo:lo + size].reshape(shape))
+            lo += size
         return views
 
     def items(self):
@@ -226,8 +255,8 @@ class ParamBag:
         whose `data` or `grad` is not its view of the buffer, which an
         update of the buffers would miss.
         """
-        if self.data is None:
-            raise ContractError("flat buffers of an unsealed parameter bag")
+        if self.grad is None:
+            raise ContractError("flat buffers of a parameter bag without a gradient buffer")
         for name, p in self._params.items():
             if p.grad is None:
                 raise ContractError(f"missing gradient for {name}")
@@ -252,9 +281,9 @@ class ParamBag:
             raise ConfigError(
                 f"parameter set mismatch (missing={sorted(missing)}, unexpected={sorted(extra)})"
             )
-        for k, p in self._params.items():
-            if tuple(shapes[k]) != p.data.shape:
-                raise ConfigError(f"shape mismatch for {k}: {tuple(shapes[k])} vs {p.data.shape}")
+        for k, shape in self._shapes.items():
+            if tuple(shapes[k]) != shape:
+                raise ConfigError(f"shape mismatch for {k}: {tuple(shapes[k])} vs {shape}")
 
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
         """Copy `state` into the parameters, which keep their arrays (and so
@@ -270,7 +299,7 @@ class ParamBag:
 
 def count_params(bag: ParamBag) -> int:
     """Total number of scalar parameters in the bag."""
-    return sum(p.data.size for p in bag.values())
+    return sum(math.prod(shape) for shape in bag._shapes.values())
 
 
 # -- backward driver ----------------------------------------------------------

@@ -3,11 +3,12 @@ architecture config, the input-standardization statistics, and selection
 metadata.
 
 The format is a `container` file: the config, statistics and metadata sit
-in the JSON header and each parameter array follows as a raw float64
-`.npy` record, in the model's parameter order. Re-saving an unchanged
-model is byte-identical. A save without a given state writes the
-parameters' own views, and a load reads each record straight into the new
-model's parameter buffer, so neither holds a second copy of the parameters.
+in the JSON header, with each parameter's dtype (float64) and shape, and
+each parameter's raw bytes follow in the model's parameter order.
+Re-saving an unchanged model is byte-identical. A save without a given
+state writes the parameters' own views, and a load reads each array
+straight into the new model's parameter buffer, so neither holds a second
+copy of the parameters.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .config import ModelConfig
 from .errors import ConfigError, FormatError
 from .model import WaveHeightModel
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def save_checkpoint(path: str, model: WaveHeightModel,
@@ -37,8 +38,9 @@ def save_checkpoint(path: str, model: WaveHeightModel,
 def load_checkpoint(path: str) -> tuple[WaveHeightModel, dict | None, dict | None]:
     """Rebuild the model from a checkpoint; returns (model, standardization, meta).
 
-    The model is built from the header's config, and each parameter record
-    is read straight into its view of the model's parameter buffer."""
+    Once the container header is checked, the model is built from its
+    config, and each parameter is read straight into its view of the
+    model's parameter buffer, which is then checked for finite values."""
     built = []
 
     def build(header: dict) -> dict[str, np.ndarray]:
@@ -48,14 +50,15 @@ def load_checkpoint(path: str) -> tuple[WaveHeightModel, dict | None, dict | Non
             raise FormatError(f"checkpoint {path} config does not fit ModelConfig: {exc}") from exc
         built.append(WaveHeightModel(cfg))
         try:
-            built[0].bag.check_shapes(header["arrays"])
+            built[0].bag.check_shapes({name: spec["shape"] for name, spec in header["arrays"].items()})
         except ConfigError as exc:
             raise FormatError(f"checkpoint {path} does not match its declared config: {exc}") from exc
         return {name: p.data for name, p in built[0].bag.items()}
 
     header, _ = container.read(path, "checkpoint", FORMAT_VERSION, into=build)
     model = built[0]
-    for name, p in model.bag.items():
-        if not np.isfinite(p.data).all():
-            raise FormatError(f"checkpoint {path}: parameter {name} holds non-finite values")
+    # min and max carry any NaN or infinity, and allocate nothing.
+    if not (np.isfinite(model.bag.data.min()) and np.isfinite(model.bag.data.max())):
+        name = next(name for name, p in model.bag.items() if not np.isfinite(p.data).all())
+        raise FormatError(f"checkpoint {path}: parameter {name} holds non-finite values")
     return model, header.get("standardization"), header.get("meta")

@@ -1,13 +1,14 @@
 """The binary format of the checkpoint, sample and group files: one JSON
-header line (artifact kind, format version, metadata, and the arrays in
-file order with their shapes), then one raw `.npy` record per array.
-`.npy` records hold no timestamps, so equal arrays give equal bytes.
+header line (artifact kind, format version, metadata, and each array's
+dtype and shape in file order), then each array's raw C-order bytes,
+back to back. Equal arrays give equal bytes.
 
-One loop reads every file kind. It checks each record's `.npy` header
-(dtype, C order, and shape against the file header and the bytes left)
-before it allocates or writes anything, then reads the data into a fresh
-array or into a destination the caller supplies: a checkpoint's records
-go straight into the model's parameter buffer.
+One loop reads every file kind. It checks the whole header first: every
+dtype is one of `DTYPES`, every shape a list of non-negative integers,
+and the file holds exactly the header line plus the bytes those declare.
+Only then does it allocate, reading each array into a fresh array or
+into a destination the caller supplies: a checkpoint's arrays go straight
+into the model's parameter buffer.
 
 Writes go to a temporary file beside the target that is then renamed onto
 it, so a crashed writer leaves no half-written file. There is no fsync.
@@ -25,13 +26,11 @@ import math
 import os
 
 import numpy as np
-from numpy.lib import format as npformat
 
-from .errors import FormatError
+from .errors import ContractError, FormatError
 
-# The `.npy` header readers by format version; `np.save` writes 1.0, or 2.0
-# for a header over 64 KiB.
-_NPY_HEADERS = {(1, 0): npformat.read_array_header_1_0, (2, 0): npformat.read_array_header_2_0}
+# The array dtypes a file may hold, by the name its header gives them.
+DTYPES = {name: np.dtype(name) for name in ("<f8", "<i8", "|b1")}
 
 
 @contextlib.contextmanager
@@ -84,21 +83,26 @@ def write_json(path: str, doc) -> None:
 
 
 def write(path: str, kind: str, version: int, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """A header of kind, version, `meta` and the array shapes, then `arrays` in order."""
+    """A header of kind, version, `meta` and each array's dtype and shape,
+    then the bytes of `arrays` in order. Raises ContractError, and writes
+    nothing, for an array whose dtype is not one of `DTYPES`."""
+    for name, arr in arrays.items():
+        if arr.dtype.str not in DTYPES:
+            raise ContractError(f"{path}: array {name!r} has dtype {arr.dtype}, not one of {', '.join(DTYPES)}")
     header = {"kind": kind, "format_version": version, **meta,
-              "arrays": {name: list(arr.shape) for name, arr in arrays.items()}}
+              "arrays": {name: {"dtype": arr.dtype.str, "shape": list(arr.shape)} for name, arr in arrays.items()}}
     with atomic_open(path) as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
         for arr in arrays.values():
-            np.save(fh, np.require(arr, requirements="C"), allow_pickle=False)
+            fh.write(np.ascontiguousarray(arr).data)
 
 
 def read(path: str, kind: str, version: int, into=None) -> tuple[dict, dict[str, np.ndarray]]:
     """(header, arrays by name) of a file written by `write`, after checking
-    its kind, version, array shapes and length.
+    its kind, version, array dtypes and shapes, and length.
 
     `into`, if given, is called with the checked header and returns a
-    {name: array} of C-ordered destinations: each named record is read
+    {name: array} of C-ordered destinations: each named array is read
     straight into its destination, every other one into a fresh array.
     """
     with open(path, "rb") as fh:
@@ -109,44 +113,43 @@ def read(path: str, kind: str, version: int, into=None) -> tuple[dict, dict[str,
         found = header.get("format_version") if isinstance(header, dict) else None
         if found != version:
             raise FormatError(f"{path}: {kind} format version {found} unsupported (expected {version})")
-        shapes = header.get("arrays")
-        if header.get("kind") != kind or not isinstance(shapes, dict) or not all(
-                isinstance(shape, list) and all(isinstance(n, int) and n >= 0 for n in shape)
-                for shape in shapes.values()):
+        specs = header.get("arrays")
+        if header.get("kind") != kind or not isinstance(specs, dict):
             raise FormatError(f"{path} is not a {kind} file")
+        layout = _layout(path, specs, os.fstat(fh.fileno()).st_size - fh.tell())
         dests = into(header) if into is not None else {}
-        size = os.fstat(fh.fileno()).st_size
-        arrays = {name: _read_record(fh, size, f"{path}: array {name!r}", shape, dests.get(name))
-                  for name, shape in shapes.items()}
-        if fh.read(1):
-            raise FormatError(f"{path} has bytes after its last array")
+        for name, (dtype, shape) in layout.items():
+            out = dests.get(name)
+            if out is not None and (out.dtype != dtype or out.shape != shape or not out.flags.c_contiguous):
+                raise FormatError(f"{path}: array {name!r} is {dtype} {shape}, which does not fit its destination")
+        arrays = {}
+        for name, (dtype, shape) in layout.items():
+            out = dests[name] if name in dests else np.empty(shape, dtype)
+            buf = out.reshape(-1).view(np.uint8)
+            if fh.readinto(buf) != buf.size:
+                raise FormatError(f"{path}: array {name!r} is truncated")
+            arrays[name] = out
     return header, arrays
 
 
-def _read_record(fh, size: int, where: str, shape: list[int], out: np.ndarray | None) -> np.ndarray:
-    """The `.npy` record at `fh` (a file of `size` bytes), read into `out` or
-    a fresh array. Its header is checked against `shape` and the bytes left
-    before anything is allocated or written."""
-    try:
-        version = npformat.read_magic(fh)
-        if version not in _NPY_HEADERS:
-            raise ValueError(f".npy version {version} unsupported")
-        found, fortran_order, dtype = _NPY_HEADERS[version](fh)
-    except (ValueError, EOFError) as exc:
-        raise FormatError(f"{where} is truncated or corrupt: {exc}") from exc
-    if dtype.hasobject:
-        raise FormatError(f"{where} holds Python objects")
-    if fortran_order:
-        raise FormatError(f"{where} is not in C order")
-    if list(found) != shape:
-        raise FormatError(f"{where} has shape {list(found)}, header says {shape}")
-    nbytes = math.prod(found) * dtype.itemsize
-    if nbytes > size - fh.tell():
-        raise FormatError(f"{where} is truncated: {nbytes} bytes declared, {size - fh.tell()} left")
-    if out is None:
-        out = np.empty(found, dtype)
-    elif out.dtype != dtype or out.shape != found or not out.flags.c_contiguous:
-        raise FormatError(f"{where} is {dtype} {found}, which does not fit its destination")
-    if fh.readinto(out.reshape(-1).view(np.uint8)) != nbytes:
-        raise FormatError(f"{where} is truncated")
-    return out
+def _layout(path: str, specs: dict, size: int) -> dict[str, tuple[np.dtype, tuple[int, ...]]]:
+    """{name: (dtype, shape)} of a header's `arrays`, checked against the
+    `size` bytes that follow the header line."""
+    layout, left = {}, size
+    for name, spec in specs.items():
+        where = f"{path}: array {name!r}"
+        if not isinstance(spec, dict) or set(spec) != {"dtype", "shape"}:
+            raise FormatError(f"{where} is described by {spec!r}, not by a dtype and a shape")
+        dtype = DTYPES.get(spec["dtype"]) if isinstance(spec["dtype"], str) else None
+        shape = spec["shape"]
+        if dtype is None:
+            raise FormatError(f"{where} has dtype {spec['dtype']!r}, not one of {', '.join(DTYPES)}")
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+            raise FormatError(f"{where} has shape {shape!r}, not a list of non-negative integers")
+        nbytes = math.prod(shape) * dtype.itemsize
+        if nbytes > left:
+            raise FormatError(f"{where} is truncated: {nbytes} bytes declared, {left} left")
+        layout[name], left = (dtype, tuple(shape)), left - nbytes
+    if left:
+        raise FormatError(f"{path} has {left} bytes after its last array")
+    return layout

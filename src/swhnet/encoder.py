@@ -56,9 +56,22 @@ def positional_encoding(seq_len: int, dim: int) -> np.ndarray:
     return pe
 
 
-def _xavier(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
+def _scaled(draw, scale: float, shift: float):
+    """A `ParamBag.add` initializer: `draw(out=view)`, then `view * scale +
+    shift` in place, the arithmetic and order of `Generator.uniform` (low +
+    range * u) and `Generator.normal` (loc + scale * z), so each gives the
+    bits those would return."""
+    def fill(out: np.ndarray) -> None:
+        draw(out=out)
+        out *= scale
+        out += shift
+    return fill
+
+
+def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int):
+    """Glorot-uniform: `rng.uniform(-limit, limit)` drawn into the parameter."""
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+    return _scaled(rng.random, limit - -limit, -limit)
 
 
 def add_norm(
@@ -96,11 +109,11 @@ class DdmEncoder:
         self.kernels = []
         self.kernel_biases = []
         for name in DDM_TYPES:
-            k = bag.add(f"encoder.embed.{name}.kernel", _xavier(rng, (de, 1, p, p), p * p, de))
-            b = bag.add(f"encoder.embed.{name}.bias", np.zeros(de))
+            k = bag.add(f"encoder.embed.{name}.kernel", (de, 1, p, p), _xavier(rng, p * p, de))
+            b = bag.add(f"encoder.embed.{name}.bias", (de,), 0.0)
             self.kernels.append(k)
             self.kernel_biases.append(b)
-        self.global_token = bag.add("encoder.embed.global_token", rng.normal(0.0, 0.02, size=de))
+        self.global_token = bag.add("encoder.embed.global_token", (de,), _scaled(rng.standard_normal, 0.02, 0.0))
         self.pe = positional_encoding(cfg.seq_len, de)
 
         self.layers = []
@@ -108,29 +121,29 @@ class DdmEncoder:
         for i in range(cfg.n_layers):
             lp = f"encoder.layer{i}"
             layer = {
-                "wq": bag.add(f"{lp}.attn.wq", _xavier(rng, (4,), 1, 1)),
-                "wk": bag.add(f"{lp}.attn.wk", _xavier(rng, (4,), 1, 1)),
-                "wv": bag.add(f"{lp}.attn.wv", _xavier(rng, (4,), 1, 1)),
+                "wq": bag.add(f"{lp}.attn.wq", (4,), _xavier(rng, 1, 1)),
+                "wk": bag.add(f"{lp}.attn.wk", (4,), _xavier(rng, 1, 1)),
+                "wv": bag.add(f"{lp}.attn.wv", (4,), _xavier(rng, 1, 1)),
             }
             if cfg.strategy == "CD":
-                layer["wo"] = bag.add(f"{lp}.attn.wo", _xavier(rng, (4, 4), 4, 4))
+                layer["wo"] = bag.add(f"{lp}.attn.wo", (4, 4), _xavier(rng, 4, 4))
             else:
-                layer["wo"] = bag.add(f"{lp}.attn.wo", _xavier(rng, (4,), 1, 1))
-            layer["norm1_gamma"] = bag.add(f"{lp}.norm1.gamma", np.ones(4))
-            layer["norm1_beta"] = bag.add(f"{lp}.norm1.beta", np.zeros(4))
+                layer["wo"] = bag.add(f"{lp}.attn.wo", (4,), _xavier(rng, 1, 1))
+            layer["norm1_gamma"] = bag.add(f"{lp}.norm1.gamma", (4,), 1.0)
+            layer["norm1_beta"] = bag.add(f"{lp}.norm1.beta", (4,), 0.0)
             if cfg.strategy == "CD":
-                layer["ffn_w1"] = bag.add(f"{lp}.ffn.w1", _xavier(rng, (4, cfg.d_ff), 4, cfg.d_ff))
-                layer["ffn_b1"] = bag.add(f"{lp}.ffn.b1", np.zeros(cfg.d_ff))
-                layer["ffn_w2"] = bag.add(f"{lp}.ffn.w2", _xavier(rng, (cfg.d_ff, 4), cfg.d_ff, 4))
-                layer["ffn_b2"] = bag.add(f"{lp}.ffn.b2", np.zeros(4))
+                layer["ffn_w1"] = bag.add(f"{lp}.ffn.w1", (4, cfg.d_ff), _xavier(rng, 4, cfg.d_ff))
+                layer["ffn_b1"] = bag.add(f"{lp}.ffn.b1", (cfg.d_ff,), 0.0)
+                layer["ffn_w2"] = bag.add(f"{lp}.ffn.w2", (cfg.d_ff, 4), _xavier(rng, cfg.d_ff, 4))
+                layer["ffn_b2"] = bag.add(f"{lp}.ffn.b2", (4,), 0.0)
             else:
                 # One independent 1 -> d_ff/4 -> 1 map per channel.
-                layer["ffn_w1"] = bag.add(f"{lp}.ffn.w1", _xavier(rng, (4, dff4), 1, dff4))
-                layer["ffn_b1"] = bag.add(f"{lp}.ffn.b1", np.zeros((4, dff4)))
-                layer["ffn_w2"] = bag.add(f"{lp}.ffn.w2", _xavier(rng, (4, dff4), dff4, 1))
-                layer["ffn_b2"] = bag.add(f"{lp}.ffn.b2", np.zeros(4))
-            layer["norm2_gamma"] = bag.add(f"{lp}.norm2.gamma", np.ones(4))
-            layer["norm2_beta"] = bag.add(f"{lp}.norm2.beta", np.zeros(4))
+                layer["ffn_w1"] = bag.add(f"{lp}.ffn.w1", (4, dff4), _xavier(rng, 1, dff4))
+                layer["ffn_b1"] = bag.add(f"{lp}.ffn.b1", (4, dff4), 0.0)
+                layer["ffn_w2"] = bag.add(f"{lp}.ffn.w2", (4, dff4), _xavier(rng, dff4, 1))
+                layer["ffn_b2"] = bag.add(f"{lp}.ffn.b2", (4,), 0.0)
+            layer["norm2_gamma"] = bag.add(f"{lp}.norm2.gamma", (4,), 1.0)
+            layer["norm2_beta"] = bag.add(f"{lp}.norm2.beta", (4,), 0.0)
             self.layers.append(layer)
 
     # -- embedding ------------------------------------------------------------

@@ -67,26 +67,45 @@ def mape(pred, ref) -> float:
 def cc(pred, ref) -> float | None:
     """Pearson correlation; None when either vector is constant."""
     pred, ref = _pair(pred, ref)
-    dp = pred - pred.mean()
-    dr = ref - ref.mean()
-    denom = np.sqrt(np.sum(dp * dp) * np.sum(dr * dr))
+    return _cc(pred, ref)
+
+
+def _mean(x: np.ndarray) -> np.floating:
+    """`np.mean` of a float vector, bit for bit (numpy's pairwise sum, then
+    one division by the count), without its per-call overhead."""
+    return np.add.reduce(x) / x.size
+
+
+def _cc(pred: np.ndarray, ref: np.ndarray) -> float | None:
+    """`cc` of a checked pair. A vector is constant when its min equals its
+    max: the mean of n equal floats need not equal them, so neither need
+    the deviations from it, nor the denominator, be zero."""
+    if pred.min() == pred.max() or ref.min() == ref.max():
+        return None
+    dp = pred - _mean(pred)
+    dr = ref - _mean(ref)
+    denom = np.sqrt(np.add.reduce(dp * dp) * np.add.reduce(dr * dr))
     if denom == 0.0:
         return None
-    return float(np.sum(dp * dr) / denom)
+    return float(np.add.reduce(dp * dr) / denom)
 
 
-def _cell(pred: np.ndarray, ref: np.ndarray) -> dict:
-    """All five metrics for one vector pair, with the MAPE exclusion count."""
+def _cell(pred, ref) -> dict:
+    """All five metrics for one vector pair, with the MAPE exclusion count:
+    the scalar functions' arithmetic, on one shared error vector."""
+    pred, ref = _pair(pred, ref)
+    n = pred.size
+    err = pred - ref
     usable = ref >= MAPE_MIN_REF
-    excluded = int(np.sum(~usable))
+    kept = int(np.count_nonzero(usable))
     return {
-        "n": int(pred.size),
-        "rmse": rmse(pred, ref),
-        "mae": mae(pred, ref),
-        "bias": bias(pred, ref),
-        "mape_percent": mape(pred[usable], ref[usable]) if usable.any() else None,
-        "cc": cc(pred, ref) if pred.size > 1 else None,
-        "mape_excluded": excluded,
+        "n": n,
+        "rmse": float(np.sqrt(_mean(err * err))),
+        "mae": float(_mean(np.abs(err))),
+        "bias": float(_mean(err)),
+        "mape_percent": float(100.0 * _mean(np.abs(err[usable] / ref[usable]))) if kept else None,
+        "cc": _cc(pred, ref) if n > 1 else None,
+        "mape_excluded": n - kept,
     }
 
 
@@ -95,7 +114,7 @@ def _average_cells(cells: list[dict]) -> dict:
     out = {"n": int(sum(c["n"] for c in cells)), "mape_excluded": int(sum(c["mape_excluded"] for c in cells))}
     for name in METRIC_NAMES:
         values = [c[name] for c in cells]
-        out[name] = None if any(v is None for v in values) else float(np.mean(values))
+        out[name] = None if any(v is None for v in values) else float(_mean(np.array(values)))
     return out
 
 
@@ -235,15 +254,16 @@ def export_bias_grid(lats, lons, pred, ref, path: str, cell_deg: float = 1.0,
     pred, ref = _pair(pred, ref)
     if lats.shape != pred.shape or lons.shape != pred.shape:
         raise ContractError("lat/lon vectors must match the pair vectors")
-    cells: dict[tuple[int, int], list[float]] = {}
-    for la, lo_, p, r in zip(lats, lons, pred, ref):
-        key = (int(np.floor(la / cell_deg)), int(np.floor(lo_ / cell_deg)))
-        cells.setdefault(key, []).append(p - r)
-    rows = []
-    for (iy, ix) in sorted(cells):
-        errors = cells[(iy, ix)]
-        rows.append(((iy + 0.5) * cell_deg, (ix + 0.5) * cell_deg,
-                     float(np.mean(errors)), len(errors)))
+    if not (np.isfinite(lats).all() and np.isfinite(lons).all()):
+        raise ContractError("lat/lon vectors must be finite")
+    iy, ix = np.floor(lats / cell_deg), np.floor(lons / cell_deg)
+    # A stable sort keeps each cell's points in their input order.
+    order = np.lexsort((ix, iy))
+    iy, ix, err = iy[order], ix[order], (pred - ref)[order]
+    starts = np.flatnonzero(np.r_[True, (iy[1:] != iy[:-1]) | (ix[1:] != ix[:-1])])
+    ends = np.r_[starts[1:], err.size]
+    rows = [((y + 0.5) * cell_deg, (x + 0.5) * cell_deg, float(_mean(err[lo:hi])), hi - lo)
+            for y, x, lo, hi in zip(iy[starts].tolist(), ix[starts].tolist(), starts.tolist(), ends.tolist())]
     write_csv(path, ["lat_center", "lon_center", "bias", "n", "config_hash"],
               ([*row, config_hash] for row in rows))
     return rows

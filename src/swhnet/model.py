@@ -60,12 +60,12 @@ class FusionHead:
         prev = self.input_dim
         for i, w in enumerate(widths):
             self.weights.append((
-                bag.add(f"head.layer{i}.w", _xavier(rng, (prev, w), prev, w)),
-                bag.add(f"head.layer{i}.b", np.zeros(w)),
+                bag.add(f"head.layer{i}.w", (prev, w), _xavier(rng, prev, w)),
+                bag.add(f"head.layer{i}.b", (w,), 0.0),
             ))
             prev = w
-        self.out_w = bag.add("head.out.w", _xavier(rng, (prev, out_dim), prev, out_dim))
-        self.out_b = bag.add("head.out.b", np.zeros(out_dim))
+        self.out_w = bag.add("head.out.w", (prev, out_dim), _xavier(rng, prev, out_dim))
+        self.out_b = bag.add("head.out.b", (out_dim,), 0.0)
 
     def _mlp(self, x: Tensor) -> Tensor:
         for w, b in self.weights:
@@ -125,7 +125,7 @@ class WaveHeightModel:
         self.encoder = DdmEncoder(cfg, self.bag, rng)
         self.ap_branch = ApGateBranch(cfg, self.bag, rng)
         self.head = FusionHead(cfg, self.bag, rng)
-        self.bag.seal()
+        self.bag.seal()  # the initializers draw from rng here, in the order added
 
     def forward_batch(self, ddms: np.ndarray, aps: np.ndarray,
                       train: bool = False, rng: np.random.Generator | None = None) -> Tensor:

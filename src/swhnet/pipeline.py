@@ -41,7 +41,7 @@ QUALITY_FLAG_MASK = (1 << 28) - 1  # bits 1..28
 BUOY_MAX_KM = 25.0
 BUOY_MAX_S = 30.0 * 60.0
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 QC_RULES = (
     "nan_inf",

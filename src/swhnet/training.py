@@ -107,13 +107,14 @@ class AdamW:
 
     p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p)
 
-    The moments are two flat arrays laid out as the bag's parameter buffer
-    (see `ParamBag.seal`, which this seals if the bag is not yet).
+    The moments are two flat arrays laid out as the bag's parameter buffer,
+    whose gradient buffer this allocates if the bag has none yet
+    (`ParamBag.grad_buffer`).
     """
 
     def __init__(self, bag: ParamBag, lr: float, weight_decay: float = 0.0,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        bag.seal()
+        bag.grad_buffer()
         self.bag = bag
         self.lr = lr
         self.weight_decay = weight_decay

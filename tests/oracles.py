@@ -43,7 +43,14 @@ one wrote through `container.write_csv` and `container.write_json`,
 which the writers that replaced them must reproduce byte for byte (the
 scatter at widths that divide its range, where its bin count is
 unchanged, and with a null line for constant references, where it
-raised after writing two files). `swh_from_nbrcs`, the exact inverse of
+raised after writing two files). `add_then_copy_build`, with
+`AddThenCopyBag` and `_xavier`, is the model's parameter build as it ran
+when each parameter was drawn into an array of its own and then copied
+into the flat buffer, which the build that draws into the buffer must
+reproduce bit for bit. `report`, with `_cell`, is the metrics report as
+it ran with one pass of `metrics.rmse`, `mae`, `bias`, `mape` and `cc`
+per cell, which the report that shares one error vector per cell must
+reproduce byte for byte in its files. `swh_from_nbrcs`, the exact inverse of
 synth's planted map, and `channel_sd_percentile`, the spread of a
 sample's four references, are helpers that only tests use.
 """
@@ -62,7 +69,9 @@ from swhnet.cli import PREDICTION_FIELDS
 from swhnet.config import AP_COLUMNS, DDM_TYPES, SplitSpec, SynthSpec, parse_time
 from swhnet.container import atomic_open_text
 from swhnet.errors import ConfigError, ContractError, FormatError, ShapeError
-from swhnet.metrics import METRIC_NAMES, _pair, least_squares_fit
+from swhnet.metrics import (MAPE_MIN_REF, METRIC_NAMES, MetricsReport, _average_cells, _pair, bias, cc,
+                            increasing, least_squares_fit, mae, mape, rmse)
+from swhnet.model import head_widths
 from swhnet.pipeline import (BASE_AP_FIELDS, BUOY_MAX_KM, BUOY_MAX_S, FILL_VALUE_THRESHOLD,
                              LAND_DISTANCE_MIN_KM, PITCH_MAX_DEG, QUALITY_FLAG_MASK, RCG_MIN,
                              ROLL_MAX_DEG, TRACKER_STATUS_OK, YAW_MAX_DEG, ChannelObs, Era5Grid,
@@ -1048,3 +1057,173 @@ def export_bias_grid(lats, lons, pred, ref, path: str, cell_deg: float = 1.0,
         for lat_c, lon_c, b, n in rows:
             writer.writerow([repr(lat_c), repr(lon_c), repr(b), n, config_hash])
     return rows
+
+
+# ---------------------------------------------------------------------------
+# the parameter build as it ran before the flat buffer came first
+# ---------------------------------------------------------------------------
+
+
+class AddThenCopyBag:
+    """`autodiff.ParamBag` as it ran when each parameter was added with an
+    array of its own, which `seal` then copied into the flat buffers."""
+
+    def __init__(self):
+        self._params: dict[str, Tensor] = {}
+        self.data: np.ndarray | None = None
+        self.grad: np.ndarray | None = None
+
+    def add(self, name: str, data) -> Tensor:
+        if self.data is not None:
+            raise ContractError(f"cannot add {name}: the parameter bag is sealed")
+        if name in self._params:
+            raise ContractError(f"duplicate parameter name: {name}")
+        p = Tensor(data, requires_grad=True)
+        self._params[name] = p
+        return p
+
+    def seal(self) -> None:
+        if self.data is not None:
+            return
+        total = sum(p.data.size for p in self._params.values())
+        self.data, self.grad = np.empty(total), np.empty(total)
+        for p, view, grad_view in zip(self._params.values(), self._views(self.data), self._views(self.grad)):
+            np.copyto(view, p.data)
+            p.data, p._grad_view = view, grad_view
+
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        views, lo = [], 0
+        for p in self._params.values():
+            views.append(flat[lo:lo + p.data.size].reshape(p.data.shape))
+            lo += p.data.size
+        return views
+
+    def items(self):
+        return self._params.items()
+
+
+def _xavier(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
+    limit = math.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=shape)
+
+
+def add_then_copy_build(cfg) -> AddThenCopyBag:
+    """The sealed parameters of `WaveHeightModel(cfg)` as its constructors
+    (`DdmEncoder`, `ApGateBranch`, `FusionHead`) added them, each drawn
+    into an array of its own by `Generator.uniform` or `normal`."""
+    bag = AddThenCopyBag()
+    rng = np.random.default_rng([cfg.seed, 0])
+    # DdmEncoder
+    p, de = cfg.patch_size, cfg.embed_dim
+    for name in DDM_TYPES:
+        bag.add(f"encoder.embed.{name}.kernel", _xavier(rng, (de, 1, p, p), p * p, de))
+        bag.add(f"encoder.embed.{name}.bias", np.zeros(de))
+    bag.add("encoder.embed.global_token", rng.normal(0.0, 0.02, size=de))
+    dff4 = cfg.d_ff // 4
+    for i in range(cfg.n_layers):
+        lp = f"encoder.layer{i}"
+        bag.add(f"{lp}.attn.wq", _xavier(rng, (4,), 1, 1))
+        bag.add(f"{lp}.attn.wk", _xavier(rng, (4,), 1, 1))
+        bag.add(f"{lp}.attn.wv", _xavier(rng, (4,), 1, 1))
+        if cfg.strategy == "CD":
+            bag.add(f"{lp}.attn.wo", _xavier(rng, (4, 4), 4, 4))
+        else:
+            bag.add(f"{lp}.attn.wo", _xavier(rng, (4,), 1, 1))
+        bag.add(f"{lp}.norm1.gamma", np.ones(4))
+        bag.add(f"{lp}.norm1.beta", np.zeros(4))
+        if cfg.strategy == "CD":
+            bag.add(f"{lp}.ffn.w1", _xavier(rng, (4, cfg.d_ff), 4, cfg.d_ff))
+            bag.add(f"{lp}.ffn.b1", np.zeros(cfg.d_ff))
+            bag.add(f"{lp}.ffn.w2", _xavier(rng, (cfg.d_ff, 4), cfg.d_ff, 4))
+            bag.add(f"{lp}.ffn.b2", np.zeros(4))
+        else:
+            bag.add(f"{lp}.ffn.w1", _xavier(rng, (4, dff4), 1, dff4))
+            bag.add(f"{lp}.ffn.b1", np.zeros((4, dff4)))
+            bag.add(f"{lp}.ffn.w2", _xavier(rng, (4, dff4), dff4, 1))
+            bag.add(f"{lp}.ffn.b2", np.zeros(4))
+        bag.add(f"{lp}.norm2.gamma", np.ones(4))
+        bag.add(f"{lp}.norm2.beta", np.zeros(4))
+    # ApGateBranch
+    k, up, dense = cfg.k_ap, 4 * cfg.k_ap, cfg.strategy == "CD"
+    kernel = _xavier(rng, (8, 4), 4, 8) if dense else _xavier(rng, (8,), 1, 1)
+    bag.add("ap.embed.kernel", kernel)
+    bag.add("ap.embed.bias", np.zeros(8))
+    bag.add("ap.spatial.p1", _xavier(rng, (k, up), k, up))
+    bag.add("ap.spatial.b1", np.zeros(up))
+    bag.add("ap.spatial.p2", _xavier(rng, (up, k), up, k))
+    bag.add("ap.spatial.b2", np.zeros(k))
+    if dense:
+        bag.add("ap.channel.p3", _xavier(rng, (4, 16), 4, 16))
+        bag.add("ap.channel.b3", np.zeros(16))
+        bag.add("ap.channel.p4", _xavier(rng, (16, 4), 16, 4))
+    else:
+        bag.add("ap.channel.p3", _xavier(rng, (4, 4), 1, 4))
+        bag.add("ap.channel.b3", np.zeros((4, 4)))
+        bag.add("ap.channel.p4", _xavier(rng, (4, 4), 4, 1))
+    bag.add("ap.channel.b4", np.zeros(4))
+    # FusionHead
+    per_channel = cfg.flat_len + cfg.k_ap
+    input_dim = per_channel if cfg.strategy == "CI" else 4 * per_channel
+    out_dim = 1 if cfg.strategy == "CI" else 4
+    prev = input_dim
+    for i, w in enumerate(head_widths(input_dim, cfg.head_hidden)):
+        bag.add(f"head.layer{i}.w", _xavier(rng, (prev, w), prev, w))
+        bag.add(f"head.layer{i}.b", np.zeros(w))
+        prev = w
+    bag.add("head.out.w", _xavier(rng, (prev, out_dim), prev, out_dim))
+    bag.add("head.out.b", np.zeros(out_dim))
+    bag.seal()
+    return bag
+
+
+# ---------------------------------------------------------------------------
+# the metrics report as it ran with one pass of each metric per cell
+# ---------------------------------------------------------------------------
+
+
+def _cell(pred: np.ndarray, ref: np.ndarray) -> dict:
+    """All five metrics for one vector pair, with the MAPE exclusion count."""
+    usable = ref >= MAPE_MIN_REF
+    excluded = int(np.sum(~usable))
+    return {
+        "n": int(pred.size),
+        "rmse": rmse(pred, ref),
+        "mae": mae(pred, ref),
+        "bias": bias(pred, ref),
+        "mape_percent": mape(pred[usable], ref[usable]) if usable.any() else None,
+        "cc": cc(pred, ref) if pred.size > 1 else None,
+        "mape_excluded": excluded,
+    }
+
+
+def report(pairs_by_channel: dict[int, tuple[np.ndarray, np.ndarray]],
+           bin_edges=None, config_hash: str = "") -> MetricsReport:
+    """Per-channel, channel-averaged, and reference-binned metrics.
+
+    `pairs_by_channel` maps channel (1..4) to (pred, ref) vectors. Bins
+    are [lo, hi) with the final bin closed; cells with no data are
+    omitted rather than zero-filled.
+    """
+    if sorted(pairs_by_channel) != [1, 2, 3, 4]:
+        raise ContractError(f"expected channels 1..4, got {sorted(pairs_by_channel)}")
+    pairs = {chn: _pair(*pairs_by_channel[chn]) for chn in (1, 2, 3, 4)}
+    per_channel = {chn: _cell(pred, ref) for chn, (pred, ref) in pairs.items()}
+    average = _average_cells(list(per_channel.values()))
+    bins = []
+    if bin_edges is not None:
+        edges = list(bin_edges)
+        if not increasing(edges):
+            raise ConfigError(f"bin edges must be strictly increasing, got {edges}")
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            last = hi == edges[-1]
+            cells = {}
+            for chn, (pred, ref) in pairs.items():
+                mask = (ref >= lo) & ((ref <= hi) if last else (ref < hi))
+                if mask.any():
+                    cells[chn] = _cell(pred[mask], ref[mask])
+            if cells:
+                bins.append({"lo": lo, "hi": hi,
+                             "per_channel": cells,
+                             "average": _average_cells(list(cells.values()))})
+    return MetricsReport(config_hash=config_hash, n=average["n"],
+                         per_channel=per_channel, average=average, bins=bins)

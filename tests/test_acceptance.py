@@ -140,6 +140,7 @@ def test_criterion_04_encoder_oracle_equivalence():
                           d_ff=8, dropout_p=0.0, strategy=strategy, seed=11)
         bag = ad.ParamBag()
         enc = DdmEncoder(cfg, bag, np.random.default_rng(11))
+        bag.seal()
         rng = np.random.default_rng(6)
         for m in (1, 2, 3, 4):
             tokens = rng.normal(size=(m, 4))

@@ -21,7 +21,9 @@ def build_branch(strategy="CD", seed=0, use_wind=False):
     cfg = ModelConfig(width=2, height=2, patch_size=2, embed_dim=2, n_layers=1,
                       d_ff=8, dropout_p=0.0, strategy=strategy, use_wind=use_wind)
     bag = ParamBag()
-    return ApGateBranch(cfg, bag, np.random.default_rng(seed)), bag, cfg
+    branch = ApGateBranch(cfg, bag, np.random.default_rng(seed))
+    bag.seal()
+    return branch, bag, cfg
 
 
 SPATIAL = ("p1", "b1", "p2", "b2")

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from damage import record_shape, set_header_field, set_last_value
+from damage import as_version_3, record_shape, set_header_field, set_last_value
 from swhnet import container
 from swhnet.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from swhnet.cli import build_parser, main
@@ -815,11 +815,24 @@ def test_checkpoint_with_a_huge_record_shape_exits_two(tmp_path, toy_config, cap
     main(["synth", "--config", toy_config, "--out", str(data)])
     ckpt = tmp_path / "checkpoint.json"
     save_checkpoint(str(ckpt), WaveHeightModel(model_config(load_config(toy_config))))
-    ckpt.write_bytes(record_shape(ckpt.read_bytes(), (8,), (400000000000,)))
+    ckpt.write_bytes(record_shape(ckpt.read_bytes(), "encoder.layer0.ffn.b1", [400000000000]))
     assert main(["predict", "--config", toy_config, "--data", str(data), "--checkpoint", str(ckpt),
                  "--out", str(tmp_path / "preds.csv")]) == 2
-    assert "400000000000" in caplog.text
+    assert "checkpoint.json: array 'encoder.layer0.ffn.b1' is truncated: 3200000000000 bytes declared" \
+        in caplog.text
     assert not (tmp_path / "preds.csv").exists()
+
+
+def test_version_3_checkpoint_exits_two(tmp_path, toy_config, caplog):
+    data = tmp_path / "samples.jsonl"
+    main(["synth", "--config", toy_config, "--out", str(data)])
+    ckpt = tmp_path / "checkpoint.json"
+    save_checkpoint(str(ckpt), WaveHeightModel(model_config(load_config(toy_config))))
+    as_version_3(ckpt)
+    assert main(["evaluate", "--config", toy_config, "--data", str(data), "--checkpoint", str(ckpt),
+                 "--out-dir", str(tmp_path / "eval")]) == 2
+    assert "checkpoint format version 3 unsupported (expected 4)" in caplog.text
+    assert not (tmp_path / "eval").exists()
 
 
 def test_missing_input_exits_two(tmp_path, toy_config):

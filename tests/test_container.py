@@ -2,8 +2,8 @@
 group files, and for the text report writers, which every report goes
 through."""
 
-import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from damage import record_shape
 from swhnet import cli, container, training
 from swhnet.errors import ContractError, FormatError
 from swhnet.metrics import METRIC_NAMES, MetricsReport, export_bias_grid, export_scatter
@@ -20,27 +19,46 @@ from swhnet.training import HISTORY_FIELDS, ModelDataset
 
 def test_roundtrip_and_trailing_bytes(tmp_path):
     path = tmp_path / "c.bin"
-    arrays = {"a": np.arange(6.0).reshape(2, 3), "b": np.array([True, False]), "empty": np.zeros((0, 4))}
+    arrays = {"a": np.arange(6.0).reshape(2, 3), "b": np.array([True, False]), "i": np.array([-1, 2**40]),
+              "empty": np.zeros((0, 4)), "scalar": np.array(0.5)}
     container.write(str(path), "demo", 7, {"note": "x"}, arrays)
     header, back = container.read(str(path), "demo", 7)
     assert header["note"] == "x"
-    assert header["arrays"] == {"a": [2, 3], "b": [2], "empty": [0, 4]}
+    assert header["arrays"] == {"a": {"dtype": "<f8", "shape": [2, 3]}, "b": {"dtype": "|b1", "shape": [2]},
+                                "i": {"dtype": "<i8", "shape": [2]}, "empty": {"dtype": "<f8", "shape": [0, 4]},
+                                "scalar": {"dtype": "<f8", "shape": []}}
     for name, arr in arrays.items():
-        assert back[name].dtype == arr.dtype and back[name].tobytes() == arr.tobytes()
+        assert back[name].dtype == arr.dtype and back[name].shape == arr.shape
+        assert back[name].tobytes() == arr.tobytes()
+    # The header line, then the raw bytes of each array in order.
+    line = json.dumps(header).encode() + b"\n"
+    assert path.read_bytes() == line + b"".join(arr.tobytes() for arr in arrays.values())
     with pytest.raises(FormatError, match="not a other file"):
         container.read(str(path), "other", 7)
     path.write_bytes(path.read_bytes() + b"\0")
-    with pytest.raises(FormatError, match="after its last array"):
+    with pytest.raises(FormatError, match="has 1 bytes after its last array"):
         container.read(str(path), "demo", 7)
 
 
-def test_failed_write_keeps_previous_file(tmp_path):
+def test_an_array_of_another_dtype_is_refused_before_anything_is_written(tmp_path):
     path = tmp_path / "c.bin"
     container.write(str(path), "demo", 1, {}, {"a": np.ones(3)})
     before = path.read_bytes()
-    # object arrays cannot be written without pickling: the write fails after the first array
-    with pytest.raises(ValueError):
-        container.write(str(path), "demo", 1, {}, {"a": np.zeros(3), "b": np.array([object()])})
+    for arr in (np.array([object()]), np.zeros(2, dtype=np.float32), np.zeros(2, dtype=">f8")):
+        with pytest.raises(ContractError, match="array 'b' has dtype"):
+            container.write(str(path), "demo", 1, {}, {"a": np.zeros(3), "b": arr})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["c.bin"]
+
+
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "c.bin"
+    container.write(str(path), "demo", 1, {}, {"a": np.ones(3)})
+    before = path.read_bytes()
+    # The write fails after the header line.
+    monkeypatch.setattr(container.np, "ascontiguousarray", lambda arr: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        container.write(str(path), "demo", 1, {}, {"a": np.zeros(3)})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["c.bin"]
 
@@ -57,11 +75,16 @@ def test_read_into_the_destinations_the_header_asks_for(tmp_path):
         return {"a": buffer[1:7].reshape(2, 3)}
 
     _, back = container.read(str(path), "demo", 1, into=into)
-    assert headers == [{"a": [2, 3], "b": [2]}]
+    assert headers == [{"a": {"dtype": "<f8", "shape": [2, 3]}, "b": {"dtype": "<i8", "shape": [2]}}]
     assert back["a"].base is buffer and buffer.tolist() == [0, 0, 1, 2, 3, 4, 5, 0]
     assert back["b"].dtype == np.int64 and back["b"].tolist() == [1, 2]
-    with pytest.raises(FormatError, match="'b' is int64 .* does not fit its destination"):
-        container.read(str(path), "demo", 1, into=lambda header: {"b": np.zeros(2)})
+    # Every destination is checked before any is written.
+    for dests, message in (({"a": np.full((2, 3), 9.0), "b": np.zeros(2)}, "'b' is int64 .* does not fit"),
+                           ({"a": np.full((3, 2), 9.0)}, r"'a' is float64 \(2, 3\), which does not fit"),
+                           ({"a": np.full((3, 2), 9.0).T}, r"'a' is float64 \(2, 3\), which does not fit")):
+        with pytest.raises(FormatError, match=message):
+            container.read(str(path), "demo", 1, into=lambda header: dests)
+        assert all((arr == 9.0).all() for name, arr in dests.items() if name == "a")
 
 
 def test_fortran_ordered_arrays_are_written_in_c_order(tmp_path):
@@ -72,30 +95,42 @@ def test_fortran_ordered_arrays_are_written_in_c_order(tmp_path):
     assert back.flags.c_contiguous and np.array_equal(back, arr)
 
 
-def npy(arr, **kw) -> bytes:
-    buf = io.BytesIO()
-    np.save(buf, arr, **kw)
-    return buf.getvalue()
+F8 = {"dtype": "<f8", "shape": [4]}
 
 
-@pytest.mark.parametrize("shapes, record, message", [
-    ({"a": [-1]}, npy(np.zeros(1)), "not a demo file"),
-    ({"a": "4"}, npy(np.zeros(4)), "not a demo file"),
-    ({"a": [1]}, b"garbage", "'a' is truncated or corrupt"),
-    ({"a": [1]}, npy(np.array([None]), allow_pickle=True), "'a' holds Python objects"),
-    ({"a": [2, 3]}, npy(np.zeros((2, 3), order="F")), "'a' is not in C order"),
-    ({"a": [4]}, npy(np.zeros(3)), r"'a' has shape \[3\], header says \[4\]"),
-    ({"a": [4]}, npy(np.zeros(4))[:-1], "'a' is truncated: 32 bytes declared, 31 left"),
-    ({"a": [400000000000]}, record_shape(npy(np.zeros(4)), (4,), (400000000000,)),
+@pytest.mark.parametrize("arrays, data, message", [
+    ({"a": {"dtype": "<f8", "shape": [-1]}}, bytes(8), r"'a' has shape \[-1\], not a list of non-negative"),
+    ({"a": {"dtype": "<f8", "shape": "4"}}, bytes(32), "'a' has shape '4', not a list"),
+    ({"a": {"dtype": "<f8", "shape": [True, 4]}}, bytes(32), r"'a' has shape \[True, 4\], not a list"),
+    ({"a": {"dtype": "<f8", "shape": [4.0]}}, bytes(32), r"'a' has shape \[4.0\], not a list"),
+    ({"a": {"dtype": "<f4", "shape": [4]}}, bytes(16), "'a' has dtype '<f4', not one of <f8, <i8, |b1"),
+    ({"a": {"dtype": "|O", "shape": [4]}}, bytes(32), "'a' has dtype '|O', not one of"),
+    ({"a": {"dtype": ["<f8"], "shape": [4]}}, bytes(32), r"'a' has dtype \['<f8'\], not one of"),
+    ({"a": [4]}, bytes(32), r"'a' is described by \[4\], not by a dtype and a shape"),
+    ({"a": {"shape": [4]}}, bytes(32), "'a' is described by .*, not by a dtype and a shape"),
+    ({"a": F8}, bytes(31), "'a' is truncated: 32 bytes declared, 31 left"),
+    ({"a": F8, "b": F8}, bytes(40), "'b' is truncated: 32 bytes declared, 8 left"),
+    ({"a": {"dtype": "<f8", "shape": [400000000000]}}, bytes(32),
      "'a' is truncated: 3200000000000 bytes declared, 32 left"),
-], ids=["negative-dim", "shape-not-a-list", "bad-magic", "object-dtype", "fortran-order", "shape-mismatch",
-        "truncated", "huge-shape"])
-def test_a_bad_record_is_a_format_error_before_anything_is_allocated(tmp_path, shapes, record, message):
+    ({"a": F8}, bytes(33), "has 1 bytes after its last array"),
+], ids=["negative-dim", "shape-not-a-list", "bool-dim", "float-dim", "unknown-dtype", "object-dtype",
+        "dtype-not-a-string", "shape-only", "no-dtype", "truncated", "second-truncated", "huge-shape",
+        "trailing-bytes"])
+def test_a_bad_record_is_a_format_error_before_anything_is_allocated(tmp_path, arrays, data, message):
+    """Each fault is refused, naming the file and the array, before `into`
+    is called or any array is allocated."""
     path = tmp_path / "c.bin"
-    header = {"kind": "demo", "format_version": 1, "arrays": shapes}
-    path.write_bytes(json.dumps(header).encode() + b"\n" + record)
-    with pytest.raises(FormatError, match=message):
-        container.read(str(path), "demo", 1)
+    header = {"kind": "demo", "format_version": 1, "arrays": arrays}
+    path.write_bytes(json.dumps(header).encode() + b"\n" + data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=message) as info:
+            container.read(str(path), "demo", 1, into=lambda header: pytest.fail("into was called"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value).startswith(str(path))
+    assert peak < 1 << 16
 
 
 # ---------------------------------------------------------------------------

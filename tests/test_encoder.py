@@ -23,6 +23,7 @@ def tiny_config(**kw):
 def build_encoder(cfg, seed=0):
     bag = ParamBag()
     enc = DdmEncoder(cfg, bag, np.random.default_rng(seed))
+    bag.seal()
     return enc, bag
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import MetricsReportWriters, channel_sd_percentile
 from swhnet.errors import ConfigError, ContractError
 from swhnet.metrics import (bias, cc, export_bias_grid, export_scatter,
@@ -42,6 +43,20 @@ def test_perfect_predictions():
     assert cc(ref, ref) == pytest.approx(1.0)
     const = np.full(3, 2.0)
     assert cc(const, const) is None  # undefined, not NaN
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 7])
+def test_cc_is_undefined_for_every_constant_vector(n):
+    """The mean of n equal floats need not equal them, so neither need the
+    deviations from it be zero; constancy is tested exactly."""
+    varying = np.linspace(-0.15, 0.35, n)
+    for value in np.linspace(0.1, 8.0, 500):
+        const = np.full(n, value)
+        assert cc(varying, const) is None and cc(const, varying) is None, value
+    const = np.full(n, 0.05)
+    rep = report({chn: (varying, const) for chn in (1, 2, 3, 4)}, bin_edges=[0.0, 8.0])
+    assert [rep.per_channel[chn]["cc"] for chn in (1, 2, 3, 4)] == [None] * 4
+    assert rep.average["cc"] is None and rep.bins[0]["per_channel"][1]["cc"] is None
 
 
 def test_hand_evaluated_two_point_case():
@@ -224,6 +239,50 @@ def test_report_writers_are_byte_identical_to_the_oracles(tmp_path_factory, chan
     # the bins split [0, 8] without overlap, the last closed on the right
     refs = np.concatenate([ref for _, ref in pairs.values()])
     assert sum(b["average"]["n"] for b in rep.bins) == (int(np.sum(refs <= 8.0)) if binned else 0)
+
+
+# Counts on either side of the 8-element unrolled sum and of numpy's
+# 128-element pairwise-summation block, and the empty bin.
+BIN_COUNTS = [0, 1, 7, 8, 9, 129, 300]
+REPORT_EDGES = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]
+
+
+@st.composite
+def binned_channels(draw):
+    """{channel: (pred, ref)} whose references put one of BIN_COUNTS in
+    each bin of REPORT_EDGES: uniform in the bin, all equal, or on its
+    edges, with predictions near, far from or all equal to them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pairs = {}
+    for chn in (1, 2, 3, 4):
+        refs, preds = [], []
+        for lo, hi in zip(REPORT_EDGES, REPORT_EDGES[1:]):
+            n = draw(st.sampled_from(BIN_COUNTS))
+            style = draw(st.sampled_from(["uniform", "equal", "edges"]))
+            ref = {"uniform": rng.uniform(lo, hi, n), "equal": np.full(n, rng.uniform(lo, hi)),
+                   "edges": rng.choice([lo, hi] if hi == REPORT_EDGES[-1] else [lo], n)}[style]
+            spread = draw(st.sampled_from([0.0, 1e-9, 0.3, 5.0]))
+            refs.append(ref)
+            preds.append(ref + spread * rng.standard_normal(n) if draw(st.booleans()) else np.full(n, 2.5))
+        if not sum(r.size for r in refs):
+            refs.append(np.array([0.001]))  # a channel needs one pair; this one has no MAPE
+            preds.append(np.array([1.0]))
+        pairs[chn] = (np.concatenate(preds), np.concatenate(refs))
+    return pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(binned_channels())
+def test_report_gives_the_per_metric_oracles_bytes(tmp_path_factory, pairs):
+    """One shared error vector per cell gives the bytes that each metric's
+    own pass gave."""
+    out = tmp_path_factory.mktemp("report")
+    for name, rep in (("new", report(pairs, bin_edges=REPORT_EDGES, config_hash="c0ffee")),
+                      ("old", oracles.report(pairs, bin_edges=REPORT_EDGES, config_hash="c0ffee"))):
+        rep.write_json(str(out / f"{name}.json"))
+        rep.write_csv(str(out / f"{name}.csv"))
+    assert (out / "new.json").read_bytes() == (out / "old.json").read_bytes()
+    assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

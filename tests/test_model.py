@@ -14,8 +14,8 @@ from swhnet.config import ModelConfig
 from swhnet.errors import ConfigError, ContractError, ShapeError
 from swhnet.model import WaveHeightModel, batch_loss, fuse, head_widths
 
-from oracles import (affine_norm_chain, ap_gate_chain, finite_difference_grad, huber_mean_chain, huber_value,
-                     linear_chain, max_rel_error, patch_embed_chain)
+from oracles import (add_then_copy_build, affine_norm_chain, ap_gate_chain, finite_difference_grad, huber_mean_chain,
+                     huber_value, linear_chain, max_rel_error, patch_embed_chain)
 
 
 def toy_config(**kw):
@@ -28,6 +28,41 @@ def toy_config(**kw):
 def toy_inputs(cfg, seed=0):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(4, 3, cfg.width, cfg.height)), rng.normal(size=(4, cfg.k_ap))
+
+
+# ---------------------------------------------------------------------------
+# the parameter build
+# ---------------------------------------------------------------------------
+
+QUICK_START = dict(width=6, height=6, patch_size=3, embed_dim=2, n_layers=1, d_ff=16, dropout_p=0.0,
+                   head_hidden=[16] * 9)
+
+
+@pytest.mark.parametrize("kw", [dict(QUICK_START, strategy="CD"), dict(QUICK_START, strategy="CI"),
+                                dict(strategy="CI"), dict(strategy="CD")],
+                         ids=["quick-start-CD", "quick-start-CI", "paper-CI", "paper-CD"])
+def test_initial_parameters_are_those_of_the_add_then_copy_build(kw):
+    """Each initializer drawn into its view of the buffer gives the bytes
+    that each parameter drawn into an array of its own, then copied, gave."""
+    cfg = ModelConfig(**kw)
+    model, oracle = WaveHeightModel(cfg), add_then_copy_build(cfg)
+    assert [(name, p.data.shape) for name, p in model.bag.items()] == \
+        [(name, p.data.shape) for name, p in oracle.items()]
+    assert model.bag.data.tobytes() == oracle.data.tobytes()
+
+
+@pytest.mark.parametrize("strategy", ["CI", "CD"])
+def test_paper_default_build_holds_the_parameter_bytes_once(strategy):
+    """No initial value is held outside the buffer, and a model that has not
+    trained has no gradient buffer."""
+    tracemalloc.start()
+    try:
+        model = WaveHeightModel(ModelConfig(strategy=strategy))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.bag.grad is None
+    assert peak < 1.05 * model.bag.data.nbytes, f"{peak / 1e6:.1f} MB peak for {model.bag.data.nbytes / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +332,11 @@ def test_paper_default_train_forward_holds_two_bytes_per_hidden_unit():
 def traced_paper_default_backward(strategy):
     """A paper-default model and one B = 1 training loss; returns the model
     and the bytes held after, and the peak during, `loss.backward()`. The
-    bag's gradient buffer was allocated with the model, before tracing."""
+    bag's gradient buffer is allocated before tracing, as an optimizer
+    allocates it before the first backward."""
     cfg = ModelConfig(strategy=strategy)
     model = WaveHeightModel(cfg)
+    model.bag.grad_buffer()
     rng = np.random.default_rng(0)
     preds = model.forward_batch(rng.normal(size=(1, 4, 3, cfg.width, cfg.height)),
                                 rng.normal(size=(1, 4, cfg.k_ap)), train=True, rng=np.random.default_rng(1))

@@ -4,6 +4,7 @@ splitting, and the canonical file formats."""
 import copy
 import json
 import math
+import tracemalloc
 from datetime import datetime, timezone
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from damage import record_shape, set_last_value
+from damage import as_version_3, record_shape, set_last_value
 import oracles
 from oracles import match_buoy_record_oracle
 from swhnet import cli, container, pipeline
@@ -1045,14 +1046,15 @@ def test_sample_file_with_a_huge_record_shape_rejected_before_allocating(tmp_pat
     samples = [sample_with_refs([k] * 4, ts=float(k)) for k in range(4)]
     path = tmp_path / "samples.jsonl"
     write_samples(str(path), samples, {})
-    raw = path.read_bytes()
-    path.write_bytes(record_shape(raw, (4,), (400000000000,)))
-    with pytest.raises(FormatError, match=r"'timestamp' has shape \[400000000000\], header says \[4\]"):
-        read_samples(str(path))
-    path.write_bytes(record_shape(raw, (4,), (400000000000,)).replace(
-        b'"timestamp": [4]', b'"timestamp": [400000000000]', 1))
-    with pytest.raises(FormatError, match="'timestamp' is truncated: 3200000000000 bytes declared"):
-        read_samples(str(path))
+    path.write_bytes(record_shape(path.read_bytes(), "timestamp", [400000000000]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="'timestamp' is truncated: 3200000000000 bytes declared"):
+            read_samples(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _sample_fields(samples):
@@ -1170,6 +1172,14 @@ def test_version_2_sample_and_group_files_rejected(tmp_path):
     for path, read in _sample_and_group_files(tmp_path):
         _rewrite_header(path, lambda doc: doc.update(format_version=2))
         with pytest.raises(FormatError, match="version 2 unsupported"):
+            read(str(path))
+
+
+def test_version_3_sample_and_group_files_rejected(tmp_path):
+    # Version 3 held each array as an `.npy` record.
+    for path, read in _sample_and_group_files(tmp_path):
+        as_version_3(path)
+        with pytest.raises(FormatError, match="format version 3 unsupported"):
             read(str(path))
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from swhnet import autodiff as ad
 from swhnet.autodiff import ParamBag, count_params
-from swhnet import container
+from swhnet import checkpoint, container
 from swhnet.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from swhnet.config import ModelConfig, TrainConfig
 from swhnet.errors import ConfigError, ContractError, FormatError, NonFiniteError
@@ -21,7 +21,7 @@ from swhnet import training
 from swhnet.training import (ADAMW_SLICE, AdamW, ModelDataset, eval_batch_size, predict, train,
                              validation_rmse)
 
-from damage import record_shape
+from damage import as_version_3, record_shape
 from oracles import PerParameterAdamW, tsum_node
 
 
@@ -53,7 +53,7 @@ def toy_dataset(cfg, n, seed=0, signal=True):
 
 def scalar_bag(value=1.0):
     bag = ParamBag()
-    t = bag.add("p", np.array([value]))
+    t = bag.add("p", (1,), value)
     return bag, t
 
 
@@ -114,7 +114,7 @@ def test_adamw_five_steps_bit_identical_to_textbook_expression():
     rng = np.random.default_rng(41)
     bag = ParamBag()
     for name, shape in shapes.items():
-        bag.add(name, rng.normal(size=shape))
+        bag.add(name, shape, lambda out: rng.standard_normal(out=out))
     lr, wd, b1, b2, eps = 0.01, 0.1, 0.9, 0.98, 1e-8
     opt = AdamW(bag, lr=lr, weight_decay=wd, beta1=b1, beta2=b2, eps=eps)
     ref = {name: p.data.copy() for name, p in bag.items()}
@@ -162,8 +162,12 @@ def test_adamw_five_training_steps_byte_equal_to_per_parameter_oracle(strategy):
 
 
 def test_parameters_and_their_gradients_view_the_bag_buffers():
+    # A built model has no gradient buffer until one is asked for, as an
+    # optimizer does, and then always the same one.
     model = toy_model()
     bag = model.bag
+    assert bag.grad is None
+    assert bag.grad_buffer() is bag.grad_buffer() is bag.grad
     assert bag.data.size == bag.grad.size == count_params(bag)
     assert bag.data.tobytes() == b"".join(arr.tobytes() for arr in bag.state_arrays().values())
     data = toy_dataset(model.cfg, 3)
@@ -179,6 +183,7 @@ def test_a_backward_after_zero_grad_repeats_the_gradients(strategy):
     # Each first gradient overwrites its stale buffer entries, those that
     # `split` sums into (the CI AP embedding's kernel and bias) included.
     model = toy_model(strategy)
+    model.bag.grad_buffer()
     data = toy_dataset(model.cfg, 3)
     grads = []
     for _ in range(2):
@@ -232,9 +237,9 @@ def test_add_to_a_sealed_bag_rejected():
     bag, _ = scalar_bag()
     AdamW(bag, lr=0.1)  # seals a bare bag
     with pytest.raises(ContractError, match="sealed"):
-        bag.add("q", np.zeros(2))
+        bag.add("q", (2,), 0.0)
     with pytest.raises(ContractError, match="sealed"):
-        toy_model().bag.add("q", np.zeros(2))
+        toy_model().bag.add("q", (2,), 0.0)
 
 
 def test_adamw_rejects_a_parameter_the_backward_never_reached():
@@ -242,8 +247,8 @@ def test_adamw_rejects_a_parameter_the_backward_never_reached():
     # the second backward reaches only "a", and b's stale buffer entries
     # must not stand in for its gradient.
     bag = ParamBag()
-    a = bag.add("a", np.ones(3))
-    b = bag.add("b", np.ones(2))
+    a = bag.add("a", (3,), 1.0)
+    b = bag.add("b", (2,), 1.0)
     opt = AdamW(bag, lr=0.1)
     tsum_node(ad.add(tsum_node(a), tsum_node(b))).backward()
     opt.step()
@@ -496,8 +501,8 @@ def test_predict_schema_mismatch():
 
 def test_count_params_single_dense_layer():
     bag = ParamBag()
-    bag.add("w", np.zeros((4, 4)))
-    bag.add("b", np.zeros(4))
+    bag.add("w", (4, 4), 0.0)
+    bag.add("b", (4,), 0.0)
     assert count_params(bag) == 20
 
 
@@ -532,10 +537,9 @@ def test_save_checkpoint_writes_the_parameters_without_copying_them(tmp_path, mo
 
 
 def test_paper_default_load_reads_into_the_model_buffer(tmp_path):
-    # Building the model takes the initial arrays, the value buffer and the
-    # (untouched) gradient buffer: three times the parameter bytes. Reading
-    # the records into arrays of their own, to copy them in after, would
-    # add a fourth.
+    # Building the model takes the value buffer alone: the parameter bytes
+    # once. Reading the arrays into arrays of their own, to copy them in
+    # after, or a finiteness mask over the buffer, would add to that.
     model = WaveHeightModel(ModelConfig(strategy="CD"))
     path = tmp_path / "ckpt.json"
     save_checkpoint(str(path), model)
@@ -546,7 +550,7 @@ def test_paper_default_load_reads_into_the_model_buffer(tmp_path):
     finally:
         tracemalloc.stop()
     assert loaded.bag.data.tobytes() == model.bag.data.tobytes()
-    assert peak < 3.5 * model.bag.data.nbytes
+    assert peak < 1.05 * model.bag.data.nbytes
 
 
 def test_checkpoint_version_and_truncation(tmp_path):
@@ -567,12 +571,14 @@ def test_checkpoint_version_and_truncation(tmp_path):
         load_checkpoint(str(trunc))
 
 
-def test_checkpoint_with_a_huge_record_shape_rejected_before_allocating(tmp_path):
+def test_checkpoint_with_a_huge_record_shape_rejected_before_allocating(tmp_path, monkeypatch):
+    # The header is checked against the file length before the model is built.
     model = toy_model()
     path = tmp_path / "ckpt.json"
     save_checkpoint(str(path), model)
-    path.write_bytes(record_shape(path.read_bytes(), (8,), (400000000000,)))
-    with pytest.raises(FormatError, match=r"has shape \[400000000000\], header says \[8\]"):
+    path.write_bytes(record_shape(path.read_bytes(), "encoder.layer0.ffn.b1", [400000000000]))
+    monkeypatch.setattr(checkpoint, "WaveHeightModel", lambda cfg: pytest.fail("the model was built"))
+    with pytest.raises(FormatError, match="'encoder.layer0.ffn.b1' is truncated: 3200000000000 bytes declared"):
         load_checkpoint(str(path))
 
 
@@ -595,6 +601,15 @@ def test_checkpoint_v2_rejected(tmp_path):
     path = tmp_path / "ckpt.json"
     container.write(str(path), "checkpoint", 2, header, model.bag.state_arrays())
     with pytest.raises(FormatError, match="version 2 unsupported"):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_v3_rejected(tmp_path):
+    # Version 3 held each parameter as an `.npy` record.
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(str(path), toy_model())
+    as_version_3(path)
+    with pytest.raises(FormatError, match="checkpoint format version 3 unsupported"):
         load_checkpoint(str(path))
 
 
