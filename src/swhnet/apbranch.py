@@ -17,7 +17,6 @@ from . import autodiff as ad
 from .autodiff import ParamBag, Tensor
 from .config import ModelConfig
 from .encoder import _xavier
-from .errors import ShapeError
 
 SPATIAL_UP_FACTOR = 4   # K_ap -> 4*K_ap up-projection
 CHANNEL_HIDDEN = 16     # 4 -> 16 -> 4 channel projection (4 -> 4 per channel in CI)
@@ -47,7 +46,5 @@ class ApGateBranch:
         self.b4 = bag.add("ap.channel.b4", (4,), 0.0)
 
     def forward(self, a: Tensor) -> Tensor:
-        if a.shape[-2:] != (4, self.cfg.k_ap):
-            raise ShapeError(f"AP matrix must be (..., 4, {self.cfg.k_ap}), got {a.shape}")
         return ad.ap_gate(a, self.embed_kernel, self.embed_bias, self.p1, self.b1, self.p2, self.b2,
                           self.p3, self.b3, self.p4, self.b4)

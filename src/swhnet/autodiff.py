@@ -398,15 +398,16 @@ def per_sample_streams(rng: np.random.Generator | None, n: int, draws: int):
 
     Yields `rng` itself when n == 1 or nothing is drawn. Otherwise sample 0
     draws from `rng`, the others from copies advanced by b * draws
-    (`bit_generator.advance`, so PCG64 only); on exit `rng` is left where n
-    single-sample calls would leave it. A sample that drew a different count
-    raises ContractError.
+    (`bit_generator.advance`, so PCG64 only, the bit generator that
+    `default_rng` gives); on exit `rng` is left where n single-sample calls
+    would leave it. A sample that drew a different count raises
+    ContractError.
     """
     if rng is None or n == 1 or draws == 0:
         yield rng
         return
     bits = rng.bit_generator
-    if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
+    if not isinstance(bits, np.random.PCG64):
         raise ContractError(f"batched dropout needs a PCG64 generator to advance, got {type(bits).__name__}")
     start = bits.state
     streams = [rng]

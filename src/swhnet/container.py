@@ -3,12 +3,17 @@ header line (artifact kind, format version, metadata, and each array's
 dtype and shape in file order), then each array's raw C-order bytes,
 back to back. Equal arrays give equal bytes.
 
-One loop reads every file kind. It checks the whole header first: every
-dtype is one of `DTYPES`, every shape a list of non-negative integers,
-and the file holds exactly the header line plus the bytes those declare.
-Only then does it allocate, reading each array into a fresh array or
-into a destination the caller supplies: a checkpoint's arrays go straight
-into the model's parameter buffer.
+One loop reads every file kind. It checks the whole header first: the
+header line fits in `HEADER_MAX_BYTES`, every dtype is one of `DTYPES`,
+every shape a list of non-negative integers, and the file holds exactly
+the header line plus the bytes those declare. Only then does it
+allocate, reading each array into a fresh array or into a destination
+the caller supplies: a checkpoint's arrays go straight into the model's
+parameter buffer.
+
+Every float array of every kind holds only finite values: `write`
+refuses, and writes nothing, and `read` rejects the file once the array
+is read, if one holds NaN or inf.
 
 Writes go to a temporary file beside the target that is then renamed onto
 it, so a crashed writer leaves no half-written file. There is no fsync.
@@ -31,6 +36,9 @@ from .errors import ContractError, FormatError
 
 # The array dtypes a file may hold, by the name its header gives them.
 DTYPES = {name: np.dtype(name) for name in ("<f8", "<i8", "|b1")}
+
+# The longest header line, its newline included, that `read` takes.
+HEADER_MAX_BYTES = 1 << 20
 
 
 @contextlib.contextmanager
@@ -85,10 +93,13 @@ def write_json(path: str, doc) -> None:
 def write(path: str, kind: str, version: int, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     """A header of kind, version, `meta` and each array's dtype and shape,
     then the bytes of `arrays` in order. Raises ContractError, and writes
-    nothing, for an array whose dtype is not one of `DTYPES`."""
+    nothing, for an array whose dtype is not one of `DTYPES` or a float
+    array that holds NaN or inf."""
     for name, arr in arrays.items():
         if arr.dtype.str not in DTYPES:
             raise ContractError(f"{path}: array {name!r} has dtype {arr.dtype}, not one of {', '.join(DTYPES)}")
+        if not _finite(arr):
+            raise ContractError(f"{path}: {kind} array {name!r} holds a non-finite value; not written")
     header = {"kind": kind, "format_version": version, **meta,
               "arrays": {name: {"dtype": arr.dtype.str, "shape": list(arr.shape)} for name, arr in arrays.items()}}
     with atomic_open(path) as fh:
@@ -99,15 +110,25 @@ def write(path: str, kind: str, version: int, meta: dict, arrays: dict[str, np.n
 
 def read(path: str, kind: str, version: int, into=None) -> tuple[dict, dict[str, np.ndarray]]:
     """(header, arrays by name) of a file written by `write`, after checking
-    its kind, version, array dtypes and shapes, and length.
+    its header line's length, kind, version, array dtypes and shapes, and
+    file length; each float array is then checked for finite values.
 
     `into`, if given, is called with the checked header and returns a
     {name: array} of C-ordered destinations: each named array is read
     straight into its destination, every other one into a fresh array.
     """
     with open(path, "rb") as fh:
+        # Read in pieces: one readline of the whole cap would hold it twice.
+        line = bytearray()
+        while len(line) <= HEADER_MAX_BYTES and not line.endswith(b"\n"):
+            piece = fh.readline(1 << 16)
+            if not piece:
+                break
+            line += piece
+        if len(line) > HEADER_MAX_BYTES:
+            raise FormatError(f"{path} has no header line within its first {HEADER_MAX_BYTES} bytes")
         try:
-            header = json.loads(fh.readline())
+            header = json.loads(line)
         except ValueError as exc:
             raise FormatError(f"{path} does not start with a JSON header line: {exc}") from exc
         found = header.get("format_version") if isinstance(header, dict) else None
@@ -128,8 +149,16 @@ def read(path: str, kind: str, version: int, into=None) -> tuple[dict, dict[str,
             buf = out.reshape(-1).view(np.uint8)
             if fh.readinto(buf) != buf.size:
                 raise FormatError(f"{path}: array {name!r} is truncated")
+            if not _finite(out):
+                raise FormatError(f"{path}: {kind} array {name!r} holds a non-finite value")
             arrays[name] = out
     return header, arrays
+
+
+def _finite(arr: np.ndarray) -> bool:
+    """False for a float array holding NaN or inf, else True. Its min and
+    max carry any NaN or inf, and allocate nothing."""
+    return arr.dtype.kind != "f" or arr.size == 0 or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
 
 
 def _layout(path: str, specs: dict, size: int) -> dict[str, tuple[np.dtype, tuple[int, ...]]]:

@@ -224,8 +224,6 @@ class DdmEncoder:
         four with `aggregate_channels`. `rng` is a Generator or a list of
         them, one per sample of the leading axis (see `autodiff.dropout`).
         """
-        if stack.shape[-4:-2] != (4, 3):
-            raise ShapeError(f"encoder input must be (..., 4, 3, W, H), got {stack.shape}")
         # (..., 4, 3N+1, embed_dim) flattens to (..., 4, M) and turns channel-last.
         embedded = self.embed_channel(stack)
         tokens = ad.transpose(ad.reshape(embedded, stack.shape[:-3] + (-1,)))

@@ -4,10 +4,9 @@ bias map).
 
 Conventions:
   * Bias is signed prediction minus reference.
-  * MAPE is reported in percent; the scalar op rejects zero references,
-    while report() excludes references below 0.01 m with a counted
-    exclusion (post-screening references are positive, so the count
-    should be zero and is asserted in tests).
+  * MAPE is reported in percent; report() excludes references below
+    0.01 m with a counted exclusion (post-screening references are
+    positive, so the count should be zero and is asserted in tests).
   * CC for a constant vector, and the scatter's regression line for
     constant references, are undefined and reported as None rather than
     NaN.
@@ -42,34 +41,6 @@ def _pair(pred, ref) -> tuple[np.ndarray, np.ndarray]:
     return pred, ref
 
 
-def rmse(pred, ref) -> float:
-    pred, ref = _pair(pred, ref)
-    return float(np.sqrt(np.mean((pred - ref) ** 2)))
-
-
-def mae(pred, ref) -> float:
-    pred, ref = _pair(pred, ref)
-    return float(np.mean(np.abs(pred - ref)))
-
-
-def bias(pred, ref) -> float:
-    pred, ref = _pair(pred, ref)
-    return float(np.mean(pred - ref))
-
-
-def mape(pred, ref) -> float:
-    pred, ref = _pair(pred, ref)
-    if np.any(ref == 0.0):
-        raise ContractError("mape is undefined for zero references")
-    return float(100.0 * np.mean(np.abs((pred - ref) / ref)))
-
-
-def cc(pred, ref) -> float | None:
-    """Pearson correlation; None when either vector is constant."""
-    pred, ref = _pair(pred, ref)
-    return _cc(pred, ref)
-
-
 def _mean(x: np.ndarray) -> np.floating:
     """`np.mean` of a float vector, bit for bit (numpy's pairwise sum, then
     one division by the count), without its per-call overhead."""
@@ -77,9 +48,10 @@ def _mean(x: np.ndarray) -> np.floating:
 
 
 def _cc(pred: np.ndarray, ref: np.ndarray) -> float | None:
-    """`cc` of a checked pair. A vector is constant when its min equals its
-    max: the mean of n equal floats need not equal them, so neither need
-    the deviations from it, nor the denominator, be zero."""
+    """Pearson correlation of a checked pair; None when either vector is
+    constant. A vector is constant when its min equals its max: the mean
+    of n equal floats need not equal them, so neither need the deviations
+    from it, nor the denominator, be zero."""
     if pred.min() == pred.max() or ref.min() == ref.max():
         return None
     dp = pred - _mean(pred)
@@ -91,8 +63,8 @@ def _cc(pred: np.ndarray, ref: np.ndarray) -> float | None:
 
 
 def _cell(pred, ref) -> dict:
-    """All five metrics for one vector pair, with the MAPE exclusion count:
-    the scalar functions' arithmetic, on one shared error vector."""
+    """All five metrics for one vector pair, with the MAPE exclusion count,
+    on one shared error vector."""
     pred, ref = _pair(pred, ref)
     n = pred.size
     err = pred - ref

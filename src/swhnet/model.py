@@ -30,9 +30,6 @@ def fuse(d_prime: Tensor, a_prime: Tensor, strategy: str) -> Tensor:
     (..., 4, M+K_ap) per-channel rows; CD returns the (..., 1, 4*(M+K_ap))
     row of the channel blocks in order.
     """
-    if d_prime.ndim < 2 or d_prime.shape[-1] != 4 or a_prime.ndim < 2 or a_prime.shape[-2] != 4 \
-            or d_prime.shape[:-2] != a_prime.shape[:-2]:
-        raise ShapeError(f"fuse expects (..., M, 4) and (..., 4, K), got {d_prime.shape} and {a_prime.shape}")
     per_channel = ad.concat([ad.transpose(d_prime), a_prime], axis=-1)
     if strategy == "CI":
         return per_channel

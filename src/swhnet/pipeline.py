@@ -10,10 +10,10 @@ the group file use. Each reference matcher looks up the records of all
 its groups at once, in arrays (`interpolate_swh`, `_match_buoys`), and
 one builder makes each kept group's sample. The sample and group
 files swhnet writes are `container` files that carry their manifest in
-the header, and their writers refuse and their readers reject a float
-array holding NaN or inf; the inputs (L1 records, the reanalysis grid,
-buoys) are JSON and CSV. Identical inputs and seeds reproduce
-byte-identical outputs.
+the header, so a float array holding NaN or inf is refused by their
+writers and rejected by their readers, as in every container file; the
+inputs (L1 records, the reanalysis grid, buoys) are JSON and CSV.
+Identical inputs and seeds reproduce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -575,24 +575,11 @@ def per_channel(items: list, n: int, *fields: str) -> dict[str, np.ndarray]:
 
 def _read_container(path: str, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
     """`container.read` of a sample or group file at SCHEMA_VERSION whose
-    header holds a manifest and whose float arrays hold only finite values."""
+    header holds a manifest."""
     header, arrays = container.read(path, kind, SCHEMA_VERSION)
     if not isinstance(header.get("manifest"), dict):
         raise FormatError(f"{path}: {kind} header has no manifest")
-    for name, arr in arrays.items():
-        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
-            raise FormatError(f"{path}: {kind} array {name!r} holds a non-finite value")
     return header, arrays
-
-
-def _write_container(path: str, kind: str, header: dict, arrays: dict[str, np.ndarray]) -> None:
-    """`container.write` of a sample or group file at SCHEMA_VERSION. Raises
-    ContractError, and writes nothing, if a float array holds NaN or inf:
-    _read_container would reject the file."""
-    for name, arr in arrays.items():
-        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
-            raise ContractError(f"{path}: {kind} array {name!r} holds a non-finite value; not written")
-    container.write(path, kind, SCHEMA_VERSION, header, arrays)
 
 
 def write_samples(path: str, samples: list[FourChannelSample], manifest: dict) -> None:
@@ -602,7 +589,7 @@ def write_samples(path: str, samples: list[FourChannelSample], manifest: dict) -
     chans = [ch for s in samples for ch in s.channels]
     n = len(samples)
     sources = sorted({s.source for s in samples})
-    _write_container(path, "samples", {"sources": sources, "manifest": manifest}, {
+    container.write(path, "samples", SCHEMA_VERSION, {"sources": sources, "manifest": manifest}, {
         "timestamp": np.array([s.timestamp for s in samples], dtype=np.float64),
         "source": np.array([sources.index(s.source) for s in samples], dtype=np.int64),
         **per_channel(chans, n, "sp_lat", "sp_lon", "ddms", "aps", "swh_ref"),
@@ -699,7 +686,7 @@ def write_groups(path: str, groups: list[list[L1Record]], manifest: dict) -> Non
     record field and `manifest` in its header."""
     recs = [r for group in groups for r in group]
     n = len(groups)
-    _write_container(path, "groups", {"manifest": manifest}, {
+    container.write(path, "groups", SCHEMA_VERSION, {"manifest": manifest}, {
         **per_channel(recs, n, "timestamp", "sp_lat", "sp_lon", "ddms", "rcg"),
         "channel": np.array([r.channel for r in recs], dtype=np.int64).reshape(n, 4),
         "aps": np.array([[r.aps[k] for k in BASE_AP_FIELDS] for r in recs],

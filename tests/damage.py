@@ -20,13 +20,23 @@ def record_shape(raw: bytes, name: str, new) -> bytes:
     return json.dumps(header).encode("utf-8") + sep + data
 
 
-def set_last_value(path, kind: str, version: int, name: str, value: float) -> None:
-    """Rewrite the container file at `path` with the last element of its
-    array `name` set to `value`, every other array and the header kept."""
-    header, arrays = container.read(str(path), kind, version)
-    arrays[name].reshape(-1)[-1] = value
-    meta = {k: v for k, v in header.items() if k not in ("kind", "format_version", "arrays")}
-    container.write(str(path), kind, version, meta, arrays)
+def set_last_value(path, kind: str, version: int, name: str, value) -> None:
+    """Patch, in place, the bytes of the last element of the array `name`
+    in the container file at `path` to `value`; every other byte stays as
+    it was. `container.write` would refuse a non-finite value."""
+    with open(path, "r+b") as fh:
+        header = json.loads(fh.readline())
+        assert (header["kind"], header["format_version"]) == (kind, version)
+        end = fh.tell()
+        for key, spec in header["arrays"].items():
+            dtype = np.dtype(spec["dtype"])
+            end += math.prod(spec["shape"]) * dtype.itemsize
+            if key == name:
+                break
+        else:
+            raise KeyError(name)
+        fh.seek(end - dtype.itemsize)
+        fh.write(np.array(value, dtype).tobytes())
 
 
 def set_header_field(path, kind: str, version: int, key: str, value) -> None:

@@ -47,12 +47,14 @@ raised after writing two files). `add_then_copy_build`, with
 `AddThenCopyBag` and `_xavier`, is the model's parameter build as it ran
 when each parameter was drawn into an array of its own and then copied
 into the flat buffer, which the build that draws into the buffer must
-reproduce bit for bit. `report`, with `_cell`, is the metrics report as
-it ran with one pass of `metrics.rmse`, `mae`, `bias`, `mape` and `cc`
-per cell, which the report that shares one error vector per cell must
-reproduce byte for byte in its files. `swh_from_nbrcs`, the exact inverse of
-synth's planted map, and `channel_sd_percentile`, the spread of a
-sample's four references, are helpers that only tests use.
+reproduce bit for bit. `rmse`, `mae`, `bias`, `mape` and `cc` are the
+scalar metrics, one formula each, as `metrics` defined them beside
+`report`'s cells, and `report`, with `_cell`, is the metrics report as
+it ran with one pass of each per cell, which the report that shares one
+error vector per cell must reproduce byte for byte in its files.
+`swh_from_nbrcs`, the exact inverse of synth's planted map, and
+`channel_sd_percentile`, the spread of a sample's four references, are
+helpers that only tests use.
 """
 
 import csv
@@ -69,8 +71,8 @@ from swhnet.cli import PREDICTION_FIELDS
 from swhnet.config import AP_COLUMNS, DDM_TYPES, SplitSpec, SynthSpec, parse_time
 from swhnet.container import atomic_open_text
 from swhnet.errors import ConfigError, ContractError, FormatError, ShapeError
-from swhnet.metrics import (MAPE_MIN_REF, METRIC_NAMES, MetricsReport, _average_cells, _pair, bias, cc,
-                            increasing, least_squares_fit, mae, mape, rmse)
+from swhnet.metrics import (MAPE_MIN_REF, METRIC_NAMES, MetricsReport, _average_cells, _cc, _pair,
+                            increasing, least_squares_fit)
 from swhnet.model import head_widths
 from swhnet.pipeline import (BASE_AP_FIELDS, BUOY_MAX_KM, BUOY_MAX_S, FILL_VALUE_THRESHOLD,
                              LAND_DISTANCE_MIN_KM, PITCH_MAX_DEG, QUALITY_FLAG_MASK, RCG_MIN,
@@ -1177,8 +1179,36 @@ def add_then_copy_build(cfg) -> AddThenCopyBag:
 
 
 # ---------------------------------------------------------------------------
-# the metrics report as it ran with one pass of each metric per cell
+# the scalar metrics, and the report as it ran with one pass of each per cell
 # ---------------------------------------------------------------------------
+
+
+def rmse(pred, ref) -> float:
+    pred, ref = _pair(pred, ref)
+    return float(np.sqrt(np.mean((pred - ref) ** 2)))
+
+
+def mae(pred, ref) -> float:
+    pred, ref = _pair(pred, ref)
+    return float(np.mean(np.abs(pred - ref)))
+
+
+def bias(pred, ref) -> float:
+    pred, ref = _pair(pred, ref)
+    return float(np.mean(pred - ref))
+
+
+def mape(pred, ref) -> float:
+    pred, ref = _pair(pred, ref)
+    if np.any(ref == 0.0):
+        raise ContractError("mape is undefined for zero references")
+    return float(100.0 * np.mean(np.abs((pred - ref) / ref)))
+
+
+def cc(pred, ref) -> float | None:
+    """Pearson correlation; None when either vector is constant."""
+    pred, ref = _pair(pred, ref)
+    return _cc(pred, ref)
 
 
 def _cell(pred: np.ndarray, ref: np.ndarray) -> dict:

@@ -799,11 +799,10 @@ def test_checkpoint_with_a_non_finite_parameter_exits_two(tmp_path, toy_config, 
     data = tmp_path / "samples.jsonl"
     main(["synth", "--config", toy_config, "--out", str(data)])
     model = WaveHeightModel(model_config(load_config(toy_config)))
-    state = model.bag.state_arrays()
-    state["head.out.b"][0] = np.nan
     ckpt = tmp_path / "checkpoint.json"
     container.write(str(ckpt), "checkpoint", FORMAT_VERSION,
-                    {"config": vars(model.cfg), "standardization": None, "meta": None}, state)
+                    {"config": vars(model.cfg), "standardization": None, "meta": None}, model.bag.state_arrays())
+    set_last_value(ckpt, "checkpoint", FORMAT_VERSION, "head.out.b", np.nan)
     assert main(["predict", "--config", toy_config, "--data", str(data), "--checkpoint", str(ckpt),
                  "--out", str(tmp_path / "preds.csv")]) == 2
     assert "head.out.b" in caplog.text

@@ -3,6 +3,7 @@ group files, and for the text report writers, which every report goes
 through."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from damage import set_last_value
 from swhnet import cli, container, training
 from swhnet.errors import ContractError, FormatError
 from swhnet.metrics import METRIC_NAMES, MetricsReport, export_bias_grid, export_scatter
@@ -93,6 +95,58 @@ def test_fortran_ordered_arrays_are_written_in_c_order(tmp_path):
     container.write(str(path), "demo", 1, {}, {"a": arr})
     back = container.read(str(path), "demo", 1)[1]["a"]
     assert back.flags.c_contiguous and np.array_equal(back, arr)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_float_array_is_refused_before_anything_is_written(tmp_path, value):
+    path = tmp_path / "c.bin"
+    container.write(str(path), "demo", 1, {}, {"a": np.ones(3)})
+    before = path.read_bytes()
+    bad = np.arange(6.0).reshape(2, 3)
+    bad[1, 0] = value
+    message = f"{re.escape(str(path))}: demo array 'b' holds a non-finite value; not written"
+    with pytest.raises(ContractError, match=message):
+        container.write(str(path), "demo", 1, {}, {"a": np.zeros(3), "b": bad, "c": np.ones(2)})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["c.bin"]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_float_array_is_rejected_on_read(tmp_path, value):
+    path = tmp_path / "c.bin"
+    # Integer, boolean and empty arrays have no non-finite values to hold.
+    container.write(str(path), "demo", 1, {}, {"i": np.array([1, 2]), "b": np.array([True]),
+                                               "empty": np.zeros((0, 3)), "a": np.ones(3)})
+    assert container.read(str(path), "demo", 1)[1]["empty"].shape == (0, 3)
+    set_last_value(path, "demo", 1, "a", value)
+    with pytest.raises(FormatError, match=f"{re.escape(str(path))}: demo array 'a' holds a non-finite value"):
+        container.read(str(path), "demo", 1)
+
+
+def test_a_header_line_at_the_cap_is_read_and_one_past_it_is_rejected(tmp_path):
+    path = tmp_path / "c.bin"
+    container.write(str(path), "demo", 1, {"pad": ""}, {"a": np.ones(3)})
+    pad = "x" * (container.HEADER_MAX_BYTES - len(path.read_bytes().partition(b"\n")[0]) - 1)
+    container.write(str(path), "demo", 1, {"pad": pad}, {"a": np.ones(3)})
+    assert len(path.read_bytes().partition(b"\n")[0]) + 1 == container.HEADER_MAX_BYTES
+    assert container.read(str(path), "demo", 1)[0]["pad"] == pad
+    container.write(str(path), "demo", 1, {"pad": pad + "x"}, {"a": np.ones(3)})
+    with pytest.raises(FormatError, match="has no header line within its first 1048576 bytes"):
+        container.read(str(path), "demo", 1)
+
+
+def test_a_file_without_a_newline_is_refused_after_the_header_cap(tmp_path):
+    # A wrong path to a large binary file is not read whole into memory.
+    path = tmp_path / "big.bin"
+    path.write_bytes(b"\1" * (4 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))} has no header line within its first 1048576 "):
+            container.read(str(path), "demo", 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (1 << 20)
 
 
 F8 = {"dtype": "<f8", "shape": [4]}

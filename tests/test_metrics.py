@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import MetricsReportWriters, channel_sd_percentile
+from oracles import MetricsReportWriters, bias, cc, channel_sd_percentile, mae, mape, rmse
 from swhnet.errors import ConfigError, ContractError
-from swhnet.metrics import (bias, cc, export_bias_grid, export_scatter,
-                            least_squares_fit, mae, mape, report, rmse)
+from swhnet.metrics import export_bias_grid, export_scatter, least_squares_fit, report
 
 
 def naive_metrics(pred, ref):

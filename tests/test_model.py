@@ -451,6 +451,16 @@ def test_forward_batch_dropout_needs_an_advanceable_generator():
         model.forward_batch(ddms, aps, train=True, rng=np.random.Generator(np.random.MT19937(0)))
 
 
+def test_forward_batch_dropout_refuses_a_pcg64dxsm_generator():
+    # PCG64DXSM can advance too, but `default_rng` never gives one, so no
+    # batched stream is checked against single-sample calls on it.
+    cfg, ddms, aps = batch_case("CD")
+    assert len(ddms) >= 2 and cfg.dropout_p > 0
+    model = WaveHeightModel(cfg)
+    with pytest.raises(ContractError, match="PCG64 generator to advance, got PCG64DXSM"):
+        model.forward_batch(ddms, aps, train=True, rng=np.random.Generator(np.random.PCG64DXSM(0)))
+
+
 @pytest.mark.parametrize("strategy", ["CI", "CD"])
 @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
 def test_forward_batch_samples_are_independent(strategy, train):

@@ -21,7 +21,7 @@ from swhnet import training
 from swhnet.training import (ADAMW_SLICE, AdamW, ModelDataset, eval_batch_size, predict, train,
                              validation_rmse)
 
-from damage import as_version_3, record_shape
+from damage import as_version_3, record_shape, set_last_value
 from oracles import PerParameterAdamW, tsum_node
 
 
@@ -636,10 +636,29 @@ def test_checkpoint_array_shape_must_match_config(tmp_path):
 
 
 def test_checkpoint_with_a_non_finite_array_rejected(tmp_path):
-    model = toy_model()
-    state = model.bag.state_arrays()
-    state["head.out.b"][0] = np.nan
     path = tmp_path / "ckpt.json"
-    save_checkpoint(str(path), model, state=state)
+    save_checkpoint(str(path), toy_model())
+    set_last_value(path, "checkpoint", FORMAT_VERSION, "head.out.b", np.nan)
     with pytest.raises(FormatError, match=rf"{re.escape(str(path))}.*head\.out\.b"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("given_state", [False, True], ids=["model", "state"])
+def test_save_checkpoint_refuses_a_non_finite_parameter(tmp_path, given_state):
+    model = toy_model()
+    state = model.bag.state_arrays() if given_state else None
+    (state or dict(model.bag.items()))["head.out.b"].data[-1] = np.inf
+    with pytest.raises(ContractError, match="checkpoint array 'head.out.b' holds a non-finite value; not written"):
+        save_checkpoint(str(tmp_path / "ckpt.json"), model, state=state)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("header", [{}, {"config": None}, {"config": [1, 2]}],
+                         ids=["missing", "null", "list"])
+def test_checkpoint_without_a_config_object_rejected_before_building(tmp_path, monkeypatch, header):
+    path = tmp_path / "ckpt.json"
+    container.write(str(path), "checkpoint", FORMAT_VERSION, {**header, "standardization": None, "meta": None},
+                    toy_model().bag.state_arrays())
+    monkeypatch.setattr(checkpoint, "WaveHeightModel", lambda cfg: pytest.fail("the model was built"))
+    with pytest.raises(FormatError, match=f"checkpoint {re.escape(str(path))} header has no config object"):
         load_checkpoint(str(path))
